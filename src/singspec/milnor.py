@@ -38,8 +38,7 @@ class GroebnerBasis:
 
     @property
     def lead_exponents(self) -> tuple[tuple[int, ...], ...]:
-        ker = kernel.active()
-        return tuple(ker.leading_exponent(p.terms) for p in self.polynomials)
+        return tuple(kernel.leading_exponent(p.terms) for p in self.polynomials)
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,8 @@ class MilnorBasis:
         return len(self.monomials)
 
 
-def _monic(d: dict, ker) -> tuple[dict, tuple]:
-    le = ker.leading_exponent(d)
+def _monic(d: dict) -> tuple[dict, tuple]:
+    le = kernel.leading_exponent(d)
     lc = d[le]
     if lc != 1:
         d = {e: c / lc for e, c in d.items()}
@@ -81,13 +80,12 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
         if g.variables != variables:
             raise ValueError("generators must share one variable tuple")
 
-    ker = kernel.active()
     polys: list[dict] = []
     leads: list[tuple] = []
     tails: list[dict] = []
 
     def add(d: dict):
-        d, le = _monic(d, ker)
+        d, le = _monic(d)
         polys.append(d)
         leads.append(le)
         tails.append({e: c for e, c in d.items() if e != le})
@@ -99,17 +97,17 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
 
     def lcm_key(pair):
         i, j = pair
-        return (ker.grevlex_key(ker.exp_lcm(leads[i], leads[j])), i, j)
+        return (kernel.grevlex_key(kernel.exp_lcm(leads[i], leads[j])), i, j)
 
     while pending:
         i, j = min(pending, key=lcm_key)
         pending.remove((i, j))
-        if ker.exp_coprime(leads[i], leads[j]):
+        if kernel.exp_coprime(leads[i], leads[j]):
             continue
-        lcm = ker.exp_lcm(leads[i], leads[j])
+        lcm = kernel.exp_lcm(leads[i], leads[j])
         chained = False
         for k in range(len(polys)):
-            if k in (i, j) or not ker.exp_divides(leads[k], lcm):
+            if k in (i, j) or not kernel.exp_divides(leads[k], lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -118,18 +116,18 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
                 break
         if chained:
             continue
-        s = ker.s_polynomial(polys[i], leads[i], polys[j], leads[j])
-        r = ker.normal_form(s, leads, tails)
+        s = kernel.s_polynomial(polys[i], leads[i], polys[j], leads[j])
+        r = kernel.normal_form(s, leads, tails)
         if r:
             new = len(polys)
             add(r)
             pending.update((k, new) for k in range(new))
 
     # minimal basis: drop leads divisible by another kept lead
-    order = sorted(range(len(polys)), key=lambda i: ker.grevlex_key(leads[i]))
+    order = sorted(range(len(polys)), key=lambda i: kernel.grevlex_key(leads[i]))
     kept: list[int] = []
     for i in order:
-        if not any(ker.exp_divides(leads[k], leads[i]) for k in kept):
+        if not any(kernel.exp_divides(leads[k], leads[i]) for k in kept):
             kept.append(i)
 
     # reduced basis: every tail in normal form against the other elements
@@ -137,11 +135,11 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
     for i in kept:
         other_leads = [leads[k] for k in kept if k != i]
         other_tails = [tails[k] for k in kept if k != i]
-        tail = ker.normal_form(tails[i], other_leads, other_tails)
+        tail = kernel.normal_form(tails[i], other_leads, other_tails)
         full = dict(tail)
         full[leads[i]] = Fraction(1)
         out.append((leads[i], full))
-    out.sort(key=lambda pair: ker.grevlex_key(pair[0]))
+    out.sort(key=lambda pair: kernel.grevlex_key(pair[0]))
     return GroebnerBasis(
         variables=variables,
         polynomials=tuple(Polynomial(variables, d) for _, d in out),
@@ -152,13 +150,12 @@ def reduce_modulo(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Full normal form of p against a Gröbner basis."""
     if p.variables != gb.variables:
         raise ValueError("variable mismatch")
-    ker = kernel.active()
     leads = list(gb.lead_exponents)
     tails = [
         {e: c for e, c in poly.terms.items() if e != le}
         for poly, le in zip(gb.polynomials, leads)
     ]
-    return Polynomial(gb.variables, ker.normal_form(p.terms, leads, tails))
+    return Polynomial(gb.variables, kernel.normal_form(p.terms, leads, tails))
 
 
 def _pure_power_bounds(leads, nvars: int):
@@ -213,13 +210,12 @@ def milnor_basis(f: Polynomial, weights) -> MilnorBasis:
         raise NonIsolatedSingularityError(
             f"no pure power of {f.variables[bad]} in the leading ideal"
         )
-    ker = kernel.active()
     monomials = [
         m
         for m in itertools.product(*(range(b) for b in bounds))
-        if not any(ker.exp_divides(le, m) for le in leads)
+        if not any(kernel.exp_divides(le, m) for le in leads)
     ]
-    monomials.sort(key=lambda m: (weighted_degree(m, ws), ker.grevlex_key(m)))
+    monomials.sort(key=lambda m: (weighted_degree(m, ws), kernel.grevlex_key(m)))
     return MilnorBasis(f.variables, ws, tuple(monomials))
 
 

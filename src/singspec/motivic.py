@@ -443,7 +443,11 @@ def model_to_json(model: SncModel) -> str:
 
 def load_model(path) -> SncModel:
     with open(path, encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"not valid UTF-8: {exc}") from None
+    return model_from_json(text)
 
 
 def save_model(model: SncModel, path):

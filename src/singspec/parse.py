@@ -12,6 +12,8 @@ tighter than ``+``/``-``)::
 literals).  Identifiers must appear in the caller's variable list.  Errors
 carry the byte offset of the offending token; the grammar is pure ASCII, so
 byte and character offsets agree at every reachable error position.
+Parentheses nest at most ``MAX_NESTING`` deep, so that no input exhausts the
+interpreter's recursion limit.
 """
 
 from fractions import Fraction
@@ -20,6 +22,8 @@ from .errors import PolynomialSyntaxError, UnknownVariableError
 from .poly import Polynomial
 
 _OPS = set("+-*/^()")
+
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -59,6 +63,7 @@ class _Parser:
     def __init__(self, text: str, variables):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.variables = tuple(variables)
 
     def peek(self):
@@ -124,8 +129,14 @@ class _Parser:
                 raise UnknownVariableError(text, offset)
             return Polynomial.variable(self.variables, text)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolynomialSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", offset
+                )
             self.take()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             if self.peek()[0] != ")":
                 self.fail("')'")
             self.take()

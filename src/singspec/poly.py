@@ -9,13 +9,13 @@ weighted degree exactly 1.
 
 from fractions import Fraction
 
+from . import kernel
 from .errors import (
     InconsistentWeightsError,
     LengthMismatchError,
     UnderdeterminedWeightsError,
     WeightOutOfRangeError,
 )
-from .kernel import active as _kernel
 
 
 class Polynomial:
@@ -118,11 +118,10 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ker = _kernel()
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                k = ker.exp_add(ea, eb)
+                k = kernel.exp_add(ea, eb)
                 v = out.get(k, 0) + ca * cb
                 if v:
                     out[k] = v
@@ -186,9 +185,8 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        ker = _kernel()
         parts = []
-        for e in sorted(self.terms, key=ker.grevlex_key, reverse=True):
+        for e in sorted(self.terms, key=kernel.grevlex_key, reverse=True):
             c = self.terms[e]
             body = self._term_body(e, c)
             if not parts:

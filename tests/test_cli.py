@@ -6,6 +6,7 @@ from pathlib import Path
 from singspec import FracPoly
 from singspec.checks import CheckResult
 from singspec.cli import Report, main
+from singspec.parse import MAX_NESTING
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 I2 = str(FIXTURES / "i2_semistable.json")
@@ -73,6 +74,15 @@ def test_sp_error_paths(capsys):
         assert err.startswith("error:")
 
 
+def test_sp_deep_nesting_exits_2(capsys):
+    depth = 5000
+    code, out, err = run(capsys, "sp", "(" * depth + "x" + ")" * depth, "--vars", "x")
+    assert code == 2
+    assert out == ""
+    # the first '(' beyond the limit sits at offset MAX_NESTING
+    assert err == f"error: parentheses nested deeper than {MAX_NESTING} (at offset {MAX_NESTING})\n"
+
+
 def test_sp_rejects_bad_flag_values(capsys):
     code, _, err = run(capsys, "sp", "x^2 + y^3", "--vars", "x,x")
     assert code == 2 and "duplicate" in err
@@ -137,6 +147,16 @@ def test_nearby_schema_error_location(capsys, tmp_path):
     code, _, err = run(capsys, "nearby", str(bad))
     assert code == 2
     assert "/components" in err
+
+
+def test_nearby_non_utf8_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"n": 1, "components": [], "strata": []}')
+    code, out, err = run(capsys, "nearby", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not valid UTF-8")
+    assert err.count("\n") == 1
 
 
 def test_check_passes(capsys):

@@ -17,7 +17,7 @@ from singspec import (
     parse_polynomial,
     reduce_modulo,
 )
-from singspec.kernel import active as _kernel
+from singspec import kernel
 
 XY = ("x", "y")
 
@@ -31,17 +31,15 @@ def random_polynomial(rng, variables, max_terms=4, max_exp=3):
 
 
 def s_polynomial(f, g):
-    ker = _kernel()
-    lf = ker.leading_exponent(f.terms)
-    lg = ker.leading_exponent(g.terms)
-    lcm = ker.exp_lcm(lf, lg)
-    mf = Polynomial.monomial(f.variables, ker.exp_sub(lcm, lf), 1 / f.terms[lf])
-    mg = Polynomial.monomial(g.variables, ker.exp_sub(lcm, lg), 1 / g.terms[lg])
+    lf = kernel.leading_exponent(f.terms)
+    lg = kernel.leading_exponent(g.terms)
+    lcm = kernel.exp_lcm(lf, lg)
+    mf = Polynomial.monomial(f.variables, kernel.exp_sub(lcm, lf), 1 / f.terms[lf])
+    mg = Polynomial.monomial(g.variables, kernel.exp_sub(lcm, lg), 1 / g.terms[lg])
     return mf * f - mg * g
 
 
 def assert_is_reduced_groebner(gb, generators):
-    ker = _kernel()
     leads = gb.lead_exponents
     # monic
     for p, le in zip(gb.polynomials, leads):
@@ -50,7 +48,7 @@ def assert_is_reduced_groebner(gb, generators):
     for i, p in enumerate(gb.polynomials):
         for e in p.terms:
             divisors = [
-                j for j, le in enumerate(leads) if ker.exp_divides(le, e)
+                j for j, le in enumerate(leads) if kernel.exp_divides(le, e)
             ]
             if e == leads[i]:
                 assert divisors == [i]
@@ -90,8 +88,7 @@ def test_buchberger_mixed_ideal():
     gb = buchberger(gens)
     assert_is_reduced_groebner(gb, gens)
     # a pure power of y must join the leading ideal for the quotient to be finite
-    ker = _kernel()
-    assert any(ker.exp_divides(le, (0, 4)) for le in gb.lead_exponents)
+    assert any(kernel.exp_divides(le, (0, 4)) for le in gb.lead_exponents)
 
 
 def test_buchberger_random_pairs_reduce_to_zero():
@@ -117,6 +114,70 @@ def test_reduce_modulo_normal_form():
     gb = buchberger(gens)  # leads x, y^2
     p = parse_polynomial("x^2*y + x + y^3 + y", XY)
     assert reduce_modulo(p, gb) == parse_polynomial("y", XY)
+
+
+def random_exponent(rng, n):
+    return tuple(rng.randint(0, 7) for _ in range(n))
+
+
+def random_terms(rng, n, max_terms=5):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = random_exponent(rng, n)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        if c:
+            terms[e] = c
+    return terms or {(0,) * n: Fraction(1)}
+
+
+def monic_terms(terms):
+    lc = terms[kernel.leading_exponent(terms)]
+    return {e: c / lc for e, c in terms.items()}
+
+
+def test_kernel_grevlex_order_properties():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a = random_exponent(rng, n)
+        b = random_exponent(rng, n)
+        c = random_exponent(rng, n)
+        # the key induces the comparison
+        assert kernel.grevlex_greater(a, b) == (kernel.grevlex_key(a) > kernel.grevlex_key(b))
+        # compatible with monomial multiplication
+        if kernel.grevlex_greater(a, b):
+            assert kernel.grevlex_greater(kernel.exp_add(a, c), kernel.exp_add(b, c))
+
+
+def test_kernel_normal_form_is_irreducible():
+    rng = random.Random(3001)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        target = random_terms(rng, n, max_terms=6)
+        lead_exps = []
+        tails = []
+        for _ in range(rng.randint(1, 3)):
+            basis = monic_terms(random_terms(rng, n, max_terms=3))
+            le = kernel.leading_exponent(basis)
+            lead_exps.append(le)
+            tails.append({e: c for e, c in basis.items() if e != le})
+        got = kernel.normal_form(target, lead_exps, tails)
+        # nothing left divisible by a basis lead
+        for e in got:
+            assert not any(kernel.exp_divides(le, e) for le in lead_exps)
+
+
+def test_kernel_s_polynomial_cancels_lead_lcm():
+    rng = random.Random(4242)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        f = monic_terms(random_terms(rng, n))
+        g = monic_terms(random_terms(rng, n))
+        lf = kernel.leading_exponent(f)
+        lg = kernel.leading_exponent(g)
+        s = kernel.s_polynomial(f, lf, g, lg)
+        if s:
+            assert kernel.leading_exponent(s) != kernel.exp_lcm(lf, lg)
 
 
 def test_is_isolated():

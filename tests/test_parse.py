@@ -8,6 +8,7 @@ from singspec import (
     UnknownVariableError,
     parse_polynomial,
 )
+from singspec.parse import MAX_NESTING
 
 XY = ("x", "y")
 
@@ -77,3 +78,12 @@ def test_power_binds_tighter_than_product():
 def test_division_only_between_integer_literals():
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("x/2", XY)
+
+
+def test_nesting_limit():
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deepest, XY) == parse_polynomial("x", XY)
+    text = "x + " + "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(PolynomialSyntaxError) as exc:
+        parse_polynomial(text, XY)
+    assert exc.value.offset == len("x + ") + MAX_NESTING
