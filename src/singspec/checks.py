@@ -233,15 +233,27 @@ def check_bp_dual_route() -> CheckResult:
 def check_bp_basis_box() -> CheckResult:
     """Independent oracle for the grid: the Jacobian ideal of a sum of pure
     powers is monomial, so the standard monomials are exactly the box with
-    exponent_i <= a_i - 2."""
-    for exps in brieskorn_pham_exponents():
-        f = _bp_polynomial(exps)
-        basis = milnor_basis(f, tuple(Fraction(1, a) for a in exps))
+    exponent_i <= a_i - 2.  Compared against the bases the corpus holds,
+    which must be the grid cases in enumeration order followed by the
+    mixed ones."""
+    corpus = build_corpus()
+    count = bp_case_count()
+    if len(corpus) != count + len(_EXTRA_CASES):
+        return CheckResult(
+            "grid-basis-box",
+            False,
+            f"corpus holds {len(corpus)} cases, expected {count} grid + {len(_EXTRA_CASES)} mixed",
+        )
+    for case, exps in zip(corpus, brieskorn_pham_exponents()):
+        if case.f != _bp_polynomial(exps):
+            return CheckResult(
+                "grid-basis-box", False, f"corpus case {case.name} is not the grid case {exps}"
+            )
         box = set(itertools.product(*(range(a - 1) for a in exps)))
-        if set(basis.monomials) != box or len(basis) != _prod(a - 1 for a in exps):
+        if set(case.basis.monomials) != box or len(case.basis) != _prod(a - 1 for a in exps):
             return CheckResult("grid-basis-box", False, f"box mismatch at {exps}")
     return CheckResult(
-        "grid-basis-box", True, f"standard monomials match the closed-form box on {bp_case_count()} cases"
+        "grid-basis-box", True, f"standard monomials match the closed-form box on {count} cases"
     )
 
 

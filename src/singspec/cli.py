@@ -7,8 +7,9 @@ human-readable by default, machine-readable with ``--json``; diagnostics go
 to stderr.
 
 Exit codes: 0 success; 1 a check failed; 2 input or validation error;
-3 internal consistency failure (two routes disagreed: a bug, never user
-error).  Identical inputs produce byte-identical ``--json`` output.
+3 internal failure: two routes disagreed, or any other unexpected exception,
+reported as one ``internal error:`` line (a bug, never user error).
+Identical inputs produce byte-identical ``--json`` output.
 """
 
 import argparse
@@ -266,6 +267,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(report.to_json() if args.json else report.render_text())
     if report.kind == "check" and not report.data["passed"]:
         return 1

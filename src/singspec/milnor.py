@@ -9,6 +9,7 @@ weights.  Disagreement is an internal error, never a user error.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from .poly import (
     as_weights,
     is_weighted_homogeneous,
     jacobian_generators,
-    weighted_degree,
 )
 
 
@@ -215,7 +215,13 @@ def milnor_basis(f: Polynomial, weights) -> MilnorBasis:
         for m in itertools.product(*(range(b) for b in bounds))
         if not any(kernel.exp_divides(le, m) for le in leads)
     ]
-    monomials.sort(key=lambda m: (weighted_degree(m, ws), kernel.grevlex_key(m)))
+    # weighted degrees scaled by the lcm of the weight denominators are
+    # integers and order the monomials exactly as the rational degrees do
+    scale = math.lcm(*(w.denominator for w in ws))
+    c = [w.numerator * (scale // w.denominator) for w in ws]
+    monomials.sort(
+        key=lambda m: (sum(ci * ei for ci, ei in zip(c, m)), kernel.grevlex_key(m))
+    )
     return MilnorBasis(f.variables, ws, tuple(monomials))
 
 

@@ -9,7 +9,8 @@ Routes:
   expanded denominator product (zero remainder and non-negative coefficients
   required);
 * basis route: one term t^{l(g) + sum(w)} per standard monomial g of the
-  Milnor algebra, l = weighted degree.
+  Milnor algebra, l = weighted degree, counted on the integer degrees
+  m * (l(g) + sum(w)).
 
 For an isolated weighted-homogeneous singularity the two must agree exactly,
 the spectrum is symmetric under s |-> t^n iota(s), and the coefficient sum is
@@ -22,12 +23,19 @@ Eigenvalue conventions (one sign flip apart; both are exposed):
 * ``eigenvalues_geometric``: angles negated, the action pulled back along the
   geometric monodromy itself -- equal to the multiset {a mod 1} read directly
   off the spectrum.
+
+The characteristic polynomial of a Galois-stable multiset is a product of
+cyclotomic polynomials, built from binomials T^d - 1 through the Möbius
+identity Phi_n = prod over d | n of (T^d - 1)^mu(n/d).
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
+    ConsistencyError,
     NegativeMultiplicityError,
     NonExactDivisionError,
     NonIsolatedSingularityError,
@@ -36,7 +44,7 @@ from .errors import (
 )
 from .fracpoly import FracPoly
 from .milnor import MilnorBasis, is_isolated
-from .poly import Polynomial, as_weights, is_weighted_homogeneous, weighted_degree
+from .poly import Polynomial, as_weights, is_weighted_homogeneous
 
 # -- dense one-variable integer polynomials (index = degree) -----------------
 
@@ -59,21 +67,10 @@ def _u_mul(a: list, b: list) -> list:
     return _u_trim(out)
 
 
-def _u_pow(a: list, k: int) -> list:
-    out = [1]
-    base = a
-    while k:
-        if k & 1:
-            out = _u_mul(out, base)
-        k >>= 1
-        if k:
-            base = _u_mul(base, base)
-    return out
-
-
 def _u_divmod(num: list, den: list) -> tuple[list, list]:
     """Long division; the divisor must have leading coefficient 1."""
-    assert den and den[-1] == 1
+    if not den or den[-1] != 1:
+        raise ConsistencyError("long division needs a monic divisor")
     rem = list(num)
     if len(rem) < len(den):
         return [], _u_trim(rem)
@@ -126,8 +123,11 @@ def sp_product_formula(weights) -> FracPoly:
 def sp_from_basis(basis: MilnorBasis) -> FracPoly:
     """Spectrum as the weighted-degree distribution of the standard monomials,
     shifted by the weight sum."""
-    shift = sum(basis.weights, Fraction(0))
-    return FracPoly((weighted_degree(g, basis.weights) + shift, 1) for g in basis.monomials)
+    m = math.lcm(*(w.denominator for w in basis.weights))
+    c = [w.numerator * (m // w.denominator) for w in basis.weights]
+    shift = sum(c)
+    counts = Counter(sum(ci * ei for ci, ei in zip(c, g)) + shift for g in basis.monomials)
+    return FracPoly({Fraction(k, m): n for k, n in counts.items()})
 
 
 def sp_twist(s: FracPoly, n: int) -> FracPoly:
@@ -233,25 +233,38 @@ def spectral_residues(s: FracPoly) -> EigenMultiset:
 
 # -- characteristic polynomial -------------------------------------------------
 
-_CYCLOTOMIC: dict[int, list] = {}
+
+def _prime_factors(n: int) -> list:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
-def _cyclotomic(n: int) -> list:
-    """Coefficient list of the n-th cyclotomic polynomial, by exact division
-    of T^n - 1 by the product of the lower ones."""
-    if n in _CYCLOTOMIC:
-        return _CYCLOTOMIC[n]
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _u_mul(den, _cyclotomic(d))
-    quo, rem = _u_divmod(num, den)
-    assert not rem, f"cyclotomic division failed for n={n}"
-    _CYCLOTOMIC[n] = quo
-    return quo
+def _times_binomial(a: list, d: int) -> list:
+    """a * (T^d - 1)."""
+    return [x - y for x, y in zip([0] * d + a, a + [0] * d)]
+
+
+def _over_binomial(a: list, d: int) -> list:
+    """a / (T^d - 1), which must be exact.
+
+    Coefficient j of the quotient is the sum of a[j + d], a[j + 2d], ...:
+    a suffix sum along each residue class of the exponent mod d, with the
+    sums landing on degrees below d forming the remainder."""
+    b = list(a)
+    for r in range(d):
+        b[r::d] = list(accumulate(a[r::d][::-1]))[::-1]
+    if any(b[:d]):
+        raise ConsistencyError(f"T^{d} - 1 does not divide the product of binomials")
+    return b[d:]
 
 
 def char_poly(e: EigenMultiset) -> Polynomial:
@@ -261,12 +274,15 @@ def char_poly(e: EigenMultiset) -> Polynomial:
     The multiset must be Galois-stable: for each denominator v appearing, all
     residues u/v with gcd(u, v) = 1 must appear with one common multiplicity
     c_v.  The result is the product over v of the v-th cyclotomic polynomial
-    to the power c_v, in the variable T.
+    to the power c_v, in the variable T, evaluated as the product over d of
+    (T^d - 1)^e_d with e_d = sum over multiples v of d of mu(v/d) * c_v
+    (mu the Möbius function): the positive powers are multiplied in first,
+    then the negative ones divided out exactly.
     """
     groups: dict[int, dict[int, int]] = {}
     for r, mult in e.residues.items():
         groups.setdefault(r.denominator, {})[r.numerator] = mult
-    coeffs = [1]
+    exps: dict[int, int] = {}
     for v in sorted(groups):
         present = groups[v]
         expected = [u for u in range(v) if math.gcd(u, v) == 1] or [0]
@@ -278,5 +294,18 @@ def char_poly(e: EigenMultiset) -> Polynomial:
             low = min(mults)
             offender = min(u for u in expected if present[u] == low)
             raise NotGaloisStableError(Fraction(offender, v))
-        coeffs = _u_mul(coeffs, _u_pow(_cyclotomic(v), present[expected[0]]))
+        c_v = present[expected[0]]
+        # mu(v/d) is (-1)^k when v/d is a product of k distinct primes, else 0
+        divisors = [(v, c_v)]
+        for p in _prime_factors(v):
+            divisors += [(d // p, -c) for d, c in divisors]
+        for d, c in divisors:
+            exps[d] = exps.get(d, 0) + c
+    coeffs = [1]
+    for d, k in sorted(exps.items()):
+        for _ in range(k):
+            coeffs = _times_binomial(coeffs, d)
+    for d, k in sorted(exps.items()):
+        for _ in range(-k):
+            coeffs = _over_binomial(coeffs, d)
     return Polynomial(("T",), {(k,): c for k, c in enumerate(coeffs) if c})

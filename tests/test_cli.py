@@ -5,6 +5,7 @@ from pathlib import Path
 
 from singspec import FracPoly
 from singspec.checks import CheckResult
+from singspec import cli
 from singspec.cli import Report, main
 from singspec.parse import MAX_NESTING
 
@@ -176,6 +177,17 @@ def test_check_json_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["data"]["passed"] is True
     assert payload["data"]["corpus_cases"] >= 100
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("synthetic fault")
+
+    monkeypatch.setitem(cli._RUNNERS, "sp", boom)
+    code, out, err = run(capsys, "sp", "x^2 + y^3", "--vars", "x,y")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: synthetic fault\n"
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):

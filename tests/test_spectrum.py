@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +26,10 @@ from singspec import (
     sp_twist,
     spectral_residues,
 )
+from singspec import kernel, spectrum
+from singspec.checks import _EXTRA_CASES, _bp_polynomial, brieskorn_pham_exponents
+from singspec.errors import ConsistencyError
+from singspec.poly import weighted_degree
 
 F = Fraction
 XY = ("x", "y")
@@ -217,3 +223,125 @@ def test_char_poly_convention_independent():
     for ws in ((F(1, 2), F(1, 3)), (F(1, 6), F(1, 6))):
         e = eigenvalues_gamma_c(sp_product_formula(ws))
         assert char_poly(e) == char_poly(eigenvalues_geometric(e))
+
+
+def test_char_poly_not_galois_stable_residue():
+    # missing residue: the least absent primitive residue of the least bad
+    # denominator
+    with pytest.raises(NotGaloisStableError) as exc:
+        char_poly(EigenMultiset({F(0): 1, F(1, 5): 1, F(3, 5): 1, F(1, 7): 1}))
+    assert exc.value.residue == F(2, 5)
+    # unequal multiplicities: the least residue carrying the lowest one
+    with pytest.raises(NotGaloisStableError) as exc:
+        char_poly(EigenMultiset({F(1, 6): 2, F(5, 6): 1}))
+    assert exc.value.residue == F(5, 6)
+    with pytest.raises(NotGaloisStableError) as exc:
+        char_poly(EigenMultiset({F(1, 8): 3, F(3, 8): 1, F(5, 8): 3, F(7, 8): 1}))
+    assert exc.value.residue == F(3, 8)
+
+
+# the characteristic polynomial by the dense construction: Phi_n by exact
+# long division of T^n - 1 by the lower cyclotomic polynomials
+
+
+def _dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@functools.cache
+def _dense_cyclotomic(n):
+    rem = [-1] + [0] * (n - 1) + [1]
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _dense_mul(den, _dense_cyclotomic(d))
+    quo = [0] * (len(rem) - len(den) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = c = rem[k + len(den) - 1]
+        for j, y in enumerate(den):
+            rem[k + j] -= c * y
+    assert not any(rem)
+    return tuple(quo)
+
+
+def _dense_char_poly(mults):
+    coeffs = [1]
+    for v, c in mults.items():
+        for _ in range(c):
+            coeffs = _dense_mul(coeffs, _dense_cyclotomic(v))
+    return Polynomial(("T",), {(k,): c for k, c in enumerate(coeffs) if c})
+
+
+def _galois_orbits(mults):
+    """Every primitive residue u/v with the multiplicity mults[v]."""
+    return EigenMultiset(
+        {F(u, v): c for v, c in mults.items() for u in range(v) if math.gcd(u, v) == 1}
+    )
+
+
+def test_char_poly_single_cyclotomic_factors():
+    for v in range(1, 61):
+        assert char_poly(_galois_orbits({v: 1})) == _dense_char_poly({v: 1}), v
+
+
+def test_char_poly_random_galois_stable_multisets():
+    rng = random.Random(6151)
+    denominators = (1, 2, 3, 4, 8, 9, 27, 6, 10, 12, 30, 210)
+    for _ in range(60):
+        mults = {
+            v: rng.randint(1, 4)
+            for v in rng.sample(denominators, rng.randint(1, 4))
+        }
+        assert char_poly(_galois_orbits(mults)) == _dense_char_poly(mults), mults
+
+
+def test_binomial_division_is_exact_or_fails():
+    # (T^2 - 1)(T^3 - 1) = T^5 - T^3 - T^2 + 1
+    product = [1, 0, -1, -1, 0, 1]
+    assert spectrum._over_binomial(product, 3) == [-1, 0, 1]
+    assert spectrum._over_binomial(product, 2) == [-1, 0, 0, 1]
+    with pytest.raises(ConsistencyError):
+        spectrum._over_binomial(product, 4)
+    with pytest.raises(ConsistencyError):
+        spectrum._over_binomial([1], 1)
+
+
+def test_long_division_requires_monic_divisor():
+    assert spectrum._u_divmod([-1, 0, 1], [-1, 1]) == ([1, 1], [])
+    with pytest.raises(ConsistencyError):
+        spectrum._u_divmod([-1, 0, 1], [1, 2])
+    with pytest.raises(ConsistencyError):
+        spectrum._u_divmod([1], [])
+
+
+# -- integer weighted degrees --------------------------------------------------
+
+
+def _degree_cases():
+    for text, variables, ws in _EXTRA_CASES:
+        yield milnor_basis(parse_polynomial(text, variables), ws)
+    grid = list(brieskorn_pham_exponents())
+    for exps in random.Random(3301).sample(grid, 20):
+        yield milnor_basis(_bp_polynomial(exps), tuple(F(1, a) for a in exps))
+
+
+def test_milnor_basis_order_matches_rational_degrees():
+    for b in _degree_cases():
+        assert b.monomials == tuple(
+            sorted(
+                b.monomials,
+                key=lambda g: (weighted_degree(g, b.weights), kernel.grevlex_key(g)),
+            )
+        )
+
+
+def test_sp_from_basis_matches_rational_degrees():
+    for b in _degree_cases():
+        shift = sum(b.weights)
+        expected = FracPoly((weighted_degree(g, b.weights) + shift, 1) for g in b.monomials)
+        assert sp_from_basis(b) == expected
+        assert all(isinstance(a, Fraction) for a in sp_from_basis(b).terms)
