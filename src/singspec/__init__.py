@@ -20,6 +20,7 @@ from .errors import (
     NotGaloisStableError,
     NotWeightedHomogeneousError,
     PolynomialSyntaxError,
+    ResourceLimitError,
     SingspecError,
     UnderdeterminedWeightsError,
     UnknownVariableError,

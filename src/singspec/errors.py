@@ -53,6 +53,13 @@ class NonIsolatedSingularityError(SingspecError):
     """The Jacobian ideal does not cut out a finite-dimensional quotient."""
 
 
+class ResourceLimitError(SingspecError):
+    """A closed-form size computed from the weights exceeds a fixed budget.
+
+    Raised before anything of that size is enumerated or allocated.
+    """
+
+
 class NonExactDivisionError(SingspecError):
     """The weight product formula did not divide exactly over the integers."""
 

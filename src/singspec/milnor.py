@@ -6,9 +6,11 @@ variable has a pure power among the leading terms of the reduced basis; the
 standard monomials below those powers then form the Milnor algebra basis, and
 their count must agree with the closed-form product of (1/w_i - 1) over the
 weights.  Disagreement is an internal error, never a user error.
+``milnor_basis`` checks that closed form against ``MAX_MU`` before it
+computes a Gröbner basis or enumerates a monomial.
 """
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +20,7 @@ from .errors import (
     ConsistencyError,
     NonIsolatedSingularityError,
     NotWeightedHomogeneousError,
+    ResourceLimitError,
 )
 from .poly import (
     Polynomial,
@@ -25,6 +28,10 @@ from .poly import (
     is_weighted_homogeneous,
     jacobian_generators,
 )
+
+# budget on the closed-form Milnor number, i.e. on the number of standard
+# monomials milnor_basis may enumerate; x^30+y^31+z^37 has mu 31,320
+MAX_MU = 100_000
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,13 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
     lcm is processed first (normal selection), and both classical discards
     apply (coprime leading terms; chain criterion against pairs no longer
     pending).
+
+    Pairs wait in a binary heap keyed ``(grevlex_key(lcm), i, j)``; each pair
+    is pushed once, when its younger element joins the basis, so a selection
+    costs O(log P) over P pairs instead of a scan of every pending pair.  The
+    key is a total order (no two pairs share i, j), so the heap pops pairs in
+    exactly the order of ``min(pending, key=...)``.  ``pending`` mirrors the
+    heap for the chain criterion; a pair leaves it when it is popped.
     """
     gens = [g for g in generators if g]
     if variables is None:
@@ -83,28 +97,28 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
     polys: list[dict] = []
     leads: list[tuple] = []
     tails: list[dict] = []
+    pending: set[tuple[int, int]] = set()
+    queue: list[tuple] = []
 
     def add(d: dict):
         d, le = _monic(d)
+        new = len(polys)
         polys.append(d)
         leads.append(le)
         tails.append({e: c for e, c in d.items() if e != le})
+        for i in range(new):
+            lcm = kernel.exp_lcm(leads[i], le)
+            heapq.heappush(queue, (kernel.grevlex_key(lcm), i, new, lcm))
+            pending.add((i, new))
 
     for g in sorted(gens, key=lambda p: sorted(p.terms.items())):
         add(dict(g.terms))
 
-    pending = {(i, j) for j in range(len(polys)) for i in range(j)}
-
-    def lcm_key(pair):
-        i, j = pair
-        return (kernel.grevlex_key(kernel.exp_lcm(leads[i], leads[j])), i, j)
-
-    while pending:
-        i, j = min(pending, key=lcm_key)
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
         if kernel.exp_coprime(leads[i], leads[j]):
             continue
-        lcm = kernel.exp_lcm(leads[i], leads[j])
         chained = False
         for k in range(len(polys)):
             if k in (i, j) or not kernel.exp_divides(leads[k], lcm):
@@ -119,9 +133,7 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
         s = kernel.s_polynomial(polys[i], leads[i], polys[j], leads[j])
         r = kernel.normal_form(s, leads, tails)
         if r:
-            new = len(polys)
             add(r)
-            pending.update((k, new) for k in range(new))
 
     # minimal basis: drop leads divisible by another kept lead
     order = sorted(range(len(polys)), key=lambda i: kernel.grevlex_key(leads[i]))
@@ -158,19 +170,43 @@ def reduce_modulo(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial(gb.variables, kernel.normal_form(p.terms, leads, tails))
 
 
-def _pure_power_bounds(leads, nvars: int):
-    """Minimal pure-power exponent of each variable in the leading ideal,
-    or the offending variable index when one has none."""
-    bounds = []
+def _missing_pure_power(leads, nvars: int) -> int:
+    """Index of the first variable with no pure power among the leads, or -1."""
     for i in range(nvars):
-        best = None
-        for le in leads:
-            if le[i] and all(x == 0 for j, x in enumerate(le) if j != i):
-                best = le[i] if best is None else min(best, le[i])
-        if best is None:
-            return None, i
-        bounds.append(best)
-    return bounds, -1
+        if not any(le[i] and sum(le) == le[i] for le in leads):
+            return i
+    return -1
+
+
+def _standard_monomials(leads, nvars: int) -> list[tuple[int, ...]]:
+    """Exponents no lead divides, in lexicographic order.
+
+    The leads must include a pure power of every variable and must not
+    include 1.  The walk takes one run of the last coordinate at a time.
+    Standard monomials form an order ideal, so a run ends at the first
+    exponent some lead divides, and every larger one in the run is divisible
+    too; that end is the least last coordinate among the leads whose other
+    coordinates divide the run's prefix.  An empty run ends the run of the
+    prefix coordinate stepped last in the same way.  So the walk visits each
+    standard prefix once, plus one empty prefix per ended run.
+    """
+    last = nvars - 1
+    heads = [(le[:last], le[last]) for le in leads]
+    prefix = [0] * last
+    out = []
+    k = last - 1  # the prefix coordinate stepped last
+    while True:
+        head = tuple(prefix)
+        run = min(t for h, t in heads if kernel.exp_divides(h, head))
+        if run:
+            out.extend(head + (t,) for t in range(run))
+            k = last - 1
+        else:
+            prefix[k] = 0  # k >= 0: the zero prefix has a nonempty run
+            k -= 1
+        if k < 0:
+            return out
+        prefix[k] += 1
 
 
 def is_isolated(f: Polynomial) -> bool:
@@ -182,14 +218,23 @@ def is_isolated(f: Polynomial) -> bool:
     leads = gb.lead_exponents
     if any(all(x == 0 for x in le) for le in leads):
         return True  # unit ideal: empty basis
-    bounds, _ = _pure_power_bounds(leads, len(f.variables))
-    return bounds is not None
+    return _missing_pure_power(leads, len(f.variables)) < 0
+
+
+def _closed_mu(ws) -> Fraction:
+    """prod(1/w_i - 1): the Milnor number when the weights are those of an
+    isolated weighted-homogeneous singularity."""
+    mu = Fraction(1)
+    for w in ws:
+        mu *= 1 / w - 1
+    return mu
 
 
 def milnor_basis(f: Polynomial, weights) -> MilnorBasis:
     """Standard monomials of the Jacobian ideal of a weighted-homogeneous f.
 
-    Raises NotWeightedHomogeneousError if some term misses degree 1, and
+    Raises NotWeightedHomogeneousError if some term misses degree 1,
+    ResourceLimitError if the closed-form Milnor number exceeds MAX_MU, and
     NonIsolatedSingularityError if some variable has no pure power among the
     leading terms (the finiteness criterion for the quotient).
     """
@@ -198,6 +243,11 @@ def milnor_basis(f: Polynomial, weights) -> MilnorBasis:
         raise NotWeightedHomogeneousError(
             "not weighted-homogeneous of degree 1 for the given weights"
         )
+    mu = _closed_mu(ws)
+    if mu > MAX_MU:
+        raise ResourceLimitError(
+            f"Milnor number {mu} from the weights exceeds the limit of {MAX_MU}"
+        )
     gens = [g for g in jacobian_generators(f) if g]
     if not gens:
         raise NonIsolatedSingularityError("zero Jacobian ideal")
@@ -205,16 +255,12 @@ def milnor_basis(f: Polynomial, weights) -> MilnorBasis:
     leads = gb.lead_exponents
     if any(all(x == 0 for x in le) for le in leads):
         return MilnorBasis(f.variables, ws, ())
-    bounds, bad = _pure_power_bounds(leads, len(f.variables))
-    if bounds is None:
+    bad = _missing_pure_power(leads, len(f.variables))
+    if bad >= 0:
         raise NonIsolatedSingularityError(
             f"no pure power of {f.variables[bad]} in the leading ideal"
         )
-    monomials = [
-        m
-        for m in itertools.product(*(range(b) for b in bounds))
-        if not any(kernel.exp_divides(le, m) for le in leads)
-    ]
+    monomials = _standard_monomials(leads, len(f.variables))
     # weighted degrees scaled by the lcm of the weight denominators are
     # integers and order the monomials exactly as the rational degrees do
     scale = math.lcm(*(w.denominator for w in ws))
@@ -228,9 +274,7 @@ def milnor_basis(f: Polynomial, weights) -> MilnorBasis:
 def milnor_number(f: Polynomial, weights) -> int:
     """Count of standard monomials, cross-checked against prod(1/w_i - 1)."""
     basis = milnor_basis(f, weights)
-    closed = Fraction(1)
-    for w in basis.weights:
-        closed *= 1 / w - 1
+    closed = _closed_mu(basis.weights)
     if closed.denominator != 1 or closed != len(basis):
         raise ConsistencyError(
             f"standard monomial count {len(basis)} != weight product {closed}"

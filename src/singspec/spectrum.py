@@ -41,10 +41,15 @@ from .errors import (
     NonIsolatedSingularityError,
     NotGaloisStableError,
     NotWeightedHomogeneousError,
+    ResourceLimitError,
 )
 from .fracpoly import FracPoly
 from .milnor import MilnorBasis, is_isolated
 from .poly import Polynomial, as_weights, is_weighted_homogeneous
+
+# budget on the length n * m + 1 of the expanded numerator of the product
+# formula; x^30+y^31+z^37 needs 103,231
+MAX_DENSE = 1_000_000
 
 # -- dense one-variable integer polynomials (index = degree) -----------------
 
@@ -90,12 +95,19 @@ def _u_divmod(num: list, den: list) -> tuple[list, list]:
 def sp_product_formula(weights) -> FracPoly:
     """Spectrum from the weights alone.
 
-    Raises NonExactDivisionError when the quotient has a remainder or a
+    Raises ResourceLimitError before allocating when the expanded numerator,
+    n * m + 1 coefficients long, would exceed MAX_DENSE, and
+    NonExactDivisionError when the quotient has a remainder or a
     negative coefficient; both mean the weights do not come from an isolated
     weighted-homogeneous singularity.
     """
     ws = as_weights(weights)
     m = math.lcm(*(w.denominator for w in ws)) if ws else 1
+    if len(ws) * m + 1 > MAX_DENSE:
+        raise ResourceLimitError(
+            f"dense length {len(ws) * m + 1} of the weight product exceeds "
+            f"the limit of {MAX_DENSE}"
+        )
     num = [1]
     den = [1]
     for w in ws:

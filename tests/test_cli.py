@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from singspec import FracPoly
 from singspec.checks import CheckResult
 from singspec import cli
 from singspec.cli import Report, main
+from singspec.milnor import MAX_MU
 from singspec.parse import MAX_NESTING
+from singspec.spectrum import MAX_DENSE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 I2 = str(FIXTURES / "i2_semistable.json")
@@ -82,6 +85,28 @@ def test_sp_deep_nesting_exits_2(capsys):
     assert out == ""
     # the first '(' beyond the limit sits at offset MAX_NESTING
     assert err == f"error: parentheses nested deeper than {MAX_NESTING} (at offset {MAX_NESTING})\n"
+
+
+def test_sp_huge_milnor_number_exits_2_promptly(capsys):
+    # mu = 99999999998 standard monomials: refused from the weights alone
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sp", "x^99999999999 + y^2", "--vars", "x,y")
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err == f"error: Milnor number 99999999998 from the weights exceeds the limit of {MAX_MU}\n"
+
+
+def test_sp_huge_dense_length_exits_2_promptly(capsys):
+    # mu = 1, but the product formula would expand 2 * 10^7 + 1 coefficients
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "sp", "x*y", "--vars", "x,y", "--weights", "4999999/10000000,5000001/10000000"
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err == f"error: dense length 20000001 of the weight product exceeds the limit of {MAX_DENSE}\n"
 
 
 def test_sp_rejects_bad_flag_values(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,18 +7,24 @@ import pytest
 
 from singspec import (
     ConsistencyError,
+    GroebnerBasis,
     NonIsolatedSingularityError,
     NotWeightedHomogeneousError,
     Polynomial,
+    ResourceLimitError,
     buchberger,
+    infer_weights,
     is_isolated,
     jacobian_generators,
     milnor_basis,
     milnor_number,
     parse_polynomial,
     reduce_modulo,
+    sp_product_formula,
 )
-from singspec import kernel
+from singspec import kernel, milnor, spectrum
+from singspec.checks import _EXTRA_CASES, _bp_polynomial, brieskorn_pham_exponents
+from singspec.poly import weighted_degree
 
 XY = ("x", "y")
 
@@ -270,3 +277,185 @@ def test_grid_boxes():
         assert set(b.monomials) == set(
             itertools.product(*(range(a - 1) for a in exps))
         )
+
+
+# -- the pair queue against the scan it replaced ----------------------------------
+
+
+def scan_buchberger(generators, variables):
+    """Buchberger with the pair selection by a full scan of the pending pairs,
+    ``min(pending, key=lcm_key)``: the order the heap must reproduce."""
+    gens = [g for g in generators if g]
+    polys, leads, tails = [], [], []
+
+    def add(d):
+        le = kernel.leading_exponent(d)
+        lc = d[le]
+        if lc != 1:
+            d = {e: c / lc for e, c in d.items()}
+        polys.append(d)
+        leads.append(le)
+        tails.append({e: c for e, c in d.items() if e != le})
+
+    for g in sorted(gens, key=lambda p: sorted(p.terms.items())):
+        add(dict(g.terms))
+    pending = {(i, j) for j in range(len(polys)) for i in range(j)}
+
+    def lcm_key(pair):
+        i, j = pair
+        return (kernel.grevlex_key(kernel.exp_lcm(leads[i], leads[j])), i, j)
+
+    while pending:
+        i, j = min(pending, key=lcm_key)
+        pending.remove((i, j))
+        if kernel.exp_coprime(leads[i], leads[j]):
+            continue
+        lcm = kernel.exp_lcm(leads[i], leads[j])
+        chained = False
+        for k in range(len(polys)):
+            if k in (i, j) or not kernel.exp_divides(leads[k], lcm):
+                continue
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a not in pending and b not in pending:
+                chained = True
+                break
+        if chained:
+            continue
+        s = kernel.s_polynomial(polys[i], leads[i], polys[j], leads[j])
+        r = kernel.normal_form(s, leads, tails)
+        if r:
+            new = len(polys)
+            add(r)
+            pending.update((k, new) for k in range(new))
+
+    order = sorted(range(len(polys)), key=lambda i: kernel.grevlex_key(leads[i]))
+    kept = []
+    for i in order:
+        if not any(kernel.exp_divides(leads[k], leads[i]) for k in kept):
+            kept.append(i)
+    out = []
+    for i in kept:
+        other_leads = [leads[k] for k in kept if k != i]
+        other_tails = [tails[k] for k in kept if k != i]
+        full = dict(kernel.normal_form(tails[i], other_leads, other_tails))
+        full[leads[i]] = Fraction(1)
+        out.append((leads[i], full))
+    out.sort(key=lambda pair: kernel.grevlex_key(pair[0]))
+    return GroebnerBasis(
+        variables=variables,
+        polynomials=tuple(Polynomial(variables, d) for _, d in out),
+    )
+
+
+def atom(kind, exps, rng):
+    """A chain or loop polynomial with the given exponents and random
+    coefficients: x_i^a_i * x_{i+1} terms (the last chain term is pure)."""
+    n = len(exps)
+    terms = {}
+    for i, a in enumerate(exps):
+        e = [0] * n
+        e[i] = a
+        if kind == "chain" and i + 1 < n:
+            e[i + 1] = 1
+        elif kind == "loop":
+            e[(i + 1) % n] += 1
+        terms[tuple(e)] = rng.randint(1, 9)
+    return Polynomial(("x", "y", "z", "w", "v")[:n], terms)
+
+
+def seeded_atoms(seed=5150, count=24):
+    rng = random.Random(seed)
+    top = {3: 6, 4: 4, 5: 3}
+    for _ in range(count):
+        n = rng.randint(3, 5)
+        kind = rng.choice(("chain", "loop"))
+        yield atom(kind, [rng.randint(2, top[n]) for _ in range(n)], rng)
+
+
+def test_pair_queue_matches_scan_order(monkeypatch):
+    real = kernel.s_polynomial
+    seen = []
+
+    def recording(f, lf, g, lg):
+        seen.append((lf, lg))
+        return real(f, lf, g, lg)
+
+    monkeypatch.setattr(kernel, "s_polynomial", recording)
+    for f in seeded_atoms():
+        gens = jacobian_generators(f)
+        seen.clear()
+        got = buchberger(gens, f.variables)
+        heap_pairs = list(seen)
+        seen.clear()
+        want = scan_buchberger(gens, f.variables)
+        assert heap_pairs  # the Jacobian ideals of these atoms are not monomial
+        assert heap_pairs == seen, str(f)
+        assert got == want, str(f)
+
+
+# -- the pruned walk against the full box -----------------------------------------
+
+
+def box_filter(b, leads):
+    """Every exponent of the box below the pure powers that no lead divides,
+    sorted by (rational weighted degree, grevlex)."""
+    bounds = [
+        min(le[i] for le in leads if le[i] and sum(le) == le[i])
+        for i in range(len(b.variables))
+    ]
+    kept = [
+        m
+        for m in itertools.product(*(range(a) for a in bounds))
+        if not any(kernel.exp_divides(le, m) for le in leads)
+    ]
+    return tuple(
+        sorted(kept, key=lambda g: (weighted_degree(g, b.weights), kernel.grevlex_key(g)))
+    )
+
+
+def walk_cases():
+    for text, variables, ws in _EXTRA_CASES:
+        yield parse_polynomial(text, variables), ws
+    for f in seeded_atoms():
+        yield f, infer_weights(f)
+    grid = list(brieskorn_pham_exponents())
+    for exps in random.Random(3301).sample(grid, 20):
+        yield _bp_polynomial(exps), tuple(Fraction(1, a) for a in exps)
+
+
+def test_pruned_walk_matches_box_filter():
+    for f, ws in walk_cases():
+        b = milnor_basis(f, ws)
+        leads = buchberger(jacobian_generators(f), f.variables).lead_exponents
+        assert b.monomials == box_filter(b, leads), str(f)
+        assert len(b) == milnor_number(f, ws)
+
+
+# -- resource budgets ---------------------------------------------------------------
+
+
+def test_budgets_have_headroom_over_the_ladder():
+    # the top rung x^30+y^31+z^37 of the sp ladder fits three times over
+    ws = (Fraction(1, 30), Fraction(1, 31), Fraction(1, 37))
+    assert milnor._closed_mu(ws) == 31_320
+    assert 3 * 31_320 < milnor.MAX_MU
+    assert 3 * (3 * math.lcm(30, 31, 37) + 1) < spectrum.MAX_DENSE
+
+
+def test_milnor_budget_boundary(monkeypatch):
+    f = parse_polynomial("x^3 + y^3", XY)  # mu 4
+    monkeypatch.setattr(milnor, "MAX_MU", 4)
+    assert len(milnor_basis(f, ("1/3", "1/3"))) == 4
+    monkeypatch.setattr(milnor, "MAX_MU", 3)
+    with pytest.raises(ResourceLimitError):
+        milnor_basis(f, ("1/3", "1/3"))
+
+
+def test_dense_budget_boundary(monkeypatch):
+    ws = (Fraction(1, 2), Fraction(1, 3))  # n * m + 1 = 13
+    monkeypatch.setattr(spectrum, "MAX_DENSE", 13)
+    assert sp_product_formula(ws)
+    monkeypatch.setattr(spectrum, "MAX_DENSE", 12)
+    with pytest.raises(ResourceLimitError):
+        sp_product_formula(ws)
