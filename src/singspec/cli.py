@@ -167,6 +167,8 @@ def _run_sp(args) -> Report:
 
 
 def _run_nearby(args) -> Report:
+    if args.dim is not None and args.dim < 0:
+        raise SingspecError(f"--dim must be a non-negative integer, got {args.dim}")
     model = load_model(args.model)
     cls = nearby_fiber_class(model, args.variant)
     n = args.dim if args.dim is not None else model.n

@@ -13,17 +13,44 @@ literals).  Identifiers must appear in the caller's variable list.  Errors
 carry the byte offset of the offending token; the grammar is pure ASCII, so
 byte and character offsets agree at every reachable error position.
 Parentheses nest at most ``MAX_NESTING`` deep, so that no input exhausts the
-interpreter's recursion limit.
+interpreter's recursion limit, and a power ``base^k`` is expanded only within
+the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see ``_check_power``).
 """
 
+import math
 from fractions import Fraction
 
-from .errors import PolynomialSyntaxError, UnknownVariableError
+from .errors import PolynomialSyntaxError, ResourceLimitError, UnknownVariableError
 from .poly import Polynomial
 
 _OPS = set("+-*/^()")
 
 MAX_NESTING = 100
+
+# budgets on base^k, checked before expanding it; (x+y+z)^20 needs 231 terms, 40 bits
+MAX_POWER_TERMS = 1_000
+MAX_POWER_BITS = 1_000
+
+
+def _check_power(base: Polynomial, k: int, offset: int) -> None:
+    """Raise ResourceLimitError when base^k may exceed the power budgets.
+
+    A t-term base has at most comb(t - 1 + k, k) terms in its k-th power, and
+    at most prod(k * e_i + 1), e_i the largest exponent of variable i.  For
+    base = P / D, P integral and D the lcm of the denominators, a coefficient
+    has numerator at most |P|_1^k and denominator at most D^k."""
+    if not base.terms:
+        return
+    dense = math.prod(k * max(col) + 1 for col in zip(*base.terms))
+    terms = min(math.comb(len(base.terms) - 1 + k, k), dense)
+    den = math.lcm(*(c.denominator for c in base.terms.values()))
+    norm = sum(abs(c.numerator) * (den // c.denominator) for c in base.terms.values())
+    bits = k * ((norm - 1).bit_length() + (den - 1).bit_length())
+    if terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
+        raise ResourceLimitError(
+            f"power with term count up to {terms} and coefficients up to {bits} bits exceeds "
+            f"the limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits (at offset {offset})"
+        )
 
 
 def _tokenize(text: str):
@@ -105,6 +132,7 @@ class _Parser:
             if kind != "int":
                 self.fail("integer exponent")
             self.take()
+            _check_power(base, int(text), offset)
             return base ** int(text)
         return base
 

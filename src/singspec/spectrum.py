@@ -4,10 +4,11 @@ Routes:
 
 * weight product formula: the product over variables of
   (t - t^{w_i}) / (t^{w_i} - 1), evaluated by substituting s = t^{1/m}
-  (m = least common multiple of the weight denominators) and performing exact
-  one-variable integer division of the expanded numerator product by the
-  expanded denominator product (zero remainder and non-negative coefficients
-  required);
+  (m = least common multiple of the weight denominators), which turns every
+  factor into a quotient of binomials s^d - 1; the numerator binomials are
+  multiplied into one integer coefficient list and the denominator binomials
+  divided out of it one at a time, each step linear in the list length
+  (every division exact and the quotient non-negative);
 * basis route: one term t^{l(g) + sum(w)} per standard monomial g of the
   Milnor algebra, l = weighted degree, counted on the integer degrees
   m * (l(g) + sum(w)).
@@ -47,46 +48,30 @@ from .fracpoly import FracPoly
 from .milnor import MilnorBasis, is_isolated
 from .poly import Polynomial, as_weights, is_weighted_homogeneous
 
-# budget on the length n * m + 1 of the expanded numerator of the product
-# formula; x^30+y^31+z^37 needs 103,231
+# budget on n * m + 1, which bounds the length of every coefficient list the
+# product formula builds; x^30+y^31+z^37 needs 103,231
 MAX_DENSE = 1_000_000
 
 # -- dense one-variable integer polynomials (index = degree) -----------------
 
 
-def _u_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _times_binomial(a: list, d: int) -> list:
+    """a * (T^d - 1)."""
+    return [x - y for x, y in zip([0] * d + a, a + [0] * d)]
 
 
-def _u_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _u_trim(out)
+def _over_binomial(a: list, d: int) -> list | None:
+    """a / (T^d - 1), or None when T^d - 1 does not divide a.
 
-
-def _u_divmod(num: list, den: list) -> tuple[list, list]:
-    """Long division; the divisor must have leading coefficient 1."""
-    if not den or den[-1] != 1:
-        raise ConsistencyError("long division needs a monic divisor")
-    rem = list(num)
-    if len(rem) < len(den):
-        return [], _u_trim(rem)
-    quo = [0] * (len(rem) - len(den) + 1)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + len(den) - 1]
-        if c:
-            quo[k] = c
-            for j, y in enumerate(den):
-                rem[k + j] -= c * y
-    return _u_trim(quo), _u_trim(rem)
+    Coefficient j of the quotient is the sum of a[j + d], a[j + 2d], ...:
+    a suffix sum along each residue class of the exponent mod d, with the
+    sums landing on degrees below d forming the remainder."""
+    b = list(a)
+    for r in range(d):
+        b[r::d] = list(accumulate(a[r::d][::-1]))[::-1]
+    if any(b[:d]):
+        return None
+    return b[d:]
 
 
 # -- the two spectrum routes --------------------------------------------------
@@ -95,11 +80,15 @@ def _u_divmod(num: list, den: list) -> tuple[list, list]:
 def sp_product_formula(weights) -> FracPoly:
     """Spectrum from the weights alone.
 
-    Raises ResourceLimitError before allocating when the expanded numerator,
-    n * m + 1 coefficients long, would exceed MAX_DENSE, and
-    NonExactDivisionError when the quotient has a remainder or a
-    negative coefficient; both mean the weights do not come from an isolated
-    weighted-homogeneous singularity.
+    With s = t^(1/m) and c_i = m * w_i it reads
+    s^(sum c_i) * prod (s^(m - c_i) - 1) / prod (s^(c_i) - 1).  All numerator
+    binomials go in before the first division: one factor's quotient need not
+    be a polynomial (numerator of w_i above 1), but the whole quotient is
+    exact exactly when each division of the sequence is.
+
+    Raises ResourceLimitError before allocating when n * m + 1 exceeds
+    MAX_DENSE, and NonExactDivisionError on a remainder or a negative
+    coefficient: the weights are not those of an isolated singularity.
     """
     ws = as_weights(weights)
     m = math.lcm(*(w.denominator for w in ws)) if ws else 1
@@ -108,28 +97,22 @@ def sp_product_formula(weights) -> FracPoly:
             f"dense length {len(ws) * m + 1} of the weight product exceeds "
             f"the limit of {MAX_DENSE}"
         )
-    num = [1]
-    den = [1]
-    for w in ws:
-        c = int(w * m)
-        factor_num = [0] * (m + 1)
-        factor_num[c] = -1
-        factor_num[m] += 1
-        factor_den = [0] * (c + 1)
-        factor_den[0] = -1
-        factor_den[c] += 1
-        num = _u_mul(num, _u_trim(factor_num))
-        den = _u_mul(den, _u_trim(factor_den))
-    quo, rem = _u_divmod(num, den)
-    if rem:
-        raise NonExactDivisionError(
-            f"weight product for {tuple(map(str, ws))} leaves a remainder"
-        )
-    if any(c < 0 for c in quo):
+    cs = [w.numerator * (m // w.denominator) for w in ws]
+    coeffs = [1]
+    for c in cs:
+        coeffs = _times_binomial(coeffs, m - c)
+    for c in cs:
+        coeffs = _over_binomial(coeffs, c)
+        if coeffs is None:
+            raise NonExactDivisionError(
+                f"weight product for {tuple(map(str, ws))} leaves a remainder"
+            )
+    if any(x < 0 for x in coeffs):
         raise NonExactDivisionError(
             f"weight product for {tuple(map(str, ws))} has a negative coefficient"
         )
-    return FracPoly({Fraction(e, m): c for e, c in enumerate(quo) if c})
+    shift = sum(cs)
+    return FracPoly({Fraction(e + shift, m): c for e, c in enumerate(coeffs) if c})
 
 
 def sp_from_basis(basis: MilnorBasis) -> FracPoly:
@@ -260,25 +243,6 @@ def _prime_factors(n: int) -> list:
     return out
 
 
-def _times_binomial(a: list, d: int) -> list:
-    """a * (T^d - 1)."""
-    return [x - y for x, y in zip([0] * d + a, a + [0] * d)]
-
-
-def _over_binomial(a: list, d: int) -> list:
-    """a / (T^d - 1), which must be exact.
-
-    Coefficient j of the quotient is the sum of a[j + d], a[j + 2d], ...:
-    a suffix sum along each residue class of the exponent mod d, with the
-    sums landing on degrees below d forming the remainder."""
-    b = list(a)
-    for r in range(d):
-        b[r::d] = list(accumulate(a[r::d][::-1]))[::-1]
-    if any(b[:d]):
-        raise ConsistencyError(f"T^{d} - 1 does not divide the product of binomials")
-    return b[d:]
-
-
 def char_poly(e: EigenMultiset) -> Polynomial:
     """Characteristic polynomial over the integers of a finite-order operator
     with the given eigenvalue angles.
@@ -320,4 +284,6 @@ def char_poly(e: EigenMultiset) -> Polynomial:
     for d, k in sorted(exps.items()):
         for _ in range(-k):
             coeffs = _over_binomial(coeffs, d)
+            if coeffs is None:
+                raise ConsistencyError(f"T^{d} - 1 does not divide the product of binomials")
     return Polynomial(("T",), {(k,): c for k, c in enumerate(coeffs) if c})

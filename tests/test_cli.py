@@ -9,7 +9,7 @@ from singspec.checks import CheckResult
 from singspec import cli
 from singspec.cli import Report, main
 from singspec.milnor import MAX_MU
-from singspec.parse import MAX_NESTING
+from singspec.parse import MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS
 from singspec.spectrum import MAX_DENSE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -109,6 +109,21 @@ def test_sp_huge_dense_length_exits_2_promptly(capsys):
     assert err == f"error: dense length 20000001 of the weight product exceeds the limit of {MAX_DENSE}\n"
 
 
+def test_sp_huge_powers_exit_2_promptly(capsys):
+    # each would spend minutes expanding the power before the budget
+    limits = f"limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits"
+    for expr, size, offset in (
+        ("(x+y)^3000", "term count up to 3001 and coefficients up to 3000 bits", 6),
+        ("3^20000000*x^2+y^3", "term count up to 1 and coefficients up to 40000000 bits", 2),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sp", expr, "--vars", "x,y")
+        assert time.perf_counter() - start < 2, expr
+        assert code == 2, expr
+        assert out == ""
+        assert err == f"error: power with {size} exceeds the {limits} (at offset {offset})\n"
+
+
 def test_sp_rejects_bad_flag_values(capsys):
     code, _, err = run(capsys, "sp", "x^2 + y^3", "--vars", "x,x")
     assert code == 2 and "duplicate" in err
@@ -158,6 +173,16 @@ def test_nearby_dim_override(capsys):
     # raw functional, then twisted by 3
     assert data["sp_prime"] == "1 - t^(5/6) - t^(7/6)"
     assert data["sp"] == "-t^(11/6) - t^(13/6) + t^3"
+
+
+def test_nearby_negative_dim_exits_2(capsys):
+    code, out, err = run(capsys, "nearby", CUSP, "--dim", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --dim must be a non-negative integer, got -3\n"
+    code, out, _ = run(capsys, "nearby", CUSP, "--variant", "local", "--dim", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["data"]["dimension"] == 0
 
 
 def test_nearby_missing_file(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from singspec import (
     Polynomial,
     PolynomialSyntaxError,
+    ResourceLimitError,
     UnknownVariableError,
     parse_polynomial,
 )
+from singspec import parse
 from singspec.parse import MAX_NESTING
 
 XY = ("x", "y")
@@ -87,3 +90,59 @@ def test_nesting_limit():
     with pytest.raises(PolynomialSyntaxError) as exc:
         parse_polynomial(text, XY)
     assert exc.value.offset == len("x + ") + MAX_NESTING
+
+
+def test_power_budget_boundary(monkeypatch):
+    # (x + y)^20: 21 terms, coefficients below 2^20
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 21)
+    monkeypatch.setattr(parse, "MAX_POWER_BITS", 20)
+    assert parse_polynomial("(x + y)^20", XY) == parse_polynomial("*".join(["(x + y)"] * 20), XY)
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 20)
+    with pytest.raises(ResourceLimitError, match="up to 21 and coefficients up to 20 bits"):
+        parse_polynomial("(x + y)^20", XY)
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 21)
+    monkeypatch.setattr(parse, "MAX_POWER_BITS", 19)
+    with pytest.raises(ResourceLimitError, match=r"limits of 21 terms and 19 bits \(at offset 8\)"):
+        parse_polynomial("(x + y)^20", XY)
+
+
+def test_power_budget_spares_monomials_and_univariate_sums():
+    assert parse_polynomial("x^99999999999", ("x",)).terms == {(99999999999,): 1}
+    # comb(29, 9) would refuse it; the exponent bound 20 * 9 + 1 does not
+    p = parse_polynomial("(" + " + ".join(f"x^{e}" for e in range(10)) + ")^20", ("x",))
+    assert len(p.terms) == 181
+
+
+def _size_bits(c):
+    """ceil(log2 |numerator|) + ceil(log2 denominator)."""
+    return (abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
+
+
+def test_power_budgets_bound_the_expansion(monkeypatch):
+    # with either limit one below the true size of base^k, the closed-form
+    # bound must refuse the power
+    rng = random.Random(9091)
+    names = ("x", "y", "z")
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        base = Polynomial(
+            names[:nvars],
+            {
+                tuple(rng.randint(0, 3) for _ in range(nvars)): Fraction(
+                    rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)
+                )
+                for _ in range(rng.randint(1, 4))
+            },
+        )
+        k = rng.randint(1, 7)
+        power = base ** k
+        terms = len(power.terms)
+        bits = max(_size_bits(c) for c in power.terms.values())
+        monkeypatch.setattr(parse, "MAX_POWER_BITS", 10**9)
+        monkeypatch.setattr(parse, "MAX_POWER_TERMS", terms - 1)
+        with pytest.raises(ResourceLimitError):
+            parse._check_power(base, k, 0)
+        monkeypatch.setattr(parse, "MAX_POWER_TERMS", 10**9)
+        monkeypatch.setattr(parse, "MAX_POWER_BITS", bits - 1)
+        with pytest.raises(ResourceLimitError):
+            parse._check_power(base, k, 0)

@@ -18,6 +18,7 @@ from singspec import (
     check_symmetry,
     eigenvalues_gamma_c,
     eigenvalues_geometric,
+    infer_weights,
     milnor_basis,
     parse_polynomial,
     sp_at_infinity,
@@ -304,18 +305,131 @@ def test_binomial_division_is_exact_or_fails():
     product = [1, 0, -1, -1, 0, 1]
     assert spectrum._over_binomial(product, 3) == [-1, 0, 1]
     assert spectrum._over_binomial(product, 2) == [-1, 0, 0, 1]
+    assert spectrum._over_binomial(product, 4) is None
+    assert spectrum._over_binomial([1], 1) is None
+
+
+def test_char_poly_remainder_is_a_consistency_error(monkeypatch):
+    # Phi_6 = (T^6 - 1)(T - 1) / ((T^3 - 1)(T^2 - 1)); with the multiplied-in
+    # binomials reduced to bare shifts, the first division leaves a remainder
+    sixth = _galois_orbits({6: 1})
+    monkeypatch.setattr(spectrum, "_times_binomial", lambda a, d: [0] * d + a)
     with pytest.raises(ConsistencyError):
-        spectrum._over_binomial(product, 4)
-    with pytest.raises(ConsistencyError):
-        spectrum._over_binomial([1], 1)
+        char_poly(sixth)
+
+
+# the product formula by the dense construction: expand numerator and
+# denominator products, then long-divide
+
+
+def _u_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _u_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return _u_trim(out)
+
+
+def _u_divmod(num, den):
+    """Long division; the divisor must have leading coefficient 1."""
+    if not den or den[-1] != 1:
+        raise ConsistencyError("long division needs a monic divisor")
+    rem = list(num)
+    if len(rem) < len(den):
+        return [], _u_trim(rem)
+    quo = [0] * (len(rem) - len(den) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(den) - 1]
+        if c:
+            quo[k] = c
+            for j, y in enumerate(den):
+                rem[k + j] -= c * y
+    return _u_trim(quo), _u_trim(rem)
+
+
+def _dense_product_formula(ws):
+    m = math.lcm(*(w.denominator for w in ws))
+    num = [1]
+    den = [1]
+    for w in ws:
+        c = int(w * m)
+        factor_num = [0] * (m + 1)
+        factor_num[c] = -1
+        factor_num[m] += 1
+        factor_den = [0] * (c + 1)
+        factor_den[0] = -1
+        factor_den[c] += 1
+        num = _u_mul(num, _u_trim(factor_num))
+        den = _u_mul(den, _u_trim(factor_den))
+    quo, rem = _u_divmod(num, den)
+    if rem or any(c < 0 for c in quo):
+        raise NonExactDivisionError(f"weight product for {ws} is not a spectrum")
+    return FracPoly({F(e, m): c for e, c in enumerate(quo) if c})
 
 
 def test_long_division_requires_monic_divisor():
-    assert spectrum._u_divmod([-1, 0, 1], [-1, 1]) == ([1, 1], [])
+    assert _u_divmod([-1, 0, 1], [-1, 1]) == ([1, 1], [])
     with pytest.raises(ConsistencyError):
-        spectrum._u_divmod([-1, 0, 1], [1, 2])
+        _u_divmod([-1, 0, 1], [1, 2])
     with pytest.raises(ConsistencyError):
-        spectrum._u_divmod([1], [])
+        _u_divmod([1], [])
+
+
+def _atom_weights(kind, exps):
+    """Weights of x_i^a_i * x_{i+1} summed over i: a chain ends in a pure
+    power, a loop wraps round to x_1."""
+    n = len(exps)
+    terms = {}
+    for i, a in enumerate(exps):
+        e = [0] * n
+        e[i] = a
+        if kind == "chain" and i + 1 < n:
+            e[i + 1] = 1
+        elif kind == "loop":
+            e[(i + 1) % n] += 1
+        terms[tuple(e)] = 1
+    return infer_weights(Polynomial(tuple(f"x{i}" for i in range(n)), terms))
+
+
+def _formula_or_error(fn, ws):
+    try:
+        return fn(ws)
+    except NonExactDivisionError:
+        return NonExactDivisionError
+
+
+def test_streamed_formula_matches_dense_construction():
+    rng = random.Random(8081)
+    kinds = {"fermat": 0, "chain": 0, "loop": 0, "impossible": 0}
+    for _ in range(120):
+        kind = rng.choice(tuple(kinds))
+        n = rng.randint(1, 4) if kind in ("fermat", "impossible") else rng.randint(2, 4)
+        exps = [rng.randint(2, 6) for _ in range(n)]
+        if kind == "fermat":
+            ws = tuple(F(1, a) for a in exps)
+        elif kind == "impossible":
+            ws = tuple(F(rng.randint(1, 8), rng.randint(9, 16)) for _ in range(n))
+        else:
+            ws = _atom_weights(kind, exps)
+        streamed = _formula_or_error(sp_product_formula, ws)
+        assert streamed == _formula_or_error(_dense_product_formula, ws), ws
+        if kind != "impossible":
+            assert streamed is not NonExactDivisionError, ws
+        kinds[kind] += streamed is NonExactDivisionError
+    # the impossible draws reach the remainder path, the others never do
+    assert kinds["impossible"] > 10
+    assert kinds["fermat"] == kinds["chain"] == kinds["loop"] == 0
+
 
 
 # -- integer weighted degrees --------------------------------------------------
