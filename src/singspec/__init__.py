@@ -49,7 +49,6 @@ from .motivic import (
     model_to_json,
     nearby_fiber_class,
     reduce_class,
-    save_model,
     sp_of_class,
     sp_prime_of_class,
     sp_prime_reduced,
@@ -69,7 +68,6 @@ from .spectrum import (
     check_symmetry,
     eigenvalues_gamma_c,
     eigenvalues_geometric,
-    sp_at_infinity,
     sp_from_basis,
     sp_product_formula,
     sp_twist,

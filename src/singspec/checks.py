@@ -8,6 +8,7 @@ bases are not monomial.  All randomness is seeded; output is deterministic.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,15 +93,12 @@ _EXTRA_CASES = (
 def _make_case(name, f, weights) -> CorpusCase:
     ws = as_weights(weights, len(f.variables))
     basis = milnor_basis(f, ws)
-    mu_closed = Fraction(1)
-    for w in ws:
-        mu_closed *= 1 / w - 1
     return CorpusCase(
         name=name,
         f=f,
         weights=ws,
         basis=basis,
-        mu_closed=mu_closed,
+        mu_closed=math.prod((1 / w - 1 for w in ws), start=Fraction(1)),
         s_basis=sp_from_basis(basis),
         s_formula=sp_product_formula(ws),
     )
@@ -250,18 +248,11 @@ def check_bp_basis_box() -> CheckResult:
                 "grid-basis-box", False, f"corpus case {case.name} is not the grid case {exps}"
             )
         box = set(itertools.product(*(range(a - 1) for a in exps)))
-        if set(case.basis.monomials) != box or len(case.basis) != _prod(a - 1 for a in exps):
+        if set(case.basis.monomials) != box or len(case.basis) != math.prod(a - 1 for a in exps):
             return CheckResult("grid-basis-box", False, f"box mismatch at {exps}")
     return CheckResult(
         "grid-basis-box", True, f"standard monomials match the closed-form box on {count} cases"
     )
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def check_cusp_benchmark() -> CheckResult:

@@ -87,11 +87,13 @@ class HorizontalComponentError(SingspecError):
 class ModelFormatError(SingspecError):
     """Structurally invalid degeneration-model file.
 
-    ``location`` is a JSON-pointer-ish path such as ``/strata/1/cover_class/0``.
+    ``location`` is a JSON-pointer-ish path such as ``/strata/1/cover_class/0``,
+    relative to the object when a constructor raises it; ``message`` omits it.
     """
 
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{message} (at {location or '/'})")
+        self.message = message
         self.location = location
 
 

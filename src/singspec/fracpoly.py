@@ -1,108 +1,47 @@
 """Integer combinations of rational powers of one formal variable t.
 
+``FracPoly`` is an ``ExactMap`` (see ``poly``) from Fraction exponents to
+integer coefficients; exponents add in a product and ints lift to constants.
 The canonical rendering (ascending exponents, sign-aware joining, coefficient
 1 omitted, integer exponents without a denominator, every other exponent
 parenthesized) is consumed verbatim by the command line and pinned by golden
 tests; change it nowhere.
 """
 
+import operator
 from fractions import Fraction
 
+from .poly import ExactMap
 
-class FracPoly:
+
+def _integer(c) -> int:
+    if isinstance(c, int):
+        return c
+    cf = Fraction(c)
+    if cf.denominator != 1:
+        raise TypeError(f"coefficient {c!r} is not an integer")
+    return cf.numerator
+
+
+class FracPoly(ExactMap):
     """Finitely supported map from rational exponents to integer coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for a, c in items:
-            a = Fraction(a)
-            if not isinstance(c, int):
-                cf = Fraction(c)
-                if cf.denominator != 1:
-                    raise TypeError(f"coefficient {c!r} is not an integer")
-                c = cf.numerator
-            if a in acc:
-                acc[a] += c
-            else:
-                acc[a] = c
-        object.__setattr__(self, "terms", {a: c for a, c in acc.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FracPoly is immutable")
+    __slots__ = ()
+    _scalars = (int,)
+    _unit = Fraction(0)
+    _key = Fraction
+    _value = staticmethod(_integer)
+    _join = staticmethod(operator.add)
 
     @classmethod
     def term(cls, exponent, coefficient=1):
         return cls({Fraction(exponent): coefficient})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = FracPoly({Fraction(0): other})
-        if not isinstance(other, FracPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            v = out.get(a, 0) + c
-            if v:
-                out[a] = v
-            elif a in out:
-                del out[a]
-        return FracPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FracPoly({a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = FracPoly({Fraction(0): other})
-        if not isinstance(other, FracPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FracPoly({a: c * other for a, c in self.terms.items()})
-        if not isinstance(other, FracPoly):
-            return NotImplemented
-        out: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                k = a + b
-                v = out.get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return FracPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = FracPoly({Fraction(0): other})
-        if not isinstance(other, FracPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def coefficient_sum(self) -> int:
         return sum(self.terms.values())
 
     def support(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self.terms))
-
-    def items(self):
-        """(exponent, coefficient) pairs in ascending exponent order."""
-        return [(a, self.terms[a]) for a in sorted(self.terms)]
 
     # -- canonical rendering -------------------------------------------------
 
@@ -117,23 +56,7 @@ class FracPoly:
         return f"t^({a})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for a in sorted(self.terms):
-            c = self.terms[a]
-            pw = self._power(a)
-            if not pw:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = pw
-            else:
-                body = f"{abs(c)}*{pw}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return self._render(sorted(self.terms), self._power)
 
     def __repr__(self):
         return f"FracPoly({str(self)!r})"

@@ -224,10 +224,7 @@ def is_isolated(f: Polynomial) -> bool:
 def _closed_mu(ws) -> Fraction:
     """prod(1/w_i - 1): the Milnor number when the weights are those of an
     isolated weighted-homogeneous singularity."""
-    mu = Fraction(1)
-    for w in ws:
-        mu *= 1 / w - 1
-    return mu
+    return math.prod((1 / w - 1 for w in ws), start=Fraction(1))
 
 
 def milnor_basis(f: Polynomial, weights) -> MilnorBasis:

@@ -1,9 +1,10 @@
 """Virtual equivariant Hodge classes and nearby-fiber evaluation on SNC models.
 
-An ``EquivClass`` is a finitely supported integer map on triples
-(p, q, angle): Hodge bidegree plus the angle in [0, 1) of a finite-order
-semisimple action.  Multiplication is convolution (bidegrees add, angles add
-mod 1); the class L of the Tate twist has bidegree (1, 1) and angle 0.
+An ``EquivClass`` is an ``ExactMap`` (see ``poly``) with integer values on
+triples (p, q, angle): Hodge bidegree plus the angle in [0, 1) of a
+finite-order semisimple action.  Multiplication is convolution (bidegrees
+add, angles add mod 1); the class L of the Tate twist has bidegree (1, 1)
+and angle 0.
 
 Cohomological signs (-1)^j are the *caller's* responsibility: stratum cover
 classes are stored with them already folded into the multiplicities, and the
@@ -23,6 +24,9 @@ cyclic cover.  Two evaluation variants:
 "local" is accepted as an alias of "total": the Milnor-fiber use is the same
 sum, over a stratum list the caller has already restricted to the fiber over
 the point.
+
+Model files are read by ``load_model`` (``model_from_json``) and written by
+the caller from ``model_to_json``.
 """
 
 import json
@@ -37,32 +41,34 @@ from .errors import (
     ModelFormatError,
 )
 from .fracpoly import FracPoly
+from .poly import ExactMap
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
 
-class EquivClass:
+class EquivClass(ExactMap):
     """Virtual bigraded class with a finite-order action, as integer
-    multiplicities on (p, q, angle) triples."""
+    multiplicities on (p, q, angle) triples; ``entries`` is ``terms``."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
+    _scalars = (int,)
+    _unit = (0, 0, Fraction(0))
+    _noun = "class"
+    _value = int
 
-    def __init__(self, entries=()):
-        acc: dict = {}
-        items = entries.items() if isinstance(entries, dict) else entries
-        for key, mult in items:
-            p, q, f = key
-            key = (int(p), int(q), Fraction(f) % 1)
-            mult = int(mult)
-            if key in acc:
-                acc[key] += mult
-            else:
-                acc[key] = mult
-        object.__setattr__(self, "entries", {k: m for k, m in acc.items() if m})
+    @staticmethod
+    def _key(key):
+        p, q, f = key
+        return (int(p), int(q), Fraction(f) % 1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EquivClass is immutable")
+    @staticmethod
+    def _join(a, b):
+        return (a[0] + b[0], a[1] + b[1], (a[2] + b[2]) % 1)
+
+    @property
+    def entries(self) -> dict:
+        return self.terms
 
     @classmethod
     def zero(cls):
@@ -78,69 +84,6 @@ class EquivClass:
         """The Tate class L: bidegree (1, 1), trivial action."""
         return cls({(1, 1, Fraction(0)): 1})
 
-    def __add__(self, other):
-        if not isinstance(other, EquivClass):
-            return NotImplemented
-        out = dict(self.entries)
-        for k, m in other.entries.items():
-            v = out.get(k, 0) + m
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return EquivClass(out)
-
-    def __neg__(self):
-        return EquivClass({k: -m for k, m in self.entries.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, EquivClass):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return EquivClass({k: m * other for k, m in self.entries.items()})
-        if not isinstance(other, EquivClass):
-            return NotImplemented
-        out: dict = {}
-        for (p1, q1, f1), m1 in self.entries.items():
-            for (p2, q2, f2), m2 in other.entries.items():
-                k = (p1 + p2, q1 + q2, (f1 + f2) % 1)
-                v = out.get(k, 0) + m1 * m2
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return EquivClass(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("class powers must be non-negative integers")
-        out = EquivClass.unit()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, EquivClass):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def items(self):
-        """Entries sorted by (p, q, angle)."""
-        return sorted(self.entries.items())
-
     def __repr__(self):
         inner = ", ".join(f"({p},{q},{f}): {m}" for (p, q, f), m in self.items())
         return f"EquivClass({{{inner}}})"
@@ -154,14 +97,17 @@ class SncComponent:
 
     def __post_init__(self):
         if not self.id or not isinstance(self.id, str):
-            raise ModelFormatError("component id must be a nonempty string")
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
+            raise ModelFormatError("component id must be a nonempty string", "/id")
+        m = self.multiplicity
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ModelFormatError(
-                f"component {self.id!r} multiplicity must be a positive integer"
+                f"component {self.id!r} multiplicity must be a positive integer",
+                "/multiplicity",
             )
         if self.kind not in (VERTICAL, HORIZONTAL):
             raise ModelFormatError(
-                f"component {self.id!r} kind must be '{VERTICAL}' or '{HORIZONTAL}'"
+                f"component {self.id!r} kind must be '{VERTICAL}' or '{HORIZONTAL}'",
+                "/kind",
             )
 
 
@@ -173,7 +119,7 @@ class Stratum:
     def __post_init__(self):
         ids = tuple(sorted(self.ids))
         if not ids or len(set(ids)) != len(ids):
-            raise ModelFormatError(f"stratum ids must be distinct and nonempty: {self.ids}")
+            raise ModelFormatError(f"stratum ids must be distinct and nonempty: {self.ids}", "/ids")
         object.__setattr__(self, "ids", ids)
 
 
@@ -189,24 +135,24 @@ class SncModel:
     strata: tuple[Stratum, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ModelFormatError("n must be a non-negative integer")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
+            raise ModelFormatError("n must be a non-negative integer", "/n")
         comps = tuple(sorted(self.components, key=lambda c: c.id))
         ids = [c.id for c in comps]
         if len(set(ids)) != len(ids):
-            raise ModelFormatError("duplicate component ids")
+            raise ModelFormatError("duplicate component ids", "/components")
         if not any(c.kind == VERTICAL for c in comps):
-            raise ModelFormatError("model needs at least one vertical component")
+            raise ModelFormatError("model needs at least one vertical component", "/components")
         strata = tuple(sorted(self.strata, key=lambda s: s.ids))
         known = set(ids)
         seen = set()
         for s in strata:
             if s.ids in seen:
-                raise ModelFormatError(f"duplicate stratum {s.ids}")
+                raise ModelFormatError(f"duplicate stratum {s.ids}", "/strata")
             seen.add(s.ids)
             for i in s.ids:
                 if i not in known:
-                    raise ModelFormatError(f"stratum references unknown component {i!r}")
+                    raise ModelFormatError(f"stratum references unknown component {i!r}", "/strata")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "strata", strata)
 
@@ -246,16 +192,10 @@ def nearby_fiber_class(model: SncModel, variant: str = "total") -> EquivClass:
     one_minus_l = EquivClass.unit() - EquivClass.lefschetz()
     total = EquivClass.zero()
     for s in model.strata:
+        # k vertical members; in the open variant k = |I|
         k = sum(1 for i in s.ids if i in vertical)
-        if variant == "total":
-            if k == 0:
-                continue
-            weight = one_minus_l ** (k - 1)
-        else:
-            if k < len(s.ids):
-                continue
-            weight = one_minus_l ** (len(s.ids) - 1)
-        total = total + s.cover_class * weight
+        if k and (variant == "total" or k == len(s.ids)):
+            total = total + s.cover_class * one_minus_l ** (k - 1)
     return total
 
 
@@ -299,12 +239,7 @@ def sp_of_class(c: EquivClass, n: int) -> FracPoly:
     """Twisted spectrum functional, computed independently of
     ``sp_prime_of_class``: the exponent lands in the interval (n-1-p, n-p]
     and is congruent to minus the angle mod 1."""
-    out: dict = {}
-    for (p, q, f), m in c.entries.items():
-        frac = (-f) % 1
-        a = (n - 1 - p) + (1 if frac == 0 else frac)
-        out[a] = out.get(a, 0) + m
-    return FracPoly(out)
+    return FracPoly(((n - 1 - p) + ((-f) % 1 or 1), m) for (p, q, f), m in c.entries.items())
 
 
 def reduce_class(c: EquivClass) -> EquivClass:
@@ -360,8 +295,19 @@ def _parse_cover_class(raw, where: str) -> EquivClass:
     return EquivClass(entries)
 
 
+def _located(where: str, build, *args):
+    """``build(*args)``, with ``where`` prefixed to the location of its ModelFormatError."""
+    try:
+        return build(*args)
+    except ModelFormatError as exc:
+        raise ModelFormatError(exc.message, where + exc.location) from None
+
+
 def model_from_json(text: str) -> SncModel:
-    """Parse and validate a model file; errors carry JSON-pointer locations."""
+    """Parse and validate a model file; errors carry JSON-pointer locations.
+
+    Only the JSON shape is checked here; the fields are checked by the
+    constructors of SncComponent, Stratum and SncModel."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -369,28 +315,17 @@ def model_from_json(text: str) -> SncModel:
     if not isinstance(data, dict):
         raise ModelFormatError("top level must be an object")
     _require_keys(data, ("n", "components", "strata"), "")
-    if not isinstance(data["n"], int) or isinstance(data["n"], bool) or data["n"] < 0:
-        raise ModelFormatError("n must be a non-negative integer", "/n")
-    if not isinstance(data["components"], list) or not data["components"]:
-        raise ModelFormatError("components must be a nonempty list", "/components")
+    if not isinstance(data["components"], list):
+        raise ModelFormatError("components must be a list", "/components")
     comps = []
     for k, item in enumerate(data["components"]):
         loc = f"/components/{k}"
         if not isinstance(item, dict):
             raise ModelFormatError("component must be an object", loc)
         _require_keys(item, ("id", "multiplicity", "kind"), loc)
-        if not isinstance(item["id"], str) or not item["id"]:
-            raise ModelFormatError("id must be a nonempty string", f"{loc}/id")
-        mult = item["multiplicity"]
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise ModelFormatError(
-                "multiplicity must be a positive integer", f"{loc}/multiplicity"
-            )
-        if item["kind"] not in (VERTICAL, HORIZONTAL):
-            raise ModelFormatError(
-                f"kind must be '{VERTICAL}' or '{HORIZONTAL}'", f"{loc}/kind"
-            )
-        comps.append(SncComponent(item["id"], mult, item["kind"]))
+        comps.append(
+            _located(loc, SncComponent, item["id"], item["multiplicity"], item["kind"])
+        )
     if not isinstance(data["strata"], list):
         raise ModelFormatError("strata must be a list", "/strata")
     strata = []
@@ -400,23 +335,11 @@ def model_from_json(text: str) -> SncModel:
             raise ModelFormatError("stratum must be an object", loc)
         _require_keys(item, ("ids", "cover_class"), loc)
         ids = item["ids"]
-        if (
-            not isinstance(ids, list)
-            or not ids
-            or not all(isinstance(i, str) and i for i in ids)
-        ):
-            raise ModelFormatError("ids must be a nonempty list of strings", f"{loc}/ids")
-        if len(set(ids)) != len(ids):
-            raise ModelFormatError("ids must be distinct", f"{loc}/ids")
-        strata.append(
-            Stratum(tuple(ids), _parse_cover_class(item["cover_class"], f"{loc}/cover_class"))
-        )
-    try:
-        return SncModel(data["n"], tuple(comps), tuple(strata))
-    except ModelFormatError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise ModelFormatError(str(exc)) from None
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise ModelFormatError("ids must be a list of strings", f"{loc}/ids")
+        cover = _parse_cover_class(item["cover_class"], f"{loc}/cover_class")
+        strata.append(_located(loc, Stratum, tuple(ids), cover))
+    return _located("", SncModel, data["n"], tuple(comps), tuple(strata))
 
 
 def model_to_json(model: SncModel) -> str:
@@ -449,7 +372,3 @@ def load_model(path) -> SncModel:
             raise ModelFormatError(f"not valid UTF-8: {exc}") from None
     return model_from_json(text)
 
-
-def save_model(model: SncModel, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))

@@ -13,11 +13,14 @@ literals).  Identifiers must appear in the caller's variable list.  Errors
 carry the byte offset of the offending token; the grammar is pure ASCII, so
 byte and character offsets agree at every reachable error position.
 Parentheses nest at most ``MAX_NESTING`` deep, so that no input exhausts the
-interpreter's recursion limit, and a power ``base^k`` is expanded only within
-the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see ``_check_power``).
+interpreter's recursion limit; an integer literal has at most the digits the
+interpreter converts; and a power ``base^k`` or a product ``a*b`` is expanded
+only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
+``_check_power`` and ``_check_product``).
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import PolynomialSyntaxError, ResourceLimitError, UnknownVariableError
@@ -27,9 +30,24 @@ _OPS = set("+-*/^()")
 
 MAX_NESTING = 100
 
-# budgets on base^k, checked before expanding it; (x+y+z)^20 needs 231 terms, 40 bits
+# budgets on base^k and a*b, checked before expanding them; (x+y+z)^20 needs 231 terms, 40 bits
 MAX_POWER_TERMS = 1_000
 MAX_POWER_BITS = 1_000
+
+
+def _refuse(what: str, terms: int, bits: int, offset: int) -> None:
+    if terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
+        raise ResourceLimitError(
+            f"{what} with term count up to {terms} and coefficients up to {bits} bits exceeds "
+            f"the limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits (at offset {offset})"
+        )
+
+
+def _integral(p: Polynomial) -> tuple[list, int]:
+    """(numerators P_i, denominator D) with p = sum P_i x^e_i / D, D the lcm
+    of the coefficient denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return [c.numerator * (den // c.denominator) for c in p.terms.values()], den
 
 
 def _check_power(base: Polynomial, k: int, offset: int) -> None:
@@ -43,17 +61,42 @@ def _check_power(base: Polynomial, k: int, offset: int) -> None:
         return
     dense = math.prod(k * max(col) + 1 for col in zip(*base.terms))
     terms = min(math.comb(len(base.terms) - 1 + k, k), dense)
-    den = math.lcm(*(c.denominator for c in base.terms.values()))
-    norm = sum(abs(c.numerator) * (den // c.denominator) for c in base.terms.values())
-    bits = k * ((norm - 1).bit_length() + (den - 1).bit_length())
-    if terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
-        raise ResourceLimitError(
-            f"power with term count up to {terms} and coefficients up to {bits} bits exceeds "
-            f"the limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits (at offset {offset})"
-        )
+    nums, den = _integral(base)
+    norm = sum(abs(x) for x in nums)
+    _refuse("power", terms, k * ((norm - 1).bit_length() + (den - 1).bit_length()), offset)
+
+
+def _check_product(a: Polynomial, b: Polynomial, offset: int) -> None:
+    """Raise ResourceLimitError when a * b may exceed the power budgets.
+
+    With T the term counts, a * b has at most T_a * T_b terms; when that is
+    over budget, also at most prod(e_a,i + e_b,i + 1), e_i the largest
+    exponent of variable i, and at most the number of monomials of degree
+    between the sums of the operands' least and largest degrees (with huge
+    exponents these are huge numbers, so they are computed only then).  A
+    coefficient sums at most min(T_a, T_b) products, so it needs at most
+    bits_a + bits_b + ceil(log2 min(T_a, T_b)) bits, with
+    bits = ceil(log2 max |P_i|) + ceil(log2 D) for P / D as in ``_integral``."""
+    if not a.terms or not b.terms:
+        return
+    terms = len(a.terms) * len(b.terms)
+    if terms > MAX_POWER_TERMS:
+        n = len(a.variables)
+        dense = math.prod(max(x) + max(y) + 1 for x, y in zip(zip(*a.terms), zip(*b.terms)))
+        da, db = [sum(e) for e in a.terms], [sum(e) for e in b.terms]
+        lo, hi = min(da) + min(db), max(da) + max(db)
+        slab = math.comb(hi + n, n) - (math.comb(lo - 1 + n, n) if lo else 0)
+        terms = min(terms, dense, slab)
+    bits = (min(len(a.terms), len(b.terms)) - 1).bit_length()
+    for p in (a, b):
+        nums, den = _integral(p)
+        bits += (max(map(abs, nums)) - 1).bit_length() + (den - 1).bit_length()
+    _refuse("product", terms, bits, offset)
 
 
 def _tokenize(text: str):
+    # the interpreter's limit on the digits of an integer literal (0: none)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     toks = []
     i, n = 0, len(text)
     while i < n:
@@ -65,6 +108,10 @@ def _tokenize(text: str):
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
+            if 0 < digits < j - i:
+                raise PolynomialSyntaxError(
+                    f"integer literal of {j - i} digits exceeds the limit of {digits}", i
+                )
             toks.append(("int", text[i:j], i))
             i = j
             continue
@@ -120,8 +167,10 @@ class _Parser:
     def term(self) -> Polynomial:
         result = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            result = result * self.factor()
+            offset = self.take()[2]
+            right = self.factor()
+            _check_product(result, right, offset)
+            result = result * right
         return result
 
     def factor(self) -> Polynomial:

@@ -1,5 +1,10 @@
 """Sparse multivariate polynomials over the rationals, plus weight machinery.
 
+``ExactMap`` is the one immutable exact sparse map behind every algebraic
+object of the package: ``Polynomial`` here, ``FracPoly`` (spectra),
+``spectrum.EigenMultiset`` (monodromy angles) and ``motivic.EquivClass``
+(nearby-fiber classes).
+
 Exponent vectors are tuples of non-negative ints aligned with an ordered
 variable tuple; coefficients are ``fractions.Fraction`` (exact, lowest terms,
 positive denominator).  Weight vectors are tuples of Fractions in the open
@@ -18,39 +23,177 @@ from .errors import (
 )
 
 
-class Polynomial:
-    """Immutable sparse polynomial.  ``terms`` maps exponent tuples to coefficients.
+class ExactMap:
+    """Immutable finitely supported map ``terms`` from keys to nonzero values,
+    with the ring structure of a monoid algebra: ``+`` adds values key by key,
+    ``*`` is convolution (keys join, values multiply), ``**`` repeats it.
 
-    Construction normalizes: coefficients are coerced to Fraction, repeated
-    exponents accumulate, zero coefficients are dropped.  All arithmetic
-    requires both operands to share the same variable tuple; ints and
-    Fractions lift to constants.
+    Construction normalizes each key with ``_key`` and each value with
+    ``_value``, adds the values of repeated keys and passes the sums through
+    ``_finish`` (which drops zeros); every ``+`` and ``*`` result is built so.
+    Subclasses supply those hooks, ``_join`` (the key of a product of two
+    keys), ``_scalars`` (types that lift to constants), ``_unit`` (the key of
+    the constant term), ``_noun`` (for the power error) and, for maps with
+    more state, ``_like``.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("terms",)
+    _scalars: tuple = ()
+    _noun = "map"
+
+    def __init__(self, terms=()):
+        key, value = self._key, self._value
+        acc: dict = {}
+        for k, c in terms.items() if isinstance(terms, dict) else terms:
+            k = key(k)
+            if k in acc:
+                acc[k] += value(c)
+            else:
+                acc[k] = value(c)
+        object.__setattr__(self, "terms", self._finish(acc))
+
+    @staticmethod
+    def _finish(acc: dict) -> dict:
+        return {k: c for k, c in acc.items() if c}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, terms):
+        return type(self)(terms)
+
+    def _coerce(self, other):
+        """``other`` as a map of this kind (a scalar lifts to a constant), else None."""
+        if isinstance(other, self._scalars):
+            return self._like({self._unit: other})
+        return other if type(other) is type(self) else None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            v = out.get(k, 0) + c
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        join = self._join
+        out: dict = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                k = join(ka, kb)
+                v = out.get(k, 0) + ca * cb
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"{self._noun} powers must be non-negative integers")
+        out, base = self._like({self._unit: 1}), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def items(self):
+        """(key, value) pairs in ascending key order."""
+        return [(k, self.terms[k]) for k in sorted(self.terms)]
+
+    def _render(self, keys, monomial) -> str:
+        """Signed sum over keys of |value| * monomial(key): coefficient 1
+        omitted, a bare number for the empty monomial, "0" for no terms."""
+        parts = []
+        for k in keys:
+            c = self.terms[k]
+            a, m = abs(c), monomial(k)
+            body = (m if a == 1 else f"{a}*{m}") if m else str(a)
+            if parts:
+                parts.append(f" - {body}" if c < 0 else f" + {body}")
+            else:
+                parts.append(f"-{body}" if c < 0 else body)
+        return "".join(parts) or "0"
+
+
+class Polynomial(ExactMap):
+    """Immutable sparse polynomial.  ``terms`` maps exponent tuples to
+    Fraction coefficients.
+
+    All arithmetic requires both operands to share the same variable tuple;
+    ints and Fractions lift to constants.
+    """
+
+    __slots__ = ("variables",)
+    _scalars = (int, Fraction)
+    _noun = "polynomial"
+    _value = Fraction
+    _join = staticmethod(kernel.exp_add)
 
     def __init__(self, variables, terms=()):
         object.__setattr__(self, "variables", tuple(variables))
-        n = len(self.variables)
-        acc: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for e, c in items:
-            e = tuple(int(x) for x in e)
-            if len(e) != n:
-                raise LengthMismatchError(
-                    f"exponent vector {e} has length {len(e)}, expected {n}"
-                )
-            if any(x < 0 for x in e):
-                raise ValueError(f"negative exponent in {e}")
-            c = Fraction(c)
-            if e in acc:
-                acc[e] += c
-            else:
-                acc[e] = c
-        object.__setattr__(self, "terms", {e: c for e, c in acc.items() if c})
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    def _key(self, e):
+        e = tuple(int(x) for x in e)
+        n = len(self.variables)
+        if len(e) != n:
+            raise LengthMismatchError(f"exponent vector {e} has length {len(e)}, expected {n}")
+        if any(x < 0 for x in e):
+            raise ValueError(f"negative exponent in {e}")
+        return e
+
+    @property
+    def _unit(self):
+        return (0,) * len(self.variables)
+
+    def _like(self, terms):
+        return Polynomial(self.variables, terms)
+
+    def _coerce(self, other):
+        if isinstance(other, Polynomial) and other.variables != self.variables:
+            raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
+        return super()._coerce(other)
+
+    def __eq__(self, other):
+        if isinstance(other, Polynomial) and other.variables != self.variables:
+            return False
+        return super().__eq__(other)
 
     # -- constructors ------------------------------------------------------
 
@@ -74,85 +217,6 @@ class Polynomial:
         e = tuple(1 if j == i else 0 for j in range(len(variables)))
         return cls(variables, {e: Fraction(1)})
 
-    # -- ring structure ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.variables != self.variables:
-                raise ValueError(
-                    f"variable mismatch: {self.variables} vs {other.variables}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.variables, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return Polynomial(self.variables, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                k = kernel.exp_add(ea, eb)
-                v = out.get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return Polynomial(self.variables, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = Polynomial.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.variables, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     # -- calculus and degrees ----------------------------------------------
 
     def partial(self, i: int) -> "Polynomial":
@@ -171,29 +235,13 @@ class Polynomial:
 
     # -- rendering ---------------------------------------------------------
 
-    def _term_body(self, e, c) -> str:
-        mono = "*".join(
-            v if k == 1 else f"{v}^{k}"
-            for v, k in zip(self.variables, e)
-            if k
-        )
-        if not mono:
-            return str(abs(c))
-        a = abs(c)
-        return mono if a == 1 else f"{a}*{mono}"
+    def _monomial(self, e) -> str:
+        return "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, e) if k)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=kernel.grevlex_key, reverse=True):
-            c = self.terms[e]
-            body = self._term_body(e, c)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return self._render(
+            sorted(self.terms, key=kernel.grevlex_key, reverse=True), self._monomial
+        )
 
     def __repr__(self):
         return f"Polynomial({str(self)!r}, vars={self.variables})"

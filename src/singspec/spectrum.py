@@ -39,14 +39,12 @@ from .errors import (
     ConsistencyError,
     NegativeMultiplicityError,
     NonExactDivisionError,
-    NonIsolatedSingularityError,
     NotGaloisStableError,
-    NotWeightedHomogeneousError,
     ResourceLimitError,
 )
 from .fracpoly import FracPoly
-from .milnor import MilnorBasis, is_isolated
-from .poly import Polynomial, as_weights, is_weighted_homogeneous
+from .milnor import MilnorBasis
+from .poly import ExactMap, Polynomial, as_weights
 
 # budget on n * m + 1, which bounds the length of every coefficient list the
 # product formula builds; x^30+y^31+z^37 needs 103,231
@@ -135,95 +133,69 @@ def check_symmetry(s: FracPoly, n: int) -> bool:
     return s == sp_twist(s, n)
 
 
-def sp_at_infinity(f: Polynomial, weights) -> FracPoly:
-    """Spectrum at infinity of a weighted-homogeneous isolated singularity;
-    coincides with the product formula in this case."""
-    ws = as_weights(weights, len(f.variables))
-    if not is_weighted_homogeneous(f, ws):
-        raise NotWeightedHomogeneousError(
-            "spectrum at infinity implemented only for weighted-homogeneous polynomials"
-        )
-    if not is_isolated(f):
-        raise NonIsolatedSingularityError("singularity is not isolated")
-    return sp_product_formula(ws)
-
-
 # -- eigenvalue multisets ------------------------------------------------------
 
 
-class EigenMultiset:
+class EigenMultiset(ExactMap):
     """Finite multiset of unit-circle angles: residues in [0, 1) with
-    positive integer multiplicities."""
+    positive integer multiplicities.  As an ``ExactMap`` (see ``poly``), ``+``
+    adds multiplicities and ``*`` adds angles mod 1: the eigenvalues of a
+    direct sum and of a tensor product."""
 
-    __slots__ = ("residues",)
+    __slots__ = ()
+    _unit = Fraction(0)
+    _value = int
 
-    def __init__(self, residues=()):
-        acc: dict = {}
-        items = residues.items() if isinstance(residues, dict) else residues
-        for r, mult in items:
-            r = Fraction(r)
-            if not (0 <= r < 1):
-                raise ValueError(f"residue {r} outside [0, 1)")
-            mult = int(mult)
-            acc[r] = acc.get(r, 0) + mult
+    @staticmethod
+    def _key(r):
+        r = Fraction(r)
+        if not (0 <= r < 1):
+            raise ValueError(f"residue {r} outside [0, 1)")
+        return r
+
+    @staticmethod
+    def _finish(acc):
         for r, mult in acc.items():
             if mult <= 0:
-                raise NegativeMultiplicityError(
-                    f"residue {r} has non-positive multiplicity {mult}"
-                )
-        object.__setattr__(self, "residues", dict(acc))
+                raise NegativeMultiplicityError(f"residue {r} has non-positive multiplicity {mult}")
+        return acc
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EigenMultiset is immutable")
-
-    def items(self):
-        return [(r, self.residues[r]) for r in sorted(self.residues)]
+    @staticmethod
+    def _join(a, b):
+        return (a + b) % 1
 
     def total(self) -> int:
-        return sum(self.residues.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, EigenMultiset):
-            return NotImplemented
-        return self.residues == other.residues
+        return sum(self.terms.values())
 
     def __repr__(self):
         inner = ", ".join(f"{r}: {m}" for r, m in self.items())
         return f"EigenMultiset({{{inner}}})"
 
 
+def _genuine(s: FracPoly):
+    """The terms of s, refusing a negative coefficient."""
+    for a, c in s.terms.items():
+        if c < 0:
+            raise NegativeMultiplicityError(f"coefficient {c} at exponent {a}")
+    return s.terms.items()
+
+
 def eigenvalues_gamma_c(s: FracPoly) -> EigenMultiset:
     """Monodromy angles on nearby-cycle cohomology: t^a -> (-a) mod 1.
 
     Requires a genuine spectrum (all coefficients positive)."""
-    acc: dict = {}
-    for a, c in s.terms.items():
-        if c < 0:
-            raise NegativeMultiplicityError(f"coefficient {c} at exponent {a}")
-        r = (-a) % 1
-        acc[r] = acc.get(r, 0) + c
-    return EigenMultiset(acc)
+    return EigenMultiset(((-a) % 1, c) for a, c in _genuine(s))
 
 
 def eigenvalues_geometric(e: EigenMultiset) -> EigenMultiset:
     """Angle negation mod 1; converts between the two monodromy conventions.
     An involution."""
-    acc: dict = {}
-    for r, mult in e.residues.items():
-        k = (-r) % 1
-        acc[k] = acc.get(k, 0) + mult
-    return EigenMultiset(acc)
+    return EigenMultiset({(-r) % 1: mult for r, mult in e.terms.items()})
 
 
 def spectral_residues(s: FracPoly) -> EigenMultiset:
     """The multiset {a mod 1} over the spectrum terms, multiplicities summed."""
-    acc: dict = {}
-    for a, c in s.terms.items():
-        if c < 0:
-            raise NegativeMultiplicityError(f"coefficient {c} at exponent {a}")
-        r = a % 1
-        acc[r] = acc.get(r, 0) + c
-    return EigenMultiset(acc)
+    return EigenMultiset((a % 1, c) for a, c in _genuine(s))
 
 
 # -- characteristic polynomial -------------------------------------------------
@@ -256,7 +228,7 @@ def char_poly(e: EigenMultiset) -> Polynomial:
     then the negative ones divided out exactly.
     """
     groups: dict[int, dict[int, int]] = {}
-    for r, mult in e.residues.items():
+    for r, mult in e.terms.items():
         groups.setdefault(r.denominator, {})[r.numerator] = mult
     exps: dict[int, int] = {}
     for v in sorted(groups):

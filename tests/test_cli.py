@@ -124,6 +124,29 @@ def test_sp_huge_powers_exit_2_promptly(capsys):
         assert err == f"error: power with {size} exceeds the {limits} (at offset {offset})\n"
 
 
+def test_sp_huge_product_exits_2_promptly(capsys):
+    # each factor is within the power budget; the product would take 30 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sp", "(x+y+z)^40*(x+y+z)^40*(x+y+z)^40", "--vars", "x,y,z")
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: product with term count up to 3321 and coefficients up to 126 bits exceeds the "
+        f"limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits (at offset 10)\n"
+    )
+
+
+def test_sp_overlong_integer_literals_exit_2(capsys):
+    nines = "9" * 5000
+    for expr, offset in ((f"x^{nines}+y^2", 2), (f"{nines}*x^2+y^3", 0)):
+        code, out, err = run(capsys, "sp", expr, "--vars", "x,y")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: integer literal of 5000 digits exceeds the limit of ")
+        assert err.endswith(f" (at offset {offset})\n")
+
+
 def test_sp_rejects_bad_flag_values(capsys):
     code, _, err = run(capsys, "sp", "x^2 + y^3", "--vars", "x,x")
     assert code == 2 and "duplicate" in err

@@ -1,0 +1,181 @@
+"""The shared exact-map base: every kind against a from-scratch oracle.
+
+The oracle keeps the per-class dict loops the four kinds used before they
+shared ``ExactMap``: normalize and merge on construction, a zero-dropping sum,
+a convolution, powers as repeated products.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from singspec import EigenMultiset, EquivClass, FracPoly, NegativeMultiplicityError, Polynomial
+
+F = Fraction
+XY = ("x", "y")
+
+
+# -- the oracle -------------------------------------------------------------------
+
+
+class Kind:
+    """How one kind normalizes, joins and builds; ``positive`` marks the
+    multiset, whose multiplicities must stay positive."""
+
+    def __init__(self, build, key, value, join, unit, positive=False, scalar=True):
+        self.build, self.key, self.value, self.join = build, key, value, join
+        self.unit, self.positive, self.scalar = unit, positive, scalar
+
+    def normalize(self, items) -> dict:
+        acc = {}
+        for k, c in items:
+            k, c = self.key(k), self.value(c)
+            acc[k] = acc.get(k, 0) + c
+        if self.positive and any(c <= 0 for c in acc.values()):
+            raise NegativeMultiplicityError("non-positive multiplicity")
+        return {k: c for k, c in acc.items() if c}
+
+    def add(self, a: dict, b: dict) -> dict:
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = out.get(k, 0) + c
+        return self.normalize(out.items())
+
+    def mul(self, a: dict, b: dict) -> dict:
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = self.join(ka, kb)
+                out[k] = out.get(k, 0) + ca * cb
+        return self.normalize(out.items())
+
+    def pow(self, a: dict, n: int) -> dict:
+        out = {self.unit: self.value(1)}
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+
+def _integer(c):
+    c = F(c)
+    if c.denominator != 1:
+        raise TypeError(c)
+    return c.numerator
+
+
+def _residue(r):
+    r = F(r)
+    if not 0 <= r < 1:
+        raise ValueError(r)
+    return r
+
+
+KINDS = {
+    "Polynomial": Kind(
+        lambda d: Polynomial(XY, d),
+        lambda e: tuple(int(x) for x in e),
+        F,
+        lambda a, b: tuple(x + y for x, y in zip(a, b)),
+        (0, 0),
+    ),
+    "FracPoly": Kind(FracPoly, F, _integer, lambda a, b: a + b, F(0)),
+    "EquivClass": Kind(
+        EquivClass,
+        lambda k: (int(k[0]), int(k[1]), F(k[2]) % 1),
+        int,
+        lambda a, b: (a[0] + b[0], a[1] + b[1], (a[2] + b[2]) % 1),
+        (0, 0, F(0)),
+    ),
+    "EigenMultiset": Kind(
+        EigenMultiset, _residue, int, lambda a, b: (a + b) % 1, F(0), positive=True, scalar=False
+    ),
+}
+
+
+def _draw(name, rng):
+    """Raw (key, value) items of one kind, with repeated keys and zeros."""
+    items = []
+    for _ in range(rng.randint(0, 5)):
+        if name == "Polynomial":
+            k = (rng.randint(0, 3), rng.randint(0, 3))
+            c = F(rng.randint(-4, 4), rng.randint(1, 3))
+        elif name == "FracPoly":
+            k, c = F(rng.randint(-6, 6), rng.randint(1, 4)), rng.randint(-3, 3)
+        elif name == "EquivClass":
+            k = (rng.randint(-2, 2), rng.randint(-2, 2), F(rng.randint(-5, 5), rng.randint(1, 4)))
+            c = rng.randint(-3, 3)
+        else:
+            k, c = F(rng.randrange(4), 4), rng.randint(1, 3)
+        items.append((k, c))
+    return items
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_base_matches_dict_oracle(name):
+    kind = KINDS[name]
+    rng = random.Random(7243)
+    for _ in range(150):
+        items_a, items_b = _draw(name, rng), _draw(name, rng)
+        a, b = kind.build(items_a), kind.build(items_b)
+        oa, ob = kind.normalize(items_a), kind.normalize(items_b)
+        assert a.terms == oa
+        assert all(type(c) is type(kind.value(1)) for c in a.terms.values())
+        assert (a + b).terms == kind.add(oa, ob)
+        assert (a * b).terms == kind.mul(oa, ob)
+        n = rng.randint(0, 3)
+        assert (a ** n).terms == kind.pow(oa, n)
+        assert (a == b) == (oa == ob)
+        assert a == kind.build(oa) and not a != kind.build(oa)
+        assert a.items() == sorted(oa.items())
+        assert bool(a) == bool(oa)
+        if kind.positive:
+            # a negated multiset has negative multiplicities
+            for negated, bad in ((oa, lambda: -a), (ob, lambda: a - b)):
+                if negated:
+                    with pytest.raises(NegativeMultiplicityError):
+                        bad()
+            continue
+        neg = {k: -c for k, c in ob.items()}
+        assert (-b).terms == neg
+        assert (a - b).terms == kind.add(oa, neg)
+        s = rng.randint(-3, 3)
+        lifted = kind.normalize([(kind.unit, s)])
+        assert (a + s).terms == (s + a).terms == kind.add(oa, lifted)
+        assert (a * s).terms == (s * a).terms == kind.mul(oa, lifted)
+        assert (s - a).terms == kind.add(lifted, {k: -c for k, c in oa.items()})
+
+
+def test_multiset_refuses_non_positive_multiplicities():
+    for bad in ({F(1, 2): 0}, {F(1, 2): -1}, [(F(1, 3), 1), (F(1, 3), -1)]):
+        with pytest.raises(NegativeMultiplicityError):
+            EigenMultiset(bad)
+    with pytest.raises(TypeError):
+        EigenMultiset({F(1, 2): 1}) + 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [EigenMultiset({F(1, 2): 1}), EquivClass.lefschetz()],
+    ids=["EigenMultiset", "EquivClass"],
+)
+def test_immutable(value):
+    with pytest.raises(AttributeError, match="is immutable"):
+        value.terms = {}
+    with pytest.raises(AttributeError):
+        value.other = 1
+
+
+def test_power_errors_keep_their_messages():
+    with pytest.raises(ValueError, match="polynomial powers"):
+        Polynomial.variable(XY, "x") ** -1
+    with pytest.raises(ValueError, match="class powers"):
+        EquivClass.unit() ** 1.5
+
+
+def test_polynomial_variables_stay_apart():
+    x = Polynomial.variable(XY, "x")
+    other = Polynomial.variable(("x", "z"), "x")
+    assert x != other
+    with pytest.raises(ValueError, match="variable mismatch"):
+        x + other

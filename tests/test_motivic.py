@@ -443,3 +443,33 @@ def test_model_semantic_errors():
                 ]
             )
         )
+
+
+def test_constructors_check_fields_and_locate_errors():
+    v = SncComponent("V", 1, VERTICAL)
+    for build, where in (
+        (lambda: SncComponent("V", True, VERTICAL), "/multiplicity"),
+        (lambda: SncComponent("V", 0, VERTICAL), "/multiplicity"),
+        (lambda: SncComponent("", 1, VERTICAL), "/id"),
+        (lambda: SncComponent("V", 1, "diagonal"), "/kind"),
+        (lambda: Stratum(("V", "V"), ONE), "/ids"),
+        (lambda: SncModel(n=True, components=(v,), strata=()), "/n"),
+        (lambda: SncModel(n=1, components=(v, v), strata=()), "/components"),
+        (lambda: SncModel(n=1, components=(v,), strata=(Stratum(("W",), ONE),)), "/strata"),
+    ):
+        with pytest.raises(ModelFormatError) as exc:
+            build()
+        assert exc.value.location == where
+        assert str(exc.value) == f"{exc.value.message} (at {where})"
+
+
+def test_model_file_errors_prefix_constructor_locations():
+    dup = {"id": "V", "multiplicity": 1, "kind": "vertical"}
+    for text, where in (
+        (_mutate(components=[dup, dup]), "/components"),
+        (_mutate(strata=[{"ids": ["W"], "cover_class": []}]), "/strata"),
+        (_mutate(strata=[{"ids": ["V", 1], "cover_class": []}]), "/strata/0/ids"),
+    ):
+        with pytest.raises(ModelFormatError) as exc:
+            model_from_json(text)
+        assert exc.value.location == where

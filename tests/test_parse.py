@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,42 @@ def test_power_budget_spares_monomials_and_univariate_sums():
     assert len(p.terms) == 181
 
 
+def test_overlong_integer_literals():
+    limit = sys.get_int_max_str_digits()
+    assert parse._tokenize("9" * limit)[0] == ("int", "9" * limit, 0)
+    for text, offset in (("x^" + "9" * (limit + 1), 2), ("9" * (limit + 1) + "*x", 0)):
+        with pytest.raises(PolynomialSyntaxError, match=f"{limit + 1} digits") as exc:
+            parse_polynomial(text, XY)
+        assert exc.value.offset == offset
+
+
+def test_product_budget_boundary(monkeypatch):
+    # terms: min(3 * 2, 3 * 3 box, 7 monomials of degree 2..3) = 6;
+    # bits: 2 + 0 + ceil(log2 min(3, 2)) = 3 (the product has 5 terms, 2 bits)
+    text = "(x + 2*y + 3*x*y)*(x - y)"
+    expected = parse_polynomial("x^2 + x*y - 2*y^2 + 3*x^2*y - 3*x*y^2", XY)
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 6)
+    monkeypatch.setattr(parse, "MAX_POWER_BITS", 3)
+    assert parse_polynomial(text, XY) == expected
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 5)
+    refused = r"product with term count up to 6 .* \(at offset 17\)"
+    with pytest.raises(ResourceLimitError, match=refused):
+        parse_polynomial(text, XY)
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 6)
+    monkeypatch.setattr(parse, "MAX_POWER_BITS", 2)
+    with pytest.raises(ResourceLimitError, match="coefficients up to 3 bits"):
+        parse_polynomial(text, XY)
+    # homogeneous quadrics: 9 term products, but only the 5 monomials of degree 4
+    square = "(x^2 + x*y + y^2)*(x^2 + x*y + y^2)"
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 5)
+    monkeypatch.setattr(parse, "MAX_POWER_BITS", 10)
+    expected = parse_polynomial("x^4 + 2*x^3*y + 3*x^2*y^2 + 2*x*y^3 + y^4", XY)
+    assert parse_polynomial(square, XY) == expected
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 4)
+    with pytest.raises(ResourceLimitError, match="product with term count up to 5 "):
+        parse_polynomial(square, XY)
+
+
 def _size_bits(c):
     """ceil(log2 |numerator|) + ceil(log2 denominator)."""
     return (abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
@@ -146,3 +183,38 @@ def test_power_budgets_bound_the_expansion(monkeypatch):
         monkeypatch.setattr(parse, "MAX_POWER_BITS", bits - 1)
         with pytest.raises(ResourceLimitError):
             parse._check_power(base, k, 0)
+
+
+def test_product_budgets_bound_the_expansion(monkeypatch):
+    # with either limit one below the true size of a * b, the closed-form
+    # bound must refuse the product
+    rng = random.Random(5581)
+    names = ("x", "y", "z")
+
+    def draw(nvars):
+        return Polynomial(
+            names[:nvars],
+            {
+                tuple(rng.randint(0, 4) for _ in range(nvars)): Fraction(
+                    rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 6)
+                )
+                for _ in range(rng.randint(1, 6))
+            },
+        )
+
+    for _ in range(100):
+        nvars = rng.randint(1, 3)
+        a, b = draw(nvars), draw(nvars)
+        product = a * b
+        if not product:
+            continue
+        terms = len(product.terms)
+        bits = max(_size_bits(c) for c in product.terms.values())
+        monkeypatch.setattr(parse, "MAX_POWER_BITS", 10**9)
+        monkeypatch.setattr(parse, "MAX_POWER_TERMS", terms - 1)
+        with pytest.raises(ResourceLimitError):
+            parse._check_product(a, b, 0)
+        monkeypatch.setattr(parse, "MAX_POWER_TERMS", 10**9)
+        monkeypatch.setattr(parse, "MAX_POWER_BITS", bits - 1)
+        with pytest.raises(ResourceLimitError):
+            parse._check_product(a, b, 0)

@@ -10,9 +10,7 @@ from singspec import (
     FracPoly,
     NegativeMultiplicityError,
     NonExactDivisionError,
-    NonIsolatedSingularityError,
     NotGaloisStableError,
-    NotWeightedHomogeneousError,
     Polynomial,
     char_poly,
     check_symmetry,
@@ -21,7 +19,6 @@ from singspec import (
     infer_weights,
     milnor_basis,
     parse_polynomial,
-    sp_at_infinity,
     sp_from_basis,
     sp_product_formula,
     sp_twist,
@@ -130,19 +127,6 @@ def test_check_symmetry_direct():
     assert check_symmetry(FracPoly({F(5, 6): 1, F(7, 6): 1}), 2)
     assert not check_symmetry(FracPoly({F(1, 2): 1}), 2)
     assert check_symmetry(FracPoly(), 17)
-
-
-def test_sp_at_infinity():
-    assert sp_at_infinity(
-        parse_polynomial("x^2 + y^3", XY), (F(1, 2), F(1, 3))
-    ) == FracPoly({F(5, 6): 1, F(7, 6): 1})
-    assert sp_at_infinity(
-        parse_polynomial("x^2 + y^2", XY), (F(1, 2), F(1, 2))
-    ) == FracPoly({F(1): 1})
-    with pytest.raises(NonIsolatedSingularityError):
-        sp_at_infinity(parse_polynomial("x^2*y", XY), (F(1, 4), F(1, 2)))
-    with pytest.raises(NotWeightedHomogeneousError):
-        sp_at_infinity(parse_polynomial("x^2 + y^3", XY), (F(1, 2), F(1, 2)))
 
 
 # -- eigenvalue conventions -------------------------------------------------------
