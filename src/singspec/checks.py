@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fracpoly import FracPoly
-from .milnor import MilnorBasis, milnor_basis
+from .milnor import MilnorBasis, _closed_mu, milnor_basis
 from .motivic import (
     EquivClass,
     SncComponent,
@@ -98,7 +98,7 @@ def _make_case(name, f, weights) -> CorpusCase:
         f=f,
         weights=ws,
         basis=basis,
-        mu_closed=math.prod((1 / w - 1 for w in ws), start=Fraction(1)),
+        mu_closed=_closed_mu(ws),
         s_basis=sp_from_basis(basis),
         s_formula=sp_product_formula(ws),
     )

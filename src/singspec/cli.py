@@ -108,16 +108,10 @@ def _split_names(raw: str) -> tuple[str, ...]:
 
 
 def _parse_weights(raw: str, nvars: int):
-    parts = [v.strip() for v in raw.split(",")]
     try:
-        values = [Fraction(v) for v in parts]
+        return as_weights([v.strip() for v in raw.split(",")], nvars)
     except (ValueError, ZeroDivisionError) as exc:
         raise SingspecError(f"bad weight list {raw!r}: {exc}") from None
-    return as_weights(values, nvars)
-
-
-def _residue_map(multiset) -> dict:
-    return {str(r): m for r, m in multiset.items()}
 
 
 def _run_sp(args) -> Report:
@@ -159,8 +153,9 @@ def _run_sp(args) -> Report:
             "mu": mu,
             "spectrum": str(s_basis),
             "symmetric": check_symmetry(s_basis, len(variables)),
-            "eigenvalues_gamma_c": _residue_map(eig_c),
-            "eigenvalues_geometric": _residue_map(eig_geo),
+            # unsorted: render_text and to_json each sort the angles
+            "eigenvalues_gamma_c": {str(r): m for r, m in eig_c.terms.items()},
+            "eigenvalues_geometric": {str(r): m for r, m in eig_geo.terms.items()},
             "char_poly": str(char_poly(eig_c)),
         },
     )

@@ -1,7 +1,8 @@
 """Integer combinations of rational powers of one formal variable t.
 
-``FracPoly`` is an ``ExactMap`` (see ``poly``) from Fraction exponents to
-integer coefficients; exponents add in a product and ints lift to constants.
+``FracPoly`` is an ``ExactMap`` (see ``poly``) from rational exponents
+(``exact_rational``) to integer coefficients (``exact_int``: 3/2 raises
+TypeError); exponents add in a product and ints lift to constants.
 The canonical rendering (ascending exponents, sign-aware joining, coefficient
 1 omitted, integer exponents without a denominator, every other exponent
 parenthesized) is consumed verbatim by the command line and pinned by golden
@@ -11,16 +12,7 @@ tests; change it nowhere.
 import operator
 from fractions import Fraction
 
-from .poly import ExactMap
-
-
-def _integer(c) -> int:
-    if isinstance(c, int):
-        return c
-    cf = Fraction(c)
-    if cf.denominator != 1:
-        raise TypeError(f"coefficient {c!r} is not an integer")
-    return cf.numerator
+from .poly import ExactMap, exact_int, exact_rational
 
 
 class FracPoly(ExactMap):
@@ -28,14 +20,13 @@ class FracPoly(ExactMap):
 
     __slots__ = ()
     _scalars = (int,)
-    _unit = Fraction(0)
-    _key = Fraction
-    _value = staticmethod(_integer)
+    _key = staticmethod(exact_rational)
+    _value = staticmethod(exact_int)
     _join = staticmethod(operator.add)
 
     @classmethod
     def term(cls, exponent, coefficient=1):
-        return cls({Fraction(exponent): coefficient})
+        return cls({exponent: coefficient})
 
     def coefficient_sum(self) -> int:
         return sum(self.terms.values())

@@ -171,9 +171,9 @@ def reduce_modulo(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def _missing_pure_power(leads, nvars: int) -> int:
-    """Index of the first variable with no pure power among the leads, or -1."""
+    """Index of the first variable with no pure power among the leads (1 counts for all), or -1."""
     for i in range(nvars):
-        if not any(le[i] and sum(le) == le[i] for le in leads):
+        if not any(sum(le) == le[i] for le in leads):
             return i
     return -1
 
@@ -209,16 +209,15 @@ def _standard_monomials(leads, nvars: int) -> list[tuple[int, ...]]:
         prefix[k] += 1
 
 
+def _jacobian_leads(f: Polynomial) -> tuple[tuple[int, ...], ...]:
+    """Leading exponents of a Gröbner basis of the Jacobian ideal (none if it is zero)."""
+    return buchberger(jacobian_generators(f), f.variables).lead_exponents
+
+
 def is_isolated(f: Polynomial) -> bool:
-    """True when the Jacobian ideal cuts out a finite-dimensional quotient."""
-    gens = [g for g in jacobian_generators(f) if g]
-    if not gens:
-        return False
-    gb = buchberger(gens, f.variables)
-    leads = gb.lead_exponents
-    if any(all(x == 0 for x in le) for le in leads):
-        return True  # unit ideal: empty basis
-    return _missing_pure_power(leads, len(f.variables)) < 0
+    """True when the Jacobian ideal has a finite quotient (zero for the unit ideal)."""
+    leads = _jacobian_leads(f)
+    return bool(leads) and _missing_pure_power(leads, len(f.variables)) < 0
 
 
 def _closed_mu(ws) -> Fraction:
@@ -245,13 +244,12 @@ def milnor_basis(f: Polynomial, weights) -> MilnorBasis:
         raise ResourceLimitError(
             f"Milnor number {mu} from the weights exceeds the limit of {MAX_MU}"
         )
-    gens = [g for g in jacobian_generators(f) if g]
-    if not gens:
+    leads = _jacobian_leads(f)
+    if not leads:
         raise NonIsolatedSingularityError("zero Jacobian ideal")
-    gb = buchberger(gens, f.variables)
-    leads = gb.lead_exponents
-    if any(all(x == 0 for x in le) for le in leads):
-        return MilnorBasis(f.variables, ws, ())
+    # never the unit ideal: with weights in (0, 1) each partial derivative is
+    # weighted-homogeneous of degree 1 - w_i > 0, so the Jacobian ideal lies
+    # in the maximal ideal and no lead is the constant monomial
     bad = _missing_pure_power(leads, len(f.variables))
     if bad >= 0:
         raise NonIsolatedSingularityError(

@@ -41,7 +41,7 @@ from .errors import (
     ModelFormatError,
 )
 from .fracpoly import FracPoly
-from .poly import ExactMap
+from .poly import ExactMap, exact_int, exact_rational
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -53,14 +53,14 @@ class EquivClass(ExactMap):
 
     __slots__ = ()
     _scalars = (int,)
-    _unit = (0, 0, Fraction(0))
+    _unit = (0, 0, 0)
     _noun = "class"
-    _value = int
+    _value = staticmethod(exact_int)
 
     @staticmethod
     def _key(key):
         p, q, f = key
-        return (int(p), int(q), Fraction(f) % 1)
+        return (exact_int(p), exact_int(q), exact_rational(f) % 1)
 
     @staticmethod
     def _join(a, b):
@@ -77,12 +77,12 @@ class EquivClass(ExactMap):
     @classmethod
     def unit(cls):
         """Class of a point with trivial action."""
-        return cls({(0, 0, Fraction(0)): 1})
+        return cls({(0, 0, 0): 1})
 
     @classmethod
     def lefschetz(cls):
         """The Tate class L: bidegree (1, 1), trivial action."""
-        return cls({(1, 1, Fraction(0)): 1})
+        return cls({(1, 1, 0): 1})
 
     def __repr__(self):
         inner = ", ".join(f"({p},{q},{f}): {m}" for (p, q, f), m in self.items())

@@ -181,8 +181,12 @@ class _Parser:
             if kind != "int":
                 self.fail("integer exponent")
             self.take()
-            _check_power(base, int(text), offset)
-            return base ** int(text)
+            k = int(text)
+            _check_power(base, k, offset)
+            if len(base.terms) == 1:  # closed form: exponents times k, coefficient to the k
+                [(e, c)] = base.terms.items()
+                return Polynomial(self.variables, {tuple(x * k for x in e): c**k})
+            return base**k
         return base
 
     def atom(self) -> Polynomial:

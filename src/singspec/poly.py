@@ -3,7 +3,9 @@
 ``ExactMap`` is the one immutable exact sparse map behind every algebraic
 object of the package: ``Polynomial`` here, ``FracPoly`` (spectra),
 ``spectrum.EigenMultiset`` (monodromy angles) and ``motivic.EquivClass``
-(nearby-fiber classes).
+(nearby-fiber classes).  Their values, and weight vectors, enter only through
+``exact_int`` and ``exact_rational``, which raise TypeError on a float, a bool
+or a non-integer in an integer slot: nothing is rounded on the way in.
 
 Exponent vectors are tuples of non-negative ints aligned with an ordered
 variable tuple; coefficients are ``fractions.Fraction`` (exact, lowest terms,
@@ -23,22 +25,40 @@ from .errors import (
 )
 
 
+def exact_int(x) -> int:
+    """A non-bool int, or a Fraction with denominator 1, as an int; else TypeError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.denominator == 1:
+        return x.numerator
+    raise TypeError(f"{x!r} is not an exact integer")
+
+
+def exact_rational(x) -> Fraction:
+    """A non-bool int, a Fraction or a decimal string as a Fraction; else TypeError."""
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"{x!r} is not an exact rational")
+
+
 class ExactMap:
     """Immutable finitely supported map ``terms`` from keys to nonzero values,
     with the ring structure of a monoid algebra: ``+`` adds values key by key,
     ``*`` is convolution (keys join, values multiply), ``**`` repeats it.
 
-    Construction normalizes each key with ``_key`` and each value with
-    ``_value``, adds the values of repeated keys and passes the sums through
-    ``_finish`` (which drops zeros); every ``+`` and ``*`` result is built so.
-    Subclasses supply those hooks, ``_join`` (the key of a product of two
-    keys), ``_scalars`` (types that lift to constants), ``_unit`` (the key of
-    the constant term), ``_noun`` (for the power error) and, for maps with
-    more state, ``_like``.
+    The constructor is the only merge, and ``+`` and ``*`` hand it their raw
+    (key, value) pairs: it normalizes each key with ``_key`` and each value
+    with ``_value`` (through ``exact_int`` or ``exact_rational``), adds the
+    values of repeated keys and passes the sums through ``_finish`` (which
+    drops zeros).  Subclasses supply those hooks, ``_join`` (the key of a
+    product of two keys), ``_scalars`` (types that lift to constants),
+    ``_unit`` (the key of the constant term, 0 by default), ``_noun`` (for
+    the power error) and, for maps with more state, ``_like``.
     """
 
     __slots__ = ("terms",)
     _scalars: tuple = ()
+    _unit = 0
     _noun = "map"
 
     def __init__(self, terms=()):
@@ -72,14 +92,7 @@ class ExactMap:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return self._like(out)
+        return self._like([*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
@@ -100,16 +113,11 @@ class ExactMap:
         if other is None:
             return NotImplemented
         join = self._join
-        out: dict = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = join(ka, kb)
-                v = out.get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return self._like(out)
+        return self._like(
+            (join(ka, kb), ca * cb)
+            for ka, ca in self.terms.items()
+            for kb, cb in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -162,7 +170,7 @@ class Polynomial(ExactMap):
     __slots__ = ("variables",)
     _scalars = (int, Fraction)
     _noun = "polynomial"
-    _value = Fraction
+    _value = staticmethod(exact_rational)
     _join = staticmethod(kernel.exp_add)
 
     def __init__(self, variables, terms=()):
@@ -170,7 +178,7 @@ class Polynomial(ExactMap):
         super().__init__(terms)
 
     def _key(self, e):
-        e = tuple(int(x) for x in e)
+        e = tuple(map(exact_int, e))
         n = len(self.variables)
         if len(e) != n:
             raise LengthMismatchError(f"exponent vector {e} has length {len(e)}, expected {n}")
@@ -204,18 +212,18 @@ class Polynomial(ExactMap):
     @classmethod
     def constant(cls, variables, value):
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def monomial(cls, variables, exponents, coefficient=1):
-        return cls(variables, {tuple(exponents): Fraction(coefficient)})
+        return cls(variables, [(exponents, coefficient)])
 
     @classmethod
     def variable(cls, variables, name):
         variables = tuple(variables)
         i = variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {e: Fraction(1)})
+        return cls(variables, {e: 1})
 
     # -- calculus and degrees ----------------------------------------------
 
@@ -251,8 +259,9 @@ class Polynomial(ExactMap):
 
 
 def as_weights(values, nvars: int | None = None) -> tuple[Fraction, ...]:
-    """Coerce to a tuple of Fractions, each required to lie in (0, 1)."""
-    ws = tuple(Fraction(v) for v in values)
+    """Coerce to a tuple of Fractions (``exact_rational``), each required to
+    lie in (0, 1)."""
+    ws = tuple(map(exact_rational, values))
     for w in ws:
         if not (0 < w < 1):
             raise WeightOutOfRangeError(f"weight {w} outside the open interval (0, 1)")
@@ -267,7 +276,7 @@ def weighted_degree(exponents, weights) -> Fraction:
         raise LengthMismatchError(
             f"exponent vector of length {len(exponents)} against {len(weights)} weights"
         )
-    return sum((Fraction(w) * m for m, w in zip(exponents, weights)), Fraction(0))
+    return sum((exact_rational(w) * m for m, w in zip(exponents, weights)), Fraction(0))
 
 
 def is_weighted_homogeneous(f: Polynomial, weights) -> bool:

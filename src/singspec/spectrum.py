@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fracpoly import FracPoly
 from .milnor import MilnorBasis
-from .poly import ExactMap, Polynomial, as_weights
+from .poly import ExactMap, Polynomial, as_weights, exact_int, exact_rational
 
 # budget on n * m + 1, which bounds the length of every coefficient list the
 # product formula builds; x^30+y^31+z^37 needs 103,231
@@ -143,12 +143,11 @@ class EigenMultiset(ExactMap):
     direct sum and of a tensor product."""
 
     __slots__ = ()
-    _unit = Fraction(0)
-    _value = int
+    _value = staticmethod(exact_int)
 
     @staticmethod
     def _key(r):
-        r = Fraction(r)
+        r = exact_rational(r)
         if not (0 <= r < 1):
             raise ValueError(f"residue {r} outside [0, 1)")
         return r

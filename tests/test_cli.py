@@ -137,6 +137,20 @@ def test_sp_huge_product_exits_2_promptly(capsys):
     )
 
 
+def test_sp_huge_monomial_power_exits_2_promptly(capsys):
+    # x_i^N in closed form; by repeated squaring the 20 powers took 6 s
+    n = "9" * 4000
+    names = [f"x{i}" for i in range(20)]
+    expr = "*".join(f"{v}^{n}" for v in names)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sp", expr, "--vars", ",".join(names))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("does not define an isolated singularity at the origin\n")
+
+
 def test_sp_overlong_integer_literals_exit_2(capsys):
     nines = "9" * 5000
     for expr, offset in ((f"x^{nines}+y^2", 2), (f"{nines}*x^2+y^3", 0)):

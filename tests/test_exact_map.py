@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from singspec import EigenMultiset, EquivClass, FracPoly, NegativeMultiplicityError, Polynomial
+from singspec.poly import as_weights
 
 F = Fraction
 XY = ("x", "y")
@@ -58,14 +59,21 @@ class Kind:
 
 
 def _integer(c):
-    c = F(c)
-    if c.denominator != 1:
+    """The entry rule for integers: an int or an integral Fraction, never a bool."""
+    if isinstance(c, bool) or not isinstance(c, (int, F)) or F(c).denominator != 1:
         raise TypeError(c)
-    return c.numerator
+    return int(c)
+
+
+def _rational(r):
+    """The entry rule for rationals: an int, a Fraction or a string, never a bool."""
+    if isinstance(r, bool) or not isinstance(r, (int, F, str)):
+        raise TypeError(r)
+    return F(r)
 
 
 def _residue(r):
-    r = F(r)
+    r = _rational(r)
     if not 0 <= r < 1:
         raise ValueError(r)
     return r
@@ -74,21 +82,27 @@ def _residue(r):
 KINDS = {
     "Polynomial": Kind(
         lambda d: Polynomial(XY, d),
-        lambda e: tuple(int(x) for x in e),
-        F,
+        lambda e: tuple(map(_integer, e)),
+        _rational,
         lambda a, b: tuple(x + y for x, y in zip(a, b)),
         (0, 0),
     ),
-    "FracPoly": Kind(FracPoly, F, _integer, lambda a, b: a + b, F(0)),
+    "FracPoly": Kind(FracPoly, _rational, _integer, lambda a, b: a + b, F(0)),
     "EquivClass": Kind(
         EquivClass,
-        lambda k: (int(k[0]), int(k[1]), F(k[2]) % 1),
-        int,
+        lambda k: (_integer(k[0]), _integer(k[1]), _rational(k[2]) % 1),
+        _integer,
         lambda a, b: (a[0] + b[0], a[1] + b[1], (a[2] + b[2]) % 1),
         (0, 0, F(0)),
     ),
     "EigenMultiset": Kind(
-        EigenMultiset, _residue, int, lambda a, b: (a + b) % 1, F(0), positive=True, scalar=False
+        EigenMultiset,
+        _residue,
+        _integer,
+        lambda a, b: (a + b) % 1,
+        F(0),
+        positive=True,
+        scalar=False,
     ),
 }
 
@@ -179,3 +193,107 @@ def test_polynomial_variables_stay_apart():
     assert x != other
     with pytest.raises(ValueError, match="variable mismatch"):
         x + other
+
+
+# -- the entry rule ------------------------------------------------------------------
+
+# slot -> (build from one value, values refused with TypeError, values accepted);
+# every accepted value of a slot builds the same map.  Among the refused values:
+# 1.5, F(3, 2), F(1, 2) and 2.7 in integer slots were truncated to an int, and
+# the floats 0.1 and 1/3 in rational slots became binary fractions.
+ENTRY_SLOTS = {
+    "Polynomial exponent": (
+        lambda v: Polynomial(XY, {(v, 0): 1}),
+        [1.0, 1.5, True, F(3, 2), "2", None],
+        [2, F(2), F(4, 2)],
+    ),
+    "Polynomial coefficient": (
+        lambda v: Polynomial(XY, {(1, 0): v}),
+        [0.5, 1.0, True, None],
+        [F(1, 2), "1/2", "0.5"],
+    ),
+    "Polynomial.constant": (
+        lambda v: Polynomial.constant(XY, v),
+        [0.5, True],
+        [3, F(3), "3"],
+    ),
+    "Polynomial.monomial exponent": (
+        lambda v: Polynomial.monomial(XY, (v, 1)),
+        [1.0, F(1, 2), False],
+        [2, F(2), F(6, 3)],
+    ),
+    "Polynomial.monomial coefficient": (
+        lambda v: Polynomial.monomial(XY, (1, 1), v),
+        [0.25, True],
+        [F(-1, 4), "-1/4", "-0.25"],
+    ),
+    "FracPoly exponent": (
+        lambda v: FracPoly({v: 1}),
+        [0.1, 0.5, True, None],
+        [F(1, 3), "1/3"],
+    ),
+    "FracPoly coefficient": (
+        lambda v: FracPoly({F(1, 2): v}),
+        [F(3, 2), 1.0, True, "2"],
+        [2, F(2), F(6, 3)],
+    ),
+    "FracPoly.term": (
+        lambda v: FracPoly.term(v, 2),
+        [0.1, True],
+        [F(7, 6), "7/6"],
+    ),
+    "EigenMultiset residue": (
+        lambda v: EigenMultiset({v: 1}),
+        [0.5, False, None],
+        [F(1, 2), "1/2", "0.5"],
+    ),
+    "EigenMultiset multiplicity": (
+        lambda v: EigenMultiset({F(1, 2): v}),
+        [2.7, F(3, 2), 2.0, True, "2"],
+        [2, F(2)],
+    ),
+    "EquivClass p": (
+        lambda v: EquivClass({(v, 0, 0): 1}),
+        [F(1, 2), 1.0, True, "1"],
+        [1, F(1)],
+    ),
+    "EquivClass q": (
+        lambda v: EquivClass({(0, v, 0): 1}),
+        [F(1, 2), 1.0, True],
+        [-1, F(-1)],
+    ),
+    "EquivClass angle": (
+        lambda v: EquivClass({(0, 0, v): 1}),
+        [0.5, True, None],
+        [F(5, 6), "5/6", F(-1, 6), "-1/6"],
+    ),
+    "EquivClass multiplicity": (
+        lambda v: EquivClass({(0, 0, 0): v}),
+        [F(3, 2), 1.0, True, "1"],
+        [-3, F(-3), F(-6, 2)],
+    ),
+    "as_weights": (
+        lambda v: as_weights([v, F(1, 3)]),
+        [0.5, 1 / 3, True],
+        [F(1, 2), "1/2", "0.5"],
+    ),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(ENTRY_SLOTS))
+def test_entry_rule(slot):
+    build, refused, accepted = ENTRY_SLOTS[slot]
+    for value in refused:
+        with pytest.raises(TypeError):
+            build(value)
+    built = [build(value) for value in accepted]
+    assert all(b == built[0] for b in built)
+    for b in built:
+        if isinstance(b, tuple):
+            assert all(type(w) is F for w in b)
+            continue
+        for k, c in b.terms.items():
+            assert type(c) in (int, F)
+            for x in k if isinstance(k, tuple) else (k,):
+                assert type(x) in (int, F)
+

@@ -311,10 +311,15 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_fixture_files_round_trip():
-    for name in ("i2_semistable.json", "cusp_resolution.json"):
+    for name, build in (
+        ("i2_semistable.json", semistable_i2_model),
+        ("cusp_resolution.json", cusp_resolution_model),
+    ):
         text = (FIXTURES / name).read_text(encoding="utf-8")
         model = model_from_json(text)
         assert model_to_json(model) == text
+        # the battery's built-in models are the fixture files, byte for byte
+        assert model_to_json(build()) == text
 
 
 def test_canonicalization_is_input_order_independent():
