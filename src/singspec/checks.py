@@ -201,16 +201,20 @@ def cusp_resolution_model() -> SncModel:
 # -- random classes (criterion: the two spectrum functionals agree) ------------
 
 
+# every angle of a random class is k/d with d <= 12
+_ANGLE_DEN = math.lcm(*range(1, 13))
+
+
 def random_class(rng: random.Random) -> EquivClass:
     entries = []
     for _ in range(rng.randint(1, 6)):
         p = rng.randint(-3, 4)
         q = rng.randint(-3, 4)
         d = rng.randint(1, 12)
-        f = Fraction(rng.randrange(0, d), d)
+        k = rng.randrange(0, d) * (_ANGLE_DEN // d)
         m = rng.choice([m for m in range(-5, 6) if m])
-        entries.append(((p, q, f), m))
-    return EquivClass(entries)
+        entries.append(((p, q, k), m))
+    return EquivClass.from_scaled(entries, _ANGLE_DEN)
 
 
 # -- the checks ----------------------------------------------------------------

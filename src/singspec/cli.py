@@ -14,9 +14,9 @@ Identical inputs produce byte-identical ``--json`` output.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import checks
 from .errors import (
@@ -34,7 +34,7 @@ from .motivic import (
     sp_prime_reduced,
 )
 from .parse import parse_polynomial
-from .poly import as_weights, infer_weights, is_weighted_homogeneous
+from .poly import as_weights, exact_rational, infer_weights, is_weighted_homogeneous, ratio
 from .spectrum import (
     char_poly,
     check_symmetry,
@@ -84,9 +84,7 @@ class Report:
             if isinstance(value, bool):
                 value = "true" if value else "false"
             elif isinstance(value, dict):
-                value = ", ".join(
-                    f"{k}:{value[k]}" for k in sorted(value, key=Fraction)
-                ) or "(empty)"
+                value = ", ".join(f"{k}:{value[k]}" for k in _ascending(value)) or "(empty)"
             elif key == "class":
                 value = ", ".join(
                     f"({p},{q},{f}):{m}" for p, q, f, m in value
@@ -95,6 +93,19 @@ class Report:
                 value = ", ".join(str(v) for v in value)
             lines.append(f"{key}: {value}")
         return "\n".join(lines) + "\n"
+
+
+def _ascending(keys) -> list:
+    """Rational strings "u/v" or "u" in ascending order of value, compared
+    as integer numerators over the lcm of their denominators."""
+    parts = [(k, *k.partition("/")[::2]) for k in keys]
+    den = math.lcm(*(int(v or 1) for _, _, v in parts))
+    return [k for _, k in sorted((int(u) * (den // int(v or 1)), k) for k, u, v in parts)]
+
+
+def _angles(e) -> dict:
+    """An eigenvalue multiset as {"u/v": multiplicity}."""
+    return {ratio(k, e.den): m for k, m in e.scaled.items()}
 
 
 def _split_names(raw: str) -> tuple[str, ...]:
@@ -108,10 +119,15 @@ def _split_names(raw: str) -> tuple[str, ...]:
 
 
 def _parse_weights(raw: str, nvars: int):
-    try:
-        return as_weights([v.strip() for v in raw.split(",")], nvars)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SingspecError(f"bad weight list {raw!r}: {exc}") from None
+    ws = []
+    for item in map(str.strip, raw.split(",")):
+        try:
+            ws.append(exact_rational(item))
+        except ZeroDivisionError:
+            raise SingspecError(f"bad weight list {raw!r}: zero denominator in {item!r}") from None
+        except ValueError as exc:
+            raise SingspecError(f"bad weight list {raw!r}: {exc}") from None
+    return as_weights(ws, nvars)
 
 
 def _run_sp(args) -> Report:
@@ -154,8 +170,8 @@ def _run_sp(args) -> Report:
             "spectrum": str(s_basis),
             "symmetric": check_symmetry(s_basis, len(variables)),
             # unsorted: render_text and to_json each sort the angles
-            "eigenvalues_gamma_c": {str(r): m for r, m in eig_c.terms.items()},
-            "eigenvalues_geometric": {str(r): m for r, m in eig_geo.terms.items()},
+            "eigenvalues_gamma_c": _angles(eig_c),
+            "eigenvalues_geometric": _angles(eig_geo),
             "char_poly": str(char_poly(eig_c)),
         },
     )
@@ -180,7 +196,7 @@ def _run_nearby(args) -> Report:
             "model": args.model,
             "variant": args.variant,
             "dimension": n,
-            "class": [[p, q, str(f), m] for (p, q, f), m in cls.items()],
+            "class": [[p, q, ratio(a, cls.den), m] for (p, q, a), m in sorted(cls.scaled.items())],
             "euler": euler_specialization(cls),
             "normalization": normalization,
             "sp_prime": str(sp_p),

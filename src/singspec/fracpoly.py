@@ -3,16 +3,18 @@
 ``FracPoly`` is an ``ExactMap`` (see ``poly``) from rational exponents
 (``exact_rational``) to integer coefficients (``exact_int``: 3/2 raises
 TypeError); exponents add in a product and ints lift to constants.
+Exponent a is stored as the int a * den over the map's one denominator
+``den``; ``terms``, ``items()`` and ``support()`` give it as a Fraction.
+
 The canonical rendering (ascending exponents, sign-aware joining, coefficient
 1 omitted, integer exponents without a denominator, every other exponent
 parenthesized) is consumed verbatim by the command line and pinned by golden
 tests; change it nowhere.
 """
 
-import operator
 from fractions import Fraction
 
-from .poly import ExactMap, exact_int, exact_rational
+from .poly import ExactMap, exact_int, ratio
 
 
 class FracPoly(ExactMap):
@@ -20,34 +22,32 @@ class FracPoly(ExactMap):
 
     __slots__ = ()
     _scalars = (int,)
-    _key = staticmethod(exact_rational)
     _value = staticmethod(exact_int)
-    _join = staticmethod(operator.add)
 
     @classmethod
     def term(cls, exponent, coefficient=1):
         return cls({exponent: coefficient})
 
     def coefficient_sum(self) -> int:
-        return sum(self.terms.values())
+        return sum(self.scaled.values())
 
     def support(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self.terms))
+        return tuple(Fraction(k, self.den) for k in sorted(self.scaled))
 
     # -- canonical rendering -------------------------------------------------
 
-    @staticmethod
-    def _power(a: Fraction) -> str:
-        if a == 0:
+    def _power(self, k: int) -> str:
+        den = self.den
+        if k == 0:
             return ""
-        if a == 1:
+        if k == den:
             return "t"
-        if a.denominator == 1 and a > 0:
-            return f"t^{a}"
-        return f"t^({a})"
+        if k > 0 and k % den == 0:
+            return f"t^{k // den}"
+        return f"t^({ratio(k, den)})"
 
     def __str__(self):
-        return self._render(sorted(self.terms), self._power)
+        return self._render(sorted(self.scaled), self._power)
 
     def __repr__(self):
         return f"FracPoly({str(self)!r})"
@@ -55,4 +55,4 @@ class FracPoly(ExactMap):
 
 def iota(s: FracPoly) -> FracPoly:
     """Exponent negation t^a -> t^(-a); an involution."""
-    return FracPoly({-a: c for a, c in s.terms.items()})
+    return FracPoly.from_scaled(((-k, c) for k, c in s.scaled.items()), s.den)

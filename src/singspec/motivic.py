@@ -4,7 +4,10 @@ An ``EquivClass`` is an ``ExactMap`` (see ``poly``) with integer values on
 triples (p, q, angle): Hodge bidegree plus the angle in [0, 1) of a
 finite-order semisimple action.  Multiplication is convolution (bidegrees
 add, angles add mod 1); the class L of the Tate twist has bidegree (1, 1)
-and angle 0.
+and angle 0.  A class stores angle f as the int f * den in [0, den) over its
+one denominator ``den``; ``entries``, ``terms`` and ``items()`` give it as a
+Fraction.  The evaluator and both spectrum functionals work on the stored
+ints.
 
 Cohomological signs (-1)^j are the *caller's* responsibility: stratum cover
 classes are stored with them already folded into the multiplicities, and the
@@ -31,6 +34,7 @@ the caller from ``model_to_json``.
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,15 +60,25 @@ class EquivClass(ExactMap):
     _unit = (0, 0, 0)
     _noun = "class"
     _value = staticmethod(exact_int)
+    _num = operator.itemgetter(2)
 
     @staticmethod
     def _key(key):
         p, q, f = key
-        return (exact_int(p), exact_int(q), exact_rational(f) % 1)
+        f = exact_rational(f)
+        return (exact_int(p), exact_int(q), f.numerator % f.denominator), f.denominator
 
     @staticmethod
-    def _join(a, b):
-        return (a[0] + b[0], a[1] + b[1], (a[2] + b[2]) % 1)
+    def _with(k, n):
+        return (k[0], k[1], n)
+
+    @staticmethod
+    def _public(k, den):
+        return (k[0], k[1], Fraction(k[2], den))
+
+    @staticmethod
+    def _joiner(den):
+        return lambda a, b: (a[0] + b[0], a[1] + b[1], (a[2] + b[2]) % den)
 
     @property
     def entries(self) -> dict:
@@ -175,6 +189,10 @@ def nearby_fiber_class(model: SncModel, variant: str = "total") -> EquivClass:
     variant "total" (alias "local"): strata meeting the vertical part, weight
     exponent = number of vertical members - 1.  variant "open": strata
     entirely inside the vertical part, weight exponent = |I| - 1.
+
+    The weight (1 - L)^e expands as the sum over j of (-1)^j C(e, j) L^j, and
+    every stratum's weighted terms, over the lcm of the cover denominators,
+    go into one constructor call: one merge for the whole sum.
     """
     if variant == "local":
         variant = "total"
@@ -189,19 +207,22 @@ def nearby_fiber_class(model: SncModel, variant: str = "total") -> EquivClass:
                 MissingStratumWarning,
                 stacklevel=2,
             )
-    one_minus_l = EquivClass.unit() - EquivClass.lefschetz()
-    total = EquivClass.zero()
+    den = math.lcm(*(s.cover_class.den for s in model.strata))
+    pairs = []
     for s in model.strata:
         # k vertical members; in the open variant k = |I|
         k = sum(1 for i in s.ids if i in vertical)
         if k and (variant == "total" or k == len(s.ids)):
-            total = total + s.cover_class * one_minus_l ** (k - 1)
-    return total
+            cover = s.cover_class.scaled_over(den)
+            for j in range(k):
+                w = (-1) ** j * math.comb(k - 1, j)
+                pairs += [((p + j, q + j, a), m * w) for (p, q, a), m in cover]
+    return EquivClass.from_scaled(pairs, den)
 
 
 def euler_specialization(c: EquivClass) -> int:
     """Sum of all virtual multiplicities (the L -> 1, action-forgotten limit)."""
-    return sum(c.entries.values())
+    return sum(c.scaled.values())
 
 
 def covering_degree(model: SncModel, ids) -> int:
@@ -232,14 +253,19 @@ def component_count_cstar(model: SncModel, ids, adjacent: str) -> int:
 def sp_prime_of_class(c: EquivClass) -> FracPoly:
     """Spectrum functional: entry (p, q, angle) with multiplicity m contributes
     m * t^(p + angle).  The q grading is ignored."""
-    return FracPoly(((p + f, m) for (p, q, f), m in c.entries.items()))
+    den = c.den
+    return FracPoly.from_scaled(((p * den + a, m) for (p, q, a), m in c.scaled.items()), den)
 
 
 def sp_of_class(c: EquivClass, n: int) -> FracPoly:
     """Twisted spectrum functional, computed independently of
     ``sp_prime_of_class``: the exponent lands in the interval (n-1-p, n-p]
     and is congruent to minus the angle mod 1."""
-    return FracPoly(((n - 1 - p) + ((-f) % 1 or 1), m) for (p, q, f), m in c.entries.items())
+    den = c.den
+    return FracPoly.from_scaled(
+        (((n - 1 - p) * den + ((-a) % den or den), m) for (p, q, a), m in c.scaled.items()),
+        den,
+    )
 
 
 def reduce_class(c: EquivClass) -> EquivClass:
@@ -271,7 +297,9 @@ def _parse_angle(raw, where: str) -> Fraction:
         raise ModelFormatError("angle must be a string rational", where)
     try:
         f = Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ModelFormatError(f"bad angle {raw!r}: zero denominator", where) from None
+    except ValueError as exc:
         raise ModelFormatError(f"bad angle {raw!r}: {exc}", where) from None
     if not (0 <= f < 1):
         raise ModelFormatError(f"angle {raw!r} outside [0, 1)", where)

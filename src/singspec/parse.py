@@ -43,6 +43,17 @@ def _refuse(what: str, terms: int, bits: int, offset: int) -> None:
         )
 
 
+def _capped_prod(factors, cap: int) -> int:
+    """The product of the factors (each >= 1), or the first partial product
+    above ``cap``: either way, min(cap, product) is exact."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > cap:
+            break
+    return out
+
+
 def _integral(p: Polynomial) -> tuple[list, int]:
     """(numerators P_i, denominator D) with p = sum P_i x^e_i / D, D the lcm
     of the coefficient denominators."""
@@ -54,13 +65,14 @@ def _check_power(base: Polynomial, k: int, offset: int) -> None:
     """Raise ResourceLimitError when base^k may exceed the power budgets.
 
     A t-term base has at most comb(t - 1 + k, k) terms in its k-th power, and
-    at most prod(k * e_i + 1), e_i the largest exponent of variable i.  For
-    base = P / D, P integral and D the lcm of the denominators, a coefficient
-    has numerator at most |P|_1^k and denominator at most D^k."""
+    at most prod(k * e_i + 1), e_i the largest exponent of variable i (that
+    product stops once it passes the first bound).  For base = P / D, P
+    integral and D the lcm of the denominators, a coefficient has numerator
+    at most |P|_1^k and denominator at most D^k."""
     if not base.terms:
         return
-    dense = math.prod(k * max(col) + 1 for col in zip(*base.terms))
-    terms = min(math.comb(len(base.terms) - 1 + k, k), dense)
+    terms = math.comb(len(base.terms) - 1 + k, k)
+    terms = min(terms, _capped_prod((k * max(col) + 1 for col in zip(*base.terms)), terms))
     nums, den = _integral(base)
     norm = sum(abs(x) for x in nums)
     _refuse("power", terms, k * ((norm - 1).bit_length() + (den - 1).bit_length()), offset)
@@ -72,8 +84,11 @@ def _check_product(a: Polynomial, b: Polynomial, offset: int) -> None:
     With T the term counts, a * b has at most T_a * T_b terms; when that is
     over budget, also at most prod(e_a,i + e_b,i + 1), e_i the largest
     exponent of variable i, and at most the number of monomials of degree
-    between the sums of the operands' least and largest degrees (with huge
-    exponents these are huge numbers, so they are computed only then).  A
+    between the sums of the operands' least and largest degrees.  With huge
+    exponents these are huge numbers, so they are computed only then, the
+    product stops once it passes T_a * T_b, and the monomial count is skipped
+    when it cannot be smaller (in n >= 2 variables it exceeds the largest
+    degree).  A
     coefficient sums at most min(T_a, T_b) products, so it needs at most
     bits_a + bits_b + ceil(log2 min(T_a, T_b)) bits, with
     bits = ceil(log2 max |P_i|) + ceil(log2 D) for P / D as in ``_integral``."""
@@ -82,11 +97,15 @@ def _check_product(a: Polynomial, b: Polynomial, offset: int) -> None:
     terms = len(a.terms) * len(b.terms)
     if terms > MAX_POWER_TERMS:
         n = len(a.variables)
-        dense = math.prod(max(x) + max(y) + 1 for x, y in zip(zip(*a.terms), zip(*b.terms)))
+        dense = _capped_prod(
+            (max(x) + max(y) + 1 for x, y in zip(zip(*a.terms), zip(*b.terms))), terms
+        )
         da, db = [sum(e) for e in a.terms], [sum(e) for e in b.terms]
         lo, hi = min(da) + min(db), max(da) + max(db)
-        slab = math.comb(hi + n, n) - (math.comb(lo - 1 + n, n) if lo else 0)
-        terms = min(terms, dense, slab)
+        # in two or more variables the slab holds over hi monomials of degree hi
+        if n == 1 or hi < terms:
+            terms = min(terms, math.comb(hi + n, n) - (math.comb(lo - 1 + n, n) if lo else 0))
+        terms = min(terms, dense)
     bits = (min(len(a.terms), len(b.terms)) - 1).bit_length()
     for p in (a, b):
         nums, den = _integral(p)
@@ -154,15 +173,15 @@ class _Parser:
         raise PolynomialSyntaxError(f"expected {expected}, found {what}", offset)
 
     def expr(self) -> Polynomial:
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        result = sign * self.term()
-        while self.peek()[0] in ("+", "-"):
+        """The signed terms of every summand go into one constructor call."""
+        pairs = []
+        op = self.take()[0] if self.peek()[0] in ("+", "-") else "+"
+        while True:
+            sign = -1 if op == "-" else 1
+            pairs += [(e, sign * c) for e, c in self.term().terms.items()]
+            if self.peek()[0] not in ("+", "-"):
+                return Polynomial(self.variables, pairs)
             op = self.take()[0]
-            t = self.term()
-            result = result + t if op == "+" else result - t
-        return result
 
     def term(self) -> Polynomial:
         result = self.factor()

@@ -7,6 +7,10 @@ object of the package: ``Polynomial`` here, ``FracPoly`` (spectra),
 ``exact_int`` and ``exact_rational``, which raise TypeError on a float, a bool
 or a non-integer in an integer slot: nothing is rounded on the way in.
 
+The last three are keyed by rationals (exponents, angles), stored as integer
+numerators over one denominator per map, so that arithmetic, hashing, sorting
+and mod-1 reduction run on ints; their public keys are still Fractions.
+
 Exponent vectors are tuples of non-negative ints aligned with an ordered
 variable tuple; coefficients are ``fractions.Fraction`` (exact, lowest terms,
 positive denominator).  Weight vectors are tuples of Fractions in the open
@@ -14,6 +18,8 @@ interval (0, 1); a polynomial is weighted-homogeneous when every term has
 weighted degree exactly 1.
 """
 
+import math
+import operator
 from fractions import Fraction
 
 from . import kernel
@@ -36,68 +42,141 @@ def exact_int(x) -> int:
 
 def exact_rational(x) -> Fraction:
     """A non-bool int, a Fraction or a decimal string as a Fraction; else TypeError."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"{x!r} is not an exact rational")
 
 
-class ExactMap:
-    """Immutable finitely supported map ``terms`` from keys to nonzero values,
-    with the ring structure of a monoid algebra: ``+`` adds values key by key,
-    ``*`` is convolution (keys join, values multiply), ``**`` repeats it.
+def ratio(num: int, den: int) -> str:
+    """num/den in lowest terms as ``str(Fraction(num, den))`` spells it: "u/v", or "u"."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
 
-    The constructor is the only merge, and ``+`` and ``*`` hand it their raw
-    (key, value) pairs: it normalizes each key with ``_key`` and each value
-    with ``_value`` (through ``exact_int`` or ``exact_rational``), adds the
-    values of repeated keys and passes the sums through ``_finish`` (which
-    drops zeros).  Subclasses supply those hooks, ``_join`` (the key of a
-    product of two keys), ``_scalars`` (types that lift to constants),
-    ``_unit`` (the key of the constant term, 0 by default), ``_noun`` (for
-    the power error) and, for maps with more state, ``_like``.
+
+class ExactMap:
+    """Immutable finitely supported map from keys to nonzero values, with the
+    ring structure of a monoid algebra: ``+`` adds values key by key, ``*``
+    is convolution (keys join, values multiply), ``**`` repeats it.
+
+    ``scaled`` holds the map with the rational part of each key (by default
+    the whole key; ``Polynomial`` keys have none) stored as an int numerator
+    over ``den``, the smallest denominator that serves every key, so equal
+    maps have equal storage.  ``+``, ``*`` and ``==`` work on ``scaled`` over
+    the lcm of the operands' denominators.  ``terms`` is the public map, with
+    that rational part as a Fraction.
+
+    The constructor is the only merge: ``__init__`` (public keys through
+    ``_key``, to a stored key and its own denominator, and values through
+    ``_value``) and ``from_scaled`` (stored pairs over ``den``, as ``+`` and
+    ``*`` hand them over) add the values of repeated keys and pass the sums
+    through ``_finish``, which drops zeros.  Subclasses set ``_value``,
+    ``_scalars`` (types that lift to constants) and ``_noun`` (for the power
+    error), and override where the default does not fit: ``_key``,
+    ``_joiner`` (the join of two stored keys over ``den``), ``_unit`` (the
+    key of the constant term), ``_num`` and ``_with`` (read and replace a
+    stored key's numerator), ``_public`` (the public key of a stored key over
+    ``den``) and ``_like`` (for maps with more state).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("scaled", "den")
     _scalars: tuple = ()
     _unit = 0
     _noun = "map"
-
-    def __init__(self, terms=()):
-        key, value = self._key, self._value
-        acc: dict = {}
-        for k, c in terms.items() if isinstance(terms, dict) else terms:
-            k = key(k)
-            if k in acc:
-                acc[k] += value(c)
-            else:
-                acc[k] = value(c)
-        object.__setattr__(self, "terms", self._finish(acc))
+    _num = int  # by default a stored key is its numerator
+    _public = Fraction
 
     @staticmethod
-    def _finish(acc: dict) -> dict:
+    def _key(a):
+        a = exact_rational(a)
+        return a.numerator, a.denominator
+
+    @staticmethod
+    def _with(k, n):
+        return n
+
+    @staticmethod
+    def _joiner(den):
+        return operator.add
+
+    def __init__(self, terms=()):
+        key, value, num, with_ = self._key, self._value, self._num, self._with
+        items = terms.items() if isinstance(terms, dict) else terms
+        pairs = [(key(k), value(c)) for k, c in items]
+        den = math.lcm(*(d for (_, d), _ in pairs))
+        self._merge(
+            ((k if d == den else with_(k, num(k) * (den // d)), c) for (k, d), c in pairs), den
+        )
+
+    @classmethod
+    def from_scaled(cls, pairs, den: int = 1):
+        """The map of the stored (key, value) pairs over ``den``: values of
+        repeated keys add, zeros drop, ``den`` shrinks to the smallest."""
+        out = object.__new__(cls)
+        out._merge(pairs, den)
+        return out
+
+    def _merge(self, pairs, den):
+        acc: dict = {}
+        for k, c in pairs:
+            if k in acc:
+                acc[k] += c
+            else:
+                acc[k] = c
+        acc = self._finish(acc, den)
+        if den > 1:
+            num, with_ = self._num, self._with
+            g = math.gcd(den, *map(num, acc))
+            if g > 1:
+                acc = {with_(k, num(k) // g): c for k, c in acc.items()}
+                den //= g
+        object.__setattr__(self, "scaled", acc)
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _finish(acc: dict, den: int) -> dict:
         return {k: c for k, c in acc.items() if c}
+
+    @property
+    def terms(self) -> dict:
+        """The public map; a new dict on each read unless keys have no rational part."""
+        if self._public is None:
+            return self.scaled
+        public, den = self._public, self.den
+        return {public(k, den): c for k, c in self.scaled.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _like(self, terms):
-        return type(self)(terms)
+    def _like(self, pairs, den=1):
+        return type(self).from_scaled(pairs, den)
+
+    def scaled_over(self, den):
+        """The stored pairs rescaled to ``den``, a multiple of ``self.den``."""
+        f = den // self.den
+        if f == 1:
+            return self.scaled.items()
+        num, with_ = self._num, self._with
+        return [(with_(k, num(k) * f), c) for k, c in self.scaled.items()]
 
     def _coerce(self, other):
         """``other`` as a map of this kind (a scalar lifts to a constant), else None."""
         if isinstance(other, self._scalars):
-            return self._like({self._unit: other})
+            return self._like([(self._unit, self._value(other))])
         return other if type(other) is type(self) else None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._like([*self.terms.items(), *other.terms.items()])
+        den = math.lcm(self.den, other.den)
+        return self._like([*self.scaled_over(den), *other.scaled_over(den)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self._like(((k, -c) for k, c in self.scaled.items()), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -112,11 +191,11 @@ class ExactMap:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        join = self._join
+        den = math.lcm(self.den, other.den)
+        join, right = self._joiner(den), other.scaled_over(den)
         return self._like(
-            (join(ka, kb), ca * cb)
-            for ka, ca in self.terms.items()
-            for kb, cb in other.terms.items()
+            ((join(ka, kb), ca * cb) for ka, ca in self.scaled_over(den) for kb, cb in right),
+            den,
         )
 
     __rmul__ = __mul__
@@ -124,7 +203,7 @@ class ExactMap:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"{self._noun} powers must be non-negative integers")
-        out, base = self._like({self._unit: 1}), self
+        out, base = self._like([(self._unit, 1)]), self
         while n:
             if n & 1:
                 out = out * base
@@ -135,21 +214,24 @@ class ExactMap:
 
     def __eq__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is None else self.terms == other.terms
+        if other is None:
+            return NotImplemented
+        return self.den == other.den and self.scaled == other.scaled
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.scaled)
 
     def items(self):
-        """(key, value) pairs in ascending key order."""
-        return [(k, self.terms[k]) for k in sorted(self.terms)]
+        """Public (key, value) pairs in ascending key order (sorted as stored)."""
+        scaled, public, den = self.scaled, self._public, self.den
+        return [(k if public is None else public(k, den), scaled[k]) for k in sorted(scaled)]
 
     def _render(self, keys, monomial) -> str:
-        """Signed sum over keys of |value| * monomial(key): coefficient 1
-        omitted, a bare number for the empty monomial, "0" for no terms."""
+        """Signed sum over stored keys of |value| * monomial(key): coefficient
+        1 omitted, a bare number for the empty monomial, "0" for no terms."""
         parts = []
         for k in keys:
-            c = self.terms[k]
+            c = self.scaled[k]
             a, m = abs(c), monomial(k)
             body = (m if a == 1 else f"{a}*{m}") if m else str(a)
             if parts:
@@ -171,11 +253,15 @@ class Polynomial(ExactMap):
     _scalars = (int, Fraction)
     _noun = "polynomial"
     _value = staticmethod(exact_rational)
-    _join = staticmethod(kernel.exp_add)
+    _public = None  # no rational key part: terms is scaled itself
 
     def __init__(self, variables, terms=()):
         object.__setattr__(self, "variables", tuple(variables))
         super().__init__(terms)
+
+    @staticmethod
+    def _joiner(den):
+        return kernel.exp_add
 
     def _key(self, e):
         e = tuple(map(exact_int, e))
@@ -184,14 +270,16 @@ class Polynomial(ExactMap):
             raise LengthMismatchError(f"exponent vector {e} has length {len(e)}, expected {n}")
         if any(x < 0 for x in e):
             raise ValueError(f"negative exponent in {e}")
-        return e
+        return e, 1
 
     @property
     def _unit(self):
         return (0,) * len(self.variables)
 
-    def _like(self, terms):
-        return Polynomial(self.variables, terms)
+    def _like(self, pairs, den=1):
+        out = super()._like(pairs, den)
+        object.__setattr__(out, "variables", self.variables)
+        return out
 
     def _coerce(self, other):
         if isinstance(other, Polynomial) and other.variables != self.variables:

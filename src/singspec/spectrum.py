@@ -13,6 +13,9 @@ Routes:
   Milnor algebra, l = weighted degree, counted on the integer degrees
   m * (l(g) + sum(w)).
 
+Each route builds its own ``FracPoly`` straight from integer exponents over
+its own m; an exponent never becomes a Fraction on the way.
+
 For an isolated weighted-homogeneous singularity the two must agree exactly,
 the spectrum is symmetric under s |-> t^n iota(s), and the coefficient sum is
 the Milnor number.
@@ -27,7 +30,8 @@ Eigenvalue conventions (one sign flip apart; both are exposed):
 
 The characteristic polynomial of a Galois-stable multiset is a product of
 cyclotomic polynomials, built from binomials T^d - 1 through the Möbius
-identity Phi_n = prod over d | n of (T^d - 1)^mu(n/d).
+identity Phi_n = prod over d | n of (T^d - 1)^mu(n/d).  Angles, like exponents,
+are stored as int numerators over one denominator per multiset.
 """
 
 import math
@@ -44,7 +48,7 @@ from .errors import (
 )
 from .fracpoly import FracPoly
 from .milnor import MilnorBasis
-from .poly import ExactMap, Polynomial, as_weights, exact_int, exact_rational
+from .poly import ExactMap, Polynomial, as_weights, exact_int, exact_rational, ratio
 
 # budget on n * m + 1, which bounds the length of every coefficient list the
 # product formula builds; x^30+y^31+z^37 needs 103,231
@@ -110,7 +114,7 @@ def sp_product_formula(weights) -> FracPoly:
             f"weight product for {tuple(map(str, ws))} has a negative coefficient"
         )
     shift = sum(cs)
-    return FracPoly({Fraction(e + shift, m): c for e, c in enumerate(coeffs) if c})
+    return FracPoly.from_scaled(((e + shift, c) for e, c in enumerate(coeffs) if c), m)
 
 
 def sp_from_basis(basis: MilnorBasis) -> FracPoly:
@@ -120,12 +124,13 @@ def sp_from_basis(basis: MilnorBasis) -> FracPoly:
     c = [w.numerator * (m // w.denominator) for w in basis.weights]
     shift = sum(c)
     counts = Counter(sum(ci * ei for ci, ei in zip(c, g)) + shift for g in basis.monomials)
-    return FracPoly({Fraction(k, m): n for k, n in counts.items()})
+    return FracPoly.from_scaled(counts.items(), m)
 
 
 def sp_twist(s: FracPoly, n: int) -> FracPoly:
     """t^n * iota(s): exponent a -> n - a."""
-    return FracPoly({n - a: c for a, c in s.terms.items()})
+    top = n * s.den
+    return FracPoly.from_scaled(((top - k, c) for k, c in s.scaled.items()), s.den)
 
 
 def check_symmetry(s: FracPoly, n: int) -> bool:
@@ -140,7 +145,8 @@ class EigenMultiset(ExactMap):
     """Finite multiset of unit-circle angles: residues in [0, 1) with
     positive integer multiplicities.  As an ``ExactMap`` (see ``poly``), ``+``
     adds multiplicities and ``*`` adds angles mod 1: the eigenvalues of a
-    direct sum and of a tensor product."""
+    direct sum and of a tensor product.  Residue r is stored as the int
+    r * den in [0, den)."""
 
     __slots__ = ()
     _value = staticmethod(exact_int)
@@ -150,21 +156,23 @@ class EigenMultiset(ExactMap):
         r = exact_rational(r)
         if not (0 <= r < 1):
             raise ValueError(f"residue {r} outside [0, 1)")
-        return r
+        return r.numerator, r.denominator
 
     @staticmethod
-    def _finish(acc):
-        for r, mult in acc.items():
+    def _finish(acc, den):
+        for k, mult in acc.items():
             if mult <= 0:
-                raise NegativeMultiplicityError(f"residue {r} has non-positive multiplicity {mult}")
+                raise NegativeMultiplicityError(
+                    f"residue {ratio(k, den)} has non-positive multiplicity {mult}"
+                )
         return acc
 
     @staticmethod
-    def _join(a, b):
-        return (a + b) % 1
+    def _joiner(den):
+        return lambda a, b: (a + b) % den
 
     def total(self) -> int:
-        return sum(self.terms.values())
+        return sum(self.scaled.values())
 
     def __repr__(self):
         inner = ", ".join(f"{r}: {m}" for r, m in self.items())
@@ -172,29 +180,32 @@ class EigenMultiset(ExactMap):
 
 
 def _genuine(s: FracPoly):
-    """The terms of s, refusing a negative coefficient."""
-    for a, c in s.terms.items():
+    """The stored terms of s, refusing a negative coefficient."""
+    for k, c in s.scaled.items():
         if c < 0:
-            raise NegativeMultiplicityError(f"coefficient {c} at exponent {a}")
-    return s.terms.items()
+            raise NegativeMultiplicityError(f"coefficient {c} at exponent {ratio(k, s.den)}")
+    return s.scaled.items()
 
 
 def eigenvalues_gamma_c(s: FracPoly) -> EigenMultiset:
     """Monodromy angles on nearby-cycle cohomology: t^a -> (-a) mod 1.
 
     Requires a genuine spectrum (all coefficients positive)."""
-    return EigenMultiset(((-a) % 1, c) for a, c in _genuine(s))
+    den = s.den
+    return EigenMultiset.from_scaled((((-k) % den, c) for k, c in _genuine(s)), den)
 
 
 def eigenvalues_geometric(e: EigenMultiset) -> EigenMultiset:
     """Angle negation mod 1; converts between the two monodromy conventions.
     An involution."""
-    return EigenMultiset({(-r) % 1: mult for r, mult in e.terms.items()})
+    den = e.den
+    return EigenMultiset.from_scaled((((-k) % den, c) for k, c in e.scaled.items()), den)
 
 
 def spectral_residues(s: FracPoly) -> EigenMultiset:
     """The multiset {a mod 1} over the spectrum terms, multiplicities summed."""
-    return EigenMultiset((a % 1, c) for a, c in _genuine(s))
+    den = s.den
+    return EigenMultiset.from_scaled(((k % den, c) for k, c in _genuine(s)), den)
 
 
 # -- characteristic polynomial -------------------------------------------------
@@ -224,11 +235,14 @@ def char_poly(e: EigenMultiset) -> Polynomial:
     to the power c_v, in the variable T, evaluated as the product over d of
     (T^d - 1)^e_d with e_d = sum over multiples v of d of mu(v/d) * c_v
     (mu the Möbius function): the positive powers are multiplied in first,
-    then the negative ones divided out exactly.
+    then the negative ones divided out exactly.  A stored angle k over den
+    reads u/v with v = den / gcd(k, den).
     """
     groups: dict[int, dict[int, int]] = {}
-    for r, mult in e.terms.items():
-        groups.setdefault(r.denominator, {})[r.numerator] = mult
+    den = e.den
+    for k, mult in e.scaled.items():
+        g = math.gcd(k, den)
+        groups.setdefault(den // g, {})[k // g] = mult
     exps: dict[int, int] = {}
     for v in sorted(groups):
         present = groups[v]

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from singspec import FracPoly
 from singspec.checks import CheckResult
@@ -135,6 +138,19 @@ def test_sp_huge_product_exits_2_promptly(capsys):
         "error: product with term count up to 3321 and coefficients up to 126 bits exceeds the "
         f"limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits (at offset 10)\n"
     )
+
+
+def test_sp_huge_sum_of_powers_exits_2_promptly(capsys):
+    # 300 summands in one merge, and a box bound that stops once past comb(301, 2)
+    n = "9" * 4000
+    names = [f"x{i}" for i in range(300)]
+    expr = "(" + "+".join(f"{v}^{n}" for v in names) + ")^2"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sp", expr, "--vars", ",".join(names))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: power with term count up to 45150 ") and err.count("\n") == 1
 
 
 def test_sp_huge_monomial_power_exits_2_promptly(capsys):
@@ -302,3 +318,53 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "t^(5/6) + t^(7/6)" in proc.stdout
+
+
+def test_zero_denominator_weight_is_named(capsys):
+    for weights, item in (("1/2,1/0", "1/0"), ("1/2, 7/00 ", "7/00")):
+        code, out, err = run(capsys, "sp", "x^2+y^3", "--vars", "x,y", "--weights", weights)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad weight list {weights!r}: zero denominator in {item!r}\n"
+
+
+# sha256 of stdout, recorded before exponents and angles were stored as
+# integer numerators; model paths are relative to the repository root
+PINNED_STDOUT = [
+    (("nearby", "fixtures/cusp_resolution.json", "--variant", "total"),
+     "282008c6381f20f11c33d8beb5c5fd0672006c3f00c6806c6e0c8032fe12e4f0"),
+    (("nearby", "fixtures/cusp_resolution.json", "--variant", "total", "--json"),
+     "afefe5caa107fec476a8f76b4a2f7435bea3d82bcec4a92bdee072e297578f3a"),
+    (("nearby", "fixtures/cusp_resolution.json", "--variant", "open"),
+     "3d0869d2bc248df12d8a4f3cc9504950399d828c0b4d9491abc3b207116bd040"),
+    (("nearby", "fixtures/cusp_resolution.json", "--variant", "open", "--json"),
+     "3ab7755925ee908ade8f455b11f565b9c41a6a0b298ddc48bd402fa7984565cf"),
+    (("nearby", "fixtures/cusp_resolution.json", "--variant", "local"),
+     "92698beae8529857577159c64cbae50fb2197c5c541ecf29ad36ca039f3db075"),
+    (("nearby", "fixtures/cusp_resolution.json", "--variant", "local", "--json"),
+     "a5aa03e7f07bc27fb68708cf610b3226341d653f85e4120fd95959c42b41b6c0"),
+    (("nearby", "fixtures/i2_semistable.json", "--variant", "total"),
+     "7a0dfe41f4088876e065a7d80b865f307cbace66f226b287894cf307b6d9c425"),
+    (("nearby", "fixtures/i2_semistable.json", "--variant", "total", "--json"),
+     "782c81482bc9c67102668c2f2f038eddc726aea22532b55b33d617e1098654cf"),
+    (("nearby", "fixtures/i2_semistable.json", "--variant", "open"),
+     "5e25afc8baf9ee9bc0b757f456d2ef456361e39182056c37e367d5996679312a"),
+    (("nearby", "fixtures/i2_semistable.json", "--variant", "open", "--json"),
+     "7a76f4dd553834e3a2b776c6c66c69f18d61070f630df9441cfa1e80821f6ec0"),
+    (("nearby", "fixtures/i2_semistable.json", "--variant", "local"),
+     "c635a0e1ab4229e6506dd43a598fb4cd0c1c3e447d86274c067b1d8f8aee61ae"),
+    (("nearby", "fixtures/i2_semistable.json", "--variant", "local", "--json"),
+     "73870e2dc96c78afb1e0fc4d6bc95a0554c3482492349ab8918b08941c548eda"),
+    (("sp", "x^5+y^7+z^11+w^13", "--vars", "x,y,z,w"),
+     "dbd5bb32706b71aa8c47b663792aa6f671e18ded556610181874673e082409a4"),
+    (("sp", "x^5+y^7+z^11+w^13", "--vars", "x,y,z,w", "--json"),
+     "f2af47be02ca5d0b47e2df1a6815740108ada1db7f94644bcd6de1a4e763254d"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+def test_stdout_matches_pinned_digest(capsys, monkeypatch, argv, digest):
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,9 +2,11 @@
 
 The oracle keeps the per-class dict loops the four kinds used before they
 shared ``ExactMap``: normalize and merge on construction, a zero-dropping sum,
-a convolution, powers as repeated products.
+a convolution, powers as repeated products, all on ``Fraction`` keys.  The
+maps themselves store integer numerators over one denominator.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -107,32 +109,67 @@ KINDS = {
 }
 
 
-def _draw(name, rng):
+SMALL_DENOMINATORS = (1, 2, 3, 4)
+# mixed and large key denominators, up to the 5,005 (lcm of 5, 7, 11 and 13)
+# of the sp-large ladder
+WIDE_DENOMINATORS = (1, 2, 6, 12, 35, 77, 143, 385, 1001, 5005)
+
+
+def _draw(name, rng, dens=SMALL_DENOMINATORS):
     """Raw (key, value) items of one kind, with repeated keys and zeros."""
     items = []
     for _ in range(rng.randint(0, 5)):
+        d = rng.choice(dens)
         if name == "Polynomial":
             k = (rng.randint(0, 3), rng.randint(0, 3))
             c = F(rng.randint(-4, 4), rng.randint(1, 3))
         elif name == "FracPoly":
-            k, c = F(rng.randint(-6, 6), rng.randint(1, 4)), rng.randint(-3, 3)
+            k, c = F(rng.randint(-6 * d // 4 - 1, 6 * d // 4 + 1), d), rng.randint(-3, 3)
         elif name == "EquivClass":
-            k = (rng.randint(-2, 2), rng.randint(-2, 2), F(rng.randint(-5, 5), rng.randint(1, 4)))
+            k = (rng.randint(-2, 2), rng.randint(-2, 2), F(rng.randint(-2 * d, 2 * d), d))
             c = rng.randint(-3, 3)
         else:
-            k, c = F(rng.randrange(4), 4), rng.randint(1, 3)
+            k, c = F(rng.randrange(d), d), rng.randint(1, 3)
         items.append((k, c))
     return items
 
 
+def _rational_part(key):
+    return key[2] if isinstance(key, tuple) else key
+
+
+def _assert_canonical(m):
+    """Integer numerators over the smallest denominator that serves every key."""
+    if isinstance(m, Polynomial):
+        assert m.den == 1 and m.scaled is m.terms
+        return
+    public = m.terms
+    assert m.den == math.lcm(*(F(_rational_part(k)).denominator for k in public))
+    assert all(type(_rational_part(k)) is int for k in m.scaled)
+    assert {k: m.scaled[s] for k, s in zip(public, m.scaled)} == public
+
+
 @pytest.mark.parametrize("name", sorted(KINDS))
 def test_base_matches_dict_oracle(name):
+    _check_against_oracle(name, SMALL_DENOMINATORS)
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_base_matches_dict_oracle_over_wide_denominators(name):
+    # keys of one map over mixed denominators, and +, * and ** across maps
+    # over different ones
+    _check_against_oracle(name, WIDE_DENOMINATORS)
+
+
+def _check_against_oracle(name, dens):
     kind = KINDS[name]
     rng = random.Random(7243)
     for _ in range(150):
-        items_a, items_b = _draw(name, rng), _draw(name, rng)
+        items_a, items_b = _draw(name, rng, dens), _draw(name, rng, dens)
         a, b = kind.build(items_a), kind.build(items_b)
         oa, ob = kind.normalize(items_a), kind.normalize(items_b)
+        for m in (a, b, a + b, a * b):
+            _assert_canonical(m)
         assert a.terms == oa
         assert all(type(c) is type(kind.value(1)) for c in a.terms.values())
         assert (a + b).terms == kind.add(oa, ob)
@@ -158,6 +195,55 @@ def test_base_matches_dict_oracle(name):
         assert (a + s).terms == (s + a).terms == kind.add(oa, lifted)
         assert (a * s).terms == (s * a).terms == kind.mul(oa, lifted)
         assert (s - a).terms == kind.add(lifted, {k: -c for k, c in oa.items()})
+
+
+def test_one_map_over_den_12_and_den_6():
+    # the same exponents 1/6, 5/6 and 3/2, as numerators over 12 and over 6
+    over_12 = FracPoly.from_scaled([(2, 1), (10, -2), (18, 3)], 12)
+    over_6 = FracPoly.from_scaled([(1, 1), (5, -2), (9, 3)], 6)
+    public = FracPoly({F(1, 6): 1, F(5, 6): -2, F(3, 2): 3})
+    for m in (over_12, public):
+        assert m == over_6 and m.den == 6 and m.scaled == over_6.scaled
+        assert str(m) == str(over_6) == "t^(1/6) - 2*t^(5/6) + 3*t^(3/2)"
+        assert repr(m) == repr(over_6)
+    assert over_12.terms == public.terms == {F(1, 6): 1, F(5, 6): -2, F(3, 2): 3}
+    assert over_12.support() == (F(1, 6), F(5, 6), F(3, 2))
+    # integer exponents only: the denominator drops to 1
+    whole = FracPoly.from_scaled([(12, 1), (-24, 1), (0, 4)], 12)
+    assert whole.den == 1 and str(whole) == "t^(-2) + 4 + t"
+    assert EigenMultiset.from_scaled([(4, 1), (8, 2)], 12) == EigenMultiset({F(1, 3): 1, F(2, 3): 2})
+    cls_12 = EquivClass.from_scaled([((0, 1, 6), 1), ((1, 0, 0), 2)], 12)
+    cls_6 = EquivClass.from_scaled([((0, 1, 3), 1), ((1, 0, 0), 2)], 6)
+    assert cls_12 == cls_6 and cls_12.den == 2 and repr(cls_12) == repr(cls_6)
+    assert cls_12.items() == [((0, 1, F(1, 2)), 1), ((1, 0, F(0)), 2)]
+
+
+def test_zero_map_has_denominator_one():
+    for m in (
+        FracPoly.from_scaled([(5, 1), (5, -1)], 12),
+        FracPoly({F(1, 3): 1}) - FracPoly({F(1, 3): 1}),
+        EquivClass({(0, 0, F(1, 6)): 2}) * 0,
+    ):
+        assert not m and m.den == 1 and m.scaled == {}
+
+
+def test_mod_one_joins_across_denominators():
+    # eigenvalue angles add mod 1: 2/3 + 1/2 = 7/6 -> 1/6, 3/4 + 1/4 -> 0
+    e = EigenMultiset({F(2, 3): 1, F(3, 4): 2}) * EigenMultiset({F(1, 2): 1, F(1, 4): 3})
+    assert e.terms == {
+        F(1, 6): 1, F(11, 12): 3, F(1, 4): 2, F(0): 6,
+    }
+    assert e.den == 12
+    assert (EigenMultiset({F(1, 5): 1}) ** 5).terms == {F(0): 1}
+    assert (EigenMultiset({F(1, 5): 1}) ** 5).den == 1
+    # classes: bidegrees add, angles add mod 1 over the lcm of 1001 and 5005
+    a = EquivClass({(0, 1, F(1000, 1001)): 1})
+    b = EquivClass({(1, 0, F(6, 5005)): 2})
+    assert (a * b).items() == [((1, 1, F(1, 5005)), 2)]
+    assert (a * b).den == 5005
+    # the constructor reduces every angle mod 1 on the way in
+    assert EquivClass({(0, 0, F(-1, 1001)): 1}).scaled == {(0, 0, 1000): 1}
+    assert EquivClass({(0, 0, F(5011, 5005)): 1}).items() == [((0, 0, F(6, 5005)), 1)]
 
 
 def test_multiset_refuses_non_positive_multiplicities():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -32,6 +33,7 @@ from singspec.checks import cusp_resolution_model, random_class, semistable_i2_m
 from singspec.motivic import HORIZONTAL, VERTICAL
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 L = EquivClass.lefschetz()
 ONE = EquivClass.unit()
 
@@ -216,6 +218,54 @@ def test_euler_kills_deeper_strata():
         assert euler_specialization(total) == expected
 
 
+def _running_sum(model, variant):
+    """The evaluator as it was: a running total rebuilt once per stratum."""
+    variant = "total" if variant == "local" else variant
+    vertical = model.vertical_ids()
+    total = EquivClass.zero()
+    for s in model.strata:
+        k = sum(1 for i in s.ids if i in vertical)
+        if k and (variant == "total" or k == len(s.ids)):
+            total = total + s.cover_class * (ONE - L) ** (k - 1)
+    return total
+
+
+def _chain_model(rng, length):
+    """A chain of vertical components with one horizontal component at each
+    end: every component, every adjacent pair and the end triples occur as
+    strata, each cover angle a multiple of 1/m for the gcd m of its members."""
+    comps = [SncComponent(f"E{i}", rng.randint(1, 30), VERTICAL) for i in range(length)]
+    comps += [SncComponent("H0", 1, HORIZONTAL), SncComponent("H1", 1, HORIZONTAL)]
+    chain = ["H0", *(c.id for c in comps[:length]), "H1"]
+    mult = {c.id: c.multiplicity for c in comps}
+    groups = [(i,) for i in chain] + list(zip(chain, chain[1:])) + [tuple(chain[:3]), tuple(chain[-3:])]
+    strata = []
+    for ids in dict.fromkeys(tuple(sorted(g)) for g in groups):
+        m = math.gcd(*(mult[i] for i in ids))
+        entries = [
+            ((rng.randint(0, 2), rng.randint(0, 2), F(rng.randrange(m), m)), rng.choice((-3, -1, 1, 2)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        strata.append(Stratum(ids, EquivClass(entries)))
+    return SncModel(n=2, components=tuple(comps), strata=tuple(strata))
+
+
+@pytest.mark.parametrize("variant", ["total", "open", "local"])
+def test_nearby_class_matches_running_sum(variant):
+    models = [semistable_i2_model(), cusp_resolution_model()]
+    models += [model_from_json((FIXTURES / name).read_text(encoding="utf-8"))
+               for name in ("i2_semistable.json", "cusp_resolution.json")]
+    rng = random.Random(4409)
+    models += [_chain_model(rng, rng.randint(1, 9)) for _ in range(40)]
+    for model in models:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MissingStratumWarning)
+            got = nearby_fiber_class(model, variant)
+        expected = _running_sum(model, variant)
+        assert got == expected and got.den == expected.den
+        assert got.items() == expected.items()
+
+
 # -- covering combinatorics ------------------------------------------------------
 
 
@@ -307,7 +357,6 @@ def test_round_trip_programmatic_models():
         assert model_to_json(back) == text
 
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_fixture_files_round_trip():
@@ -478,3 +527,11 @@ def test_model_file_errors_prefix_constructor_locations():
         with pytest.raises(ModelFormatError) as exc:
             model_from_json(text)
         assert exc.value.location == where
+
+
+def test_zero_denominator_angle_is_named():
+    text = _mutate(strata=[{"ids": ["V"], "cover_class": [[0, 0, "1/2", 1], [1, 1, "1/0", 1]]}])
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_json(text)
+    assert exc.value.location == "/strata/0/cover_class/1"
+    assert str(exc.value) == "bad angle '1/0': zero denominator (at /strata/0/cover_class/1)"
