@@ -10,7 +10,6 @@ bases are not monomial.  All randomness is seeded; output is deterministic.
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,7 +30,7 @@ from .motivic import (
     sp_prime_reduced,
 )
 from .parse import parse_polynomial
-from .poly import Polynomial, as_weights
+from .poly import Polynomial, Record, as_weights
 from .spectrum import (
     char_poly,
     check_symmetry,
@@ -44,22 +43,27 @@ from .spectrum import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        super().__init__(name, passed, detail)
 
 
-@dataclass(frozen=True)
-class CorpusCase:
-    name: str
-    f: Polynomial
-    weights: tuple
-    basis: MilnorBasis
-    mu_closed: Fraction
-    s_basis: FracPoly
-    s_formula: FracPoly
+class CorpusCase(Record):
+    __slots__ = ("name", "f", "weights", "basis", "mu_closed", "s_basis", "s_formula")
+
+    def __init__(
+        self,
+        name: str,
+        f: Polynomial,
+        weights: tuple,
+        basis: MilnorBasis,
+        mu_closed: Fraction,
+        s_basis: FracPoly,
+        s_formula: FracPoly,
+    ):
+        super().__init__(name, f, weights, basis, mu_closed, s_basis, s_formula)
 
 
 _VARS = ("x", "y", "z", "w")

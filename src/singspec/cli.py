@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import checks
 from .errors import (
@@ -34,7 +33,7 @@ from .motivic import (
     sp_prime_reduced,
 )
 from .parse import parse_polynomial
-from .poly import as_weights, exact_rational, infer_weights, is_weighted_homogeneous, ratio
+from .poly import Record, as_weights, exact_rational, infer_weights, is_weighted_homogeneous, ratio
 from .spectrum import (
     char_poly,
     check_symmetry,
@@ -46,16 +45,17 @@ from .spectrum import (
 )
 
 
-@dataclass
-class Report:
+class Report(Record):
     """What a subcommand computed, with JSON-primitive values only.
 
     All rationals are strings "u/v" so no consumer is tempted to coerce to
     float; to_json/from_json round-trip to an equal Report.
     """
 
-    kind: str
-    data: dict
+    __slots__ = ("kind", "data")
+
+    def __init__(self, kind: str, data: dict):
+        super().__init__(kind, data)
 
     def to_json(self) -> str:
         return json.dumps({"data": self.data, "kind": self.kind}, sort_keys=True, indent=2) + "\n"

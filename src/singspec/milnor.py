@@ -12,7 +12,6 @@ computes a Gröbner basis or enumerates a monomial.
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
@@ -24,6 +23,7 @@ from .errors import (
 )
 from .poly import (
     Polynomial,
+    Record,
     as_weights,
     is_weighted_homogeneous,
     jacobian_generators,
@@ -34,28 +34,28 @@ from .poly import (
 MAX_MU = 100_000
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """Reduced Gröbner basis: monic, no leading term divides another,
     every tail fully reduced.  Elements sorted by ascending leading term."""
 
-    variables: tuple[str, ...]
-    polynomials: tuple[Polynomial, ...]
-    order: str = "grevlex"
+    __slots__ = ("variables", "polynomials", "order")
+
+    def __init__(self, variables: tuple, polynomials: tuple, order: str = "grevlex"):
+        super().__init__(variables, polynomials, order)
 
     @property
     def lead_exponents(self) -> tuple[tuple[int, ...], ...]:
         return tuple(kernel.leading_exponent(p.terms) for p in self.polynomials)
 
 
-@dataclass(frozen=True)
-class MilnorBasis:
+class MilnorBasis(Record):
     """Standard monomials of the Jacobian ideal, sorted by
     (weighted degree, grevlex)."""
 
-    variables: tuple[str, ...]
-    weights: tuple[Fraction, ...]
-    monomials: tuple[tuple[int, ...], ...]
+    __slots__ = ("variables", "weights", "monomials")
+
+    def __init__(self, variables: tuple, weights: tuple[Fraction, ...], monomials: tuple):
+        super().__init__(variables, weights, monomials)
 
     def __len__(self):
         return len(self.monomials)

@@ -36,7 +36,6 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -45,7 +44,7 @@ from .errors import (
     ModelFormatError,
 )
 from .fracpoly import FracPoly
-from .poly import ExactMap, exact_int, exact_rational
+from .poly import ExactMap, Record, exact_int, exact_rational
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -103,61 +102,53 @@ class EquivClass(ExactMap):
         return f"EquivClass({{{inner}}})"
 
 
-@dataclass(frozen=True)
-class SncComponent:
-    id: str
-    multiplicity: int
-    kind: str  # VERTICAL or HORIZONTAL
+class SncComponent(Record):
+    """A component of the special fiber (kind VERTICAL) or of the horizontal boundary."""
 
-    def __post_init__(self):
-        if not self.id or not isinstance(self.id, str):
+    __slots__ = ("id", "multiplicity", "kind")
+
+    def __init__(self, id: str, multiplicity: int, kind: str):
+        if not id or not isinstance(id, str):
             raise ModelFormatError("component id must be a nonempty string", "/id")
-        m = self.multiplicity
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity < 1:
             raise ModelFormatError(
-                f"component {self.id!r} multiplicity must be a positive integer",
-                "/multiplicity",
+                f"component {id!r} multiplicity must be a positive integer", "/multiplicity"
             )
-        if self.kind not in (VERTICAL, HORIZONTAL):
+        if kind not in (VERTICAL, HORIZONTAL):
             raise ModelFormatError(
-                f"component {self.id!r} kind must be '{VERTICAL}' or '{HORIZONTAL}'",
-                "/kind",
+                f"component {id!r} kind must be '{VERTICAL}' or '{HORIZONTAL}'", "/kind"
             )
+        super().__init__(id, multiplicity, kind)
 
 
-@dataclass(frozen=True)
-class Stratum:
-    ids: tuple[str, ...]
-    cover_class: EquivClass
+class Stratum(Record):
+    __slots__ = ("ids", "cover_class")
 
-    def __post_init__(self):
-        ids = tuple(sorted(self.ids))
-        if not ids or len(set(ids)) != len(ids):
-            raise ModelFormatError(f"stratum ids must be distinct and nonempty: {self.ids}", "/ids")
-        object.__setattr__(self, "ids", ids)
+    def __init__(self, ids: tuple[str, ...], cover_class: EquivClass):
+        canonical = tuple(sorted(ids))
+        if not canonical or len(set(canonical)) != len(canonical):
+            raise ModelFormatError(f"stratum ids must be distinct and nonempty: {ids}", "/ids")
+        super().__init__(canonical, cover_class)
 
 
-@dataclass(frozen=True)
-class SncModel:
+class SncModel(Record):
     """Degeneration model: components, occurring strata, ambient fiber dimension n.
 
     Canonicalized on construction: components sorted by id, strata by id-set.
     """
 
-    n: int
-    components: tuple[SncComponent, ...]
-    strata: tuple[Stratum, ...]
+    __slots__ = ("n", "components", "strata")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
+    def __init__(self, n: int, components: tuple[SncComponent, ...], strata: tuple[Stratum, ...]):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ModelFormatError("n must be a non-negative integer", "/n")
-        comps = tuple(sorted(self.components, key=lambda c: c.id))
+        comps = tuple(sorted(components, key=lambda c: c.id))
         ids = [c.id for c in comps]
         if len(set(ids)) != len(ids):
             raise ModelFormatError("duplicate component ids", "/components")
         if not any(c.kind == VERTICAL for c in comps):
             raise ModelFormatError("model needs at least one vertical component", "/components")
-        strata = tuple(sorted(self.strata, key=lambda s: s.ids))
+        strata = tuple(sorted(strata, key=lambda s: s.ids))
         known = set(ids)
         seen = set()
         for s in strata:
@@ -167,8 +158,7 @@ class SncModel:
             for i in s.ids:
                 if i not in known:
                     raise ModelFormatError(f"stratum references unknown component {i!r}", "/strata")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "strata", strata)
+        super().__init__(n, comps, strata)
 
     def component(self, cid: str) -> SncComponent:
         for c in self.components:
@@ -292,21 +282,33 @@ def _require_keys(obj: dict, keys: tuple[str, ...], where: str):
             raise ModelFormatError(f"missing key {k!r}", where)
 
 
-def _parse_angle(raw, where: str) -> Fraction:
+def _parse_angle(raw, where: str) -> tuple[int, int]:
+    """An angle string in [0, 1) as (numerator, denominator), not always in
+    lowest terms: "u/v" and "u" in ASCII digits are read by ``int``, any
+    other spelling by ``exact_rational``."""
     if not isinstance(raw, str):
         raise ModelFormatError("angle must be a string rational", where)
+    num, slash, den = raw.partition("/")
     try:
-        f = Fraction(raw)
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            num, den = int(num), int(den or 1)
+            if not den:
+                raise ZeroDivisionError
+        else:
+            f = exact_rational(raw)
+            num, den = f.numerator, f.denominator
     except ZeroDivisionError:
         raise ModelFormatError(f"bad angle {raw!r}: zero denominator", where) from None
     except ValueError as exc:
         raise ModelFormatError(f"bad angle {raw!r}: {exc}", where) from None
-    if not (0 <= f < 1):
+    if not (0 <= num < den):
         raise ModelFormatError(f"angle {raw!r} outside [0, 1)", where)
-    return f
+    return num, den
 
 
 def _parse_cover_class(raw, where: str) -> EquivClass:
+    """Each entry is checked once, here, and enters the class as a stored
+    key: the angle's numerator over the lcm of the entries' denominators."""
     if not isinstance(raw, list):
         raise ModelFormatError("cover_class must be a list of entries", where)
     entries = []
@@ -315,12 +317,16 @@ def _parse_cover_class(raw, where: str) -> EquivClass:
         if not (isinstance(item, list) and len(item) == 4):
             raise ModelFormatError("cover_class entry must be [p, q, angle, mult]", loc)
         p, q, angle, mult = item
-        if not isinstance(p, int) or not isinstance(q, int) or isinstance(p, bool) or isinstance(q, bool):
+        # JSON values: an int is exactly an int (bool is its own type)
+        if type(p) is not int or type(q) is not int:
             raise ModelFormatError("p and q must be integers", loc)
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult == 0:
+        if type(mult) is not int or mult == 0:
             raise ModelFormatError("multiplicity must be a nonzero integer", loc)
-        entries.append(((p, q, _parse_angle(angle, loc)), mult))
-    return EquivClass(entries)
+        entries.append((p, q, *_parse_angle(angle, loc), mult))
+    den = math.lcm(*(d for _, _, _, d, _ in entries))
+    return EquivClass.from_scaled(
+        (((p, q, a * (den // d)), m) for p, q, a, d, m in entries), den
+    )
 
 
 def _located(where: str, build, *args):
@@ -334,12 +340,15 @@ def _located(where: str, build, *args):
 def model_from_json(text: str) -> SncModel:
     """Parse and validate a model file; errors carry JSON-pointer locations.
 
-    Only the JSON shape is checked here; the fields are checked by the
-    constructors of SncComponent, Stratum and SncModel."""
+    The JSON shape and the cover-class entries are checked here, each entry
+    once; the other fields are checked by the constructors of SncComponent,
+    Stratum and SncModel."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ModelFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ModelFormatError("top level must be an object")
     _require_keys(data, ("n", "components", "strata"), "")

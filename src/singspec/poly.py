@@ -7,6 +7,10 @@ object of the package: ``Polynomial`` here, ``FracPoly`` (spectra),
 ``exact_int`` and ``exact_rational``, which raise TypeError on a float, a bool
 or a non-integer in an integer slot: nothing is rounded on the way in.
 
+``Record`` is the base of the package's plain records (``GroebnerBasis``,
+``MilnorBasis``, the model-file records, ``CheckResult``, ``CorpusCase``,
+``cli.Report``): slotted and immutable, compared and shown by their fields.
+
 The last three are keyed by rationals (exponents, angles), stored as integer
 numerators over one denominator per map, so that arithmetic, hashing, sorting
 and mod-1 reduction run on ints; their public keys are still Fractions.
@@ -20,6 +24,7 @@ weighted degree exactly 1.
 
 import math
 import operator
+import sys
 from fractions import Fraction
 
 from . import kernel
@@ -41,12 +46,33 @@ def exact_int(x) -> int:
 
 
 def exact_rational(x) -> Fraction:
-    """A non-bool int, a Fraction or a decimal string as a Fraction; else TypeError."""
+    """A non-bool int, a Fraction or a decimal string as a Fraction; else TypeError.
+
+    A malformed string raises ValueError (or ZeroDivisionError), and so does
+    a decimal exponent beyond the limit of ``_check_exponent``."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str):
+        _check_exponent(x)
         return Fraction(x)
     raise TypeError(f"{x!r} is not an exact rational")
+
+
+def _check_exponent(s: str) -> None:
+    """Refuse a decimal exponent e beyond the interpreter's limit on the
+    digits of an int read from a string (the parser's limit on literals), or
+    beyond that limit's default where none is set: Fraction would expand
+    10^e, which has e + 1 digits, and 1e-999999999 would never return."""
+    _, e, tail = s.lower().rpartition("e")
+    try:
+        exp = int(tail) if e else 0
+    except ValueError:
+        return  # no integer exponent: Fraction names the malformed literal
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if abs(exp) > limit:
+        raise ValueError(f"decimal exponent {exp} exceeds the limit of {limit}")
 
 
 def ratio(num: int, den: int) -> str:
@@ -239,6 +265,43 @@ class ExactMap:
             else:
                 parts.append(f"-{body}" if c < 0 else body)
         return "".join(parts) or "0"
+
+
+class Record:
+    """Immutable record whose fields are the names in ``__slots__``, in order.
+
+    A subclass's ``__init__`` takes the fields (positionally or by keyword,
+    with their defaults), checks them and hands the values, in slot order,
+    to ``Record.__init__``.  As for a frozen dataclass, ``==`` and ``hash``
+    go by the tuple of field values of records of one type, ``repr`` is
+    ``Name(field=value, ...)``, assignment raises AttributeError, and
+    ``copy`` and ``pickle`` rebuild a record through its constructor.
+    """
+
+    __slots__ = ()
+    __setattr__ = ExactMap.__setattr__
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class Polynomial(ExactMap):

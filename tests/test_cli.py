@@ -368,3 +368,32 @@ def test_stdout_matches_pinned_digest(capsys, monkeypatch, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_huge_decimal_exponents_exit_2_promptly(capsys, tmp_path):
+    # Fraction would expand 10^999999999 for the weight and for the angle
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "n": 1,
+        "components": [{"id": "V", "multiplicity": 1, "kind": "vertical"}],
+        "strata": [{"ids": ["V"], "cover_class": [[0, 0, "1e-999999999", 1]]}],
+    }))
+    for argv, head in (
+        (("sp", "x^2+y^3", "--vars", "x,y", "--weights", "1e-999999999,1/3"),
+         "error: bad weight list '1e-999999999,1/3': decimal exponent -999999999 exceeds"),
+        (("nearby", str(model)),
+         "error: bad angle '1e-999999999': decimal exponent -999999999 exceeds"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith(head) and err.count("\n") == 1
+
+
+def test_deeply_nested_model_file_exits_2(capsys, tmp_path):
+    model = tmp_path / "deep.json"
+    model.write_text("[" * 100_000)
+    code, out, err = run(capsys, "nearby", str(model))
+    assert code == 2 and out == ""
+    assert err == "error: not valid JSON: nested too deeply (at /)\n"

@@ -8,12 +8,13 @@ maps themselves store integer numerators over one denominator.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from singspec import EigenMultiset, EquivClass, FracPoly, NegativeMultiplicityError, Polynomial
-from singspec.poly import as_weights
+from singspec.poly import as_weights, exact_rational
 
 F = Fraction
 XY = ("x", "y")
@@ -383,3 +384,16 @@ def test_entry_rule(slot):
             for x in k if isinstance(k, tuple) else (k,):
                 assert type(x) in (int, F)
 
+
+
+def test_decimal_exponents_within_the_digit_limit_only():
+    assert exact_rational("25e-2") == F(1, 4)
+    assert exact_rational("1.5E3") == 1500
+    assert exact_rational("1e300") == 10**300
+    for text in ("1e-999999999", "1e999999999", "7.25E+123456789"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="decimal exponent .* exceeds the limit"):
+            exact_rational(text)
+        assert time.perf_counter() - start < 2
+    with pytest.raises(ValueError, match="Invalid literal"):
+        exact_rational("1e")  # no exponent: Fraction's own message

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -535,3 +536,79 @@ def test_zero_denominator_angle_is_named():
         model_from_json(text)
     assert exc.value.location == "/strata/0/cover_class/1"
     assert str(exc.value) == "bad angle '1/0': zero denominator (at /strata/0/cover_class/1)"
+
+
+# -- the reader builds each cover class in one pass ------------------------------
+
+
+def _cover(entries):
+    text = _mutate(strata=[{"ids": ["V"], "cover_class": entries}])
+    return model_from_json(text).strata[0].cover_class
+
+
+def test_angle_spellings_give_one_class():
+    half = EquivClass({(0, 0, F(1, 2)): 1})
+    for angle in ("1/2", "2/4", "0.5", "5e-1", "50/100", " 1/2"):
+        got = _cover([[0, 0, angle, 1]])
+        assert got == half and got.den == 2 and got.items() == half.items(), angle
+    assert _cover([[0, 0, "0", 1], [0, 0, "00/7", 1]]) == EquivClass({(0, 0, 0): 2})
+
+
+def test_reader_merges_repeated_entries_and_drops_cancelled_ones():
+    got = _cover([[0, 0, "1/2", 1], [1, 1, "1/3", 2], [0, 0, "2/4", 2], [0, 0, "0.5", -3]])
+    assert got == EquivClass({(1, 1, F(1, 3)): 2}) and got.den == 3
+    got = _cover([[0, 0, "1/6", 1], [0, 0, "1/6", -1]])
+    assert got == EquivClass.zero() and got.den == 1 and not got.entries
+
+
+def _spelled(rng, entry):
+    """The entry as one or two model-file entries whose multiplicities sum
+    to its own, the angle spelled with a random common factor."""
+    (p, q, f), m = entry
+    c = rng.randint(1, 4)
+
+    def angle():
+        return f"{f.numerator * c}/{f.denominator * c}" if f else rng.choice(("0", "0/3"))
+
+    if rng.random() < 0.5:
+        return [[p, q, angle(), m]]
+    split = rng.choice([k for k in range(-3, 4) if k and k != m])
+    return [[p, q, angle(), split], [p, q, angle(), m - split]]
+
+
+def test_reader_builds_the_class_of_its_entries():
+    rng = random.Random(2208)
+    models = [_chain_model(rng, rng.randint(1, 9)) for _ in range(40)]
+    models += [cusp_resolution_model(), semistable_i2_model()]
+    for model in models:
+        obj = json.loads(model_to_json(model))
+        for s in obj["strata"]:
+            spelled = [
+                e for p, q, f, m in s["cover_class"] for e in _spelled(rng, ((p, q, F(f)), m))
+            ]
+            rng.shuffle(spelled)
+            s["cover_class"] = spelled
+        back = model_from_json(json.dumps(obj))
+        assert back == model
+        for s, raw in zip(back.strata, obj["strata"]):
+            expected = EquivClass(((p, q, f), m) for p, q, f, m in raw["cover_class"])
+            assert s.cover_class == expected and s.cover_class.den == expected.den
+            assert s.cover_class.items() == expected.items()
+
+
+def test_huge_decimal_exponent_angle_is_refused_promptly():
+    start = time.perf_counter()
+    with pytest.raises(ModelFormatError) as exc:
+        _cover([[0, 0, "1/2", 1], [0, 0, "1e-999999999", 1]])
+    assert time.perf_counter() - start < 2
+    assert exc.value.location == "/strata/0/cover_class/1"
+    assert "decimal exponent -999999999 exceeds the limit" in exc.value.message
+    assert _cover([[0, 0, "25e-2", 1]]) == EquivClass({(0, 0, F(1, 4)): 1})
+
+
+def test_deep_nesting_and_huge_ints_are_format_errors():
+    for text in ("[" * 100_000, "{" * 100_000, '{"n": 1' + "0" * 5000 + "}"):
+        with pytest.raises(ModelFormatError) as exc:
+            model_from_json(text)
+        assert exc.value.location == ""
+        assert exc.value.message.startswith("not valid JSON: ")
