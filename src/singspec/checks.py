@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fracpoly import FracPoly
-from .milnor import MilnorBasis, _closed_mu, milnor_basis
+from .milnor import MilnorBasis, milnor_basis
 from .motivic import (
     EquivClass,
     SncComponent,
@@ -32,6 +32,7 @@ from .motivic import (
 from .parse import parse_polynomial
 from .poly import Polynomial, Record, as_weights
 from .spectrum import (
+    analyze,
     char_poly,
     check_symmetry,
     eigenvalues_gamma_c,
@@ -95,16 +96,15 @@ _EXTRA_CASES = (
 
 
 def _make_case(name, f, weights) -> CorpusCase:
-    ws = as_weights(weights, len(f.variables))
-    basis = milnor_basis(f, ws)
+    a = analyze(f, weights)
     return CorpusCase(
         name=name,
         f=f,
-        weights=ws,
-        basis=basis,
-        mu_closed=_closed_mu(ws),
-        s_basis=sp_from_basis(basis),
-        s_formula=sp_product_formula(ws),
+        weights=a.weights,
+        basis=a.basis,
+        mu_closed=a.mu_closed,
+        s_basis=a.s_basis,
+        s_formula=a.s_formula,
     )
 
 

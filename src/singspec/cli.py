@@ -6,9 +6,17 @@ routes, compared exactly), ``nearby`` evaluates a degeneration model file,
 human-readable by default, machine-readable with ``--json``; diagnostics go
 to stderr.
 
+``sp`` works weights first: it parses the polynomial, reads ``--weights`` or
+infers them, and hands both to ``spectrum.analyze``, which checks
+homogeneity and the closed-form Milnor number against its budget before its
+one Gröbner run.  ``sp`` then compares the standard-monomial count with the
+closed form and the basis-route spectrum with the product formula.
+
 Exit codes: 0 success; 1 a check failed; 2 input or validation error;
 3 internal failure: two routes disagreed, or any other unexpected exception,
-reported as one ``internal error:`` line (a bug, never user error).
+reported as one ``internal error:`` line (a bug, never user error).  An
+input that fails a weight check and would also fail the isolation test
+reports the weight error: no Gröbner run is made for it.
 Identical inputs produce byte-identical ``--json`` output.
 """
 
@@ -24,7 +32,6 @@ from .errors import (
     NotWeightedHomogeneousError,
     SingspecError,
 )
-from .milnor import is_isolated, milnor_basis, milnor_number
 from .motivic import (
     euler_specialization,
     load_model,
@@ -33,14 +40,13 @@ from .motivic import (
     sp_prime_reduced,
 )
 from .parse import parse_polynomial
-from .poly import Record, as_weights, exact_rational, infer_weights, is_weighted_homogeneous, ratio
+from .poly import Record, as_weights, exact_rational, ratio
 from .spectrum import (
+    analyze,
     char_poly,
     check_symmetry,
     eigenvalues_gamma_c,
     eigenvalues_geometric,
-    sp_from_basis,
-    sp_product_formula,
     sp_twist,
 )
 
@@ -135,25 +141,25 @@ def _run_sp(args) -> Report:
     f = parse_polynomial(args.expr, variables)
     if not f:
         raise NonIsolatedSingularityError("the zero polynomial is singular everywhere")
-    if not is_isolated(f):
+    ws = None if args.weights is None else _parse_weights(args.weights, len(variables))
+    try:
+        a = analyze(f, ws)
+    except NotWeightedHomogeneousError:
+        raise NotWeightedHomogeneousError(
+            f"{args.expr!r} is not weighted-homogeneous for weights {args.weights}"
+        ) from None
+    except NonIsolatedSingularityError:
         raise NonIsolatedSingularityError(
             f"{args.expr!r} does not define an isolated singularity at the origin"
-        )
-    if args.weights is not None:
-        ws = _parse_weights(args.weights, len(variables))
-        if not is_weighted_homogeneous(f, ws):
-            raise NotWeightedHomogeneousError(
-                f"{args.expr!r} is not weighted-homogeneous for weights {args.weights}"
-            )
-    else:
-        ws = infer_weights(f)
-    basis = milnor_basis(f, ws)
-    mu = milnor_number(f, ws)
-    s_basis = sp_from_basis(basis)
-    s_formula = sp_product_formula(ws)
-    if s_basis != s_formula:
+        ) from None
+    if a.mu != a.mu_closed:
         raise ConsistencyError(
-            f"spectrum routes disagree: basis gave {s_basis}, formula gave {s_formula}"
+            f"standard monomial count {a.mu} != weight product {a.mu_closed}"
+        )
+    s_basis = a.s_basis
+    if s_basis != a.s_formula:
+        raise ConsistencyError(
+            f"spectrum routes disagree: basis gave {s_basis}, formula gave {a.s_formula}"
         )
     eig_c = eigenvalues_gamma_c(s_basis)
     eig_geo = eigenvalues_geometric(eig_c)
@@ -164,9 +170,9 @@ def _run_sp(args) -> Report:
         {
             "input": args.expr,
             "variables": list(variables),
-            "weights": [str(w) for w in ws],
+            "weights": [str(w) for w in a.weights],
             "dimension": len(variables),
-            "mu": mu,
+            "mu": a.mu,
             "spectrum": str(s_basis),
             "symmetric": check_symmetry(s_basis, len(variables)),
             # unsorted: render_text and to_json each sort the angles

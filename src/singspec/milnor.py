@@ -7,7 +7,11 @@ standard monomials below those powers then form the Milnor algebra basis, and
 their count must agree with the closed-form product of (1/w_i - 1) over the
 weights.  Disagreement is an internal error, never a user error.
 ``milnor_basis`` checks that closed form against ``MAX_MU`` before it
-computes a Gröbner basis or enumerates a monomial.
+computes a Gröbner basis or enumerates a monomial, and tests isolation on the
+leading terms of its own single Gröbner run; ``spectrum.analyze`` builds on
+it, so ``singspec sp`` and the check battery run ``buchberger`` once per
+polynomial.  ``is_isolated`` and ``milnor_number`` each run it again; they
+stay as public entry points and as oracles for ``analyze``.
 """
 
 import heapq

@@ -7,13 +7,15 @@ object of the package: ``Polynomial`` here, ``FracPoly`` (spectra),
 ``exact_int`` and ``exact_rational``, which raise TypeError on a float, a bool
 or a non-integer in an integer slot: nothing is rounded on the way in.
 
-``Record`` is the base of the package's plain records (``GroebnerBasis``,
-``MilnorBasis``, the model-file records, ``CheckResult``, ``CorpusCase``,
-``cli.Report``): slotted and immutable, compared and shown by their fields.
-
 The last three are keyed by rationals (exponents, angles), stored as integer
 numerators over one denominator per map, so that arithmetic, hashing, sorting
 and mod-1 reduction run on ints; their public keys are still Fractions.
+``copy``, ``deepcopy`` and ``pickle`` rebuild a map through ``from_scaled``.
+
+``Record`` is the base of the package's plain records (``GroebnerBasis``,
+``MilnorBasis``, ``spectrum.Analysis``, the model-file records,
+``CheckResult``, ``CorpusCase``, ``cli.Report``): slotted and immutable,
+compared and shown by their fields.
 
 Exponent vectors are tuples of non-negative ints aligned with an ordered
 variable tuple; coefficients are ``fractions.Fraction`` (exact, lowest terms,
@@ -174,6 +176,11 @@ class ExactMap:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through from_scaled; the default
+        # protocol would restore the slots by assignment, which is refused
+        return type(self).from_scaled, (tuple(self.scaled.items()), self.den)
 
     def _like(self, pairs, den=1):
         return type(self).from_scaled(pairs, den)
@@ -343,6 +350,12 @@ class Polynomial(ExactMap):
         out = super()._like(pairs, den)
         object.__setattr__(out, "variables", self.variables)
         return out
+
+    def __reduce__(self):
+        return (*super().__reduce__(), self.variables)
+
+    def __setstate__(self, variables):
+        object.__setattr__(self, "variables", variables)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial) and other.variables != self.variables:

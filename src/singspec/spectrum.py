@@ -20,6 +20,12 @@ For an isolated weighted-homogeneous singularity the two must agree exactly,
 the spectrum is symmetric under s |-> t^n iota(s), and the coefficient sum is
 the Milnor number.
 
+``analyze`` gathers what ``singspec sp`` and the check battery both need in
+one ``Analysis`` record: the weights first (given, or inferred), then the
+Milnor basis from a single Gröbner run, the basis size beside the closed form
+mu = prod(1/w_i - 1), and the spectrum from each route.  It compares nothing;
+each consumer compares the two spectra and the two counts for itself.
+
 Eigenvalue conventions (one sign flip apart; both are exposed):
 
 * ``eigenvalues_gamma_c``: a spectrum term t^a yields the residue (-a) mod 1,
@@ -47,8 +53,17 @@ from .errors import (
     ResourceLimitError,
 )
 from .fracpoly import FracPoly
-from .milnor import MilnorBasis
-from .poly import ExactMap, Polynomial, as_weights, exact_int, exact_rational, ratio
+from .milnor import MilnorBasis, _closed_mu, milnor_basis
+from .poly import (
+    ExactMap,
+    Polynomial,
+    Record,
+    as_weights,
+    exact_int,
+    exact_rational,
+    infer_weights,
+    ratio,
+)
 
 # budget on n * m + 1, which bounds the length of every coefficient list the
 # product formula builds; x^30+y^31+z^37 needs 103,231
@@ -125,6 +140,42 @@ def sp_from_basis(basis: MilnorBasis) -> FracPoly:
     shift = sum(c)
     counts = Counter(sum(ci * ei for ci, ei in zip(c, g)) + shift for g in basis.monomials)
     return FracPoly.from_scaled(counts.items(), m)
+
+
+class Analysis(Record):
+    """What ``analyze`` found: the weights, the Milnor basis, its size ``mu``
+    and the closed form ``mu_closed``, and the spectrum from each route."""
+
+    __slots__ = ("weights", "basis", "mu", "mu_closed", "s_basis", "s_formula")
+
+    def __init__(
+        self,
+        weights: tuple[Fraction, ...],
+        basis: MilnorBasis,
+        mu: int,
+        mu_closed: Fraction,
+        s_basis: FracPoly,
+        s_formula: FracPoly,
+    ):
+        super().__init__(weights, basis, mu, mu_closed, s_basis, s_formula)
+
+
+def analyze(f: Polynomial, weights=None) -> Analysis:
+    """Weights, Milnor basis, mu and both spectra of f, with one Gröbner run.
+
+    The weights come first: the given ones, or ``infer_weights(f)`` when
+    ``weights`` is None.  ``milnor_basis`` then checks homogeneity, checks
+    MAX_MU from the closed form, runs ``buchberger`` once, tests isolation
+    on the leading terms of that run and enumerates the standard monomials;
+    so a weight error outranks non-isolation, and no Gröbner work is done
+    for weights that fail.  Raises what those steps and
+    ``sp_product_formula`` raise; the routes are not compared here.
+    """
+    basis = milnor_basis(f, infer_weights(f) if weights is None else weights)
+    ws = basis.weights
+    return Analysis(
+        ws, basis, len(basis), _closed_mu(ws), sp_from_basis(basis), sp_product_formula(ws)
+    )
 
 
 def sp_twist(s: FracPoly, n: int) -> FracPoly:

@@ -164,7 +164,68 @@ def test_sp_huge_monomial_power_exits_2_promptly(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert err.endswith("does not define an isolated singularity at the origin\n")
+    assert err == "error: weights are not determined by the exponents; pass them explicitly\n"
+
+
+@pytest.fixture
+def buchberger_calls(monkeypatch):
+    """The argument lists of every ``buchberger`` call made through ``milnor``."""
+    import singspec.milnor
+
+    calls = []
+    real = singspec.milnor.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(singspec.milnor, "buchberger", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("x^3*y + y^4", "--vars", "x,y"),  # chain
+        ("x^2*y + y^3*z + z^4", "--vars", "x,y,z"),  # chain
+        ("x^3*y + x*y^3", "--vars", "x,y"),  # loop
+        ("x^2*y + y^2*z + z^2*x", "--vars", "x,y,z"),  # loop
+        ("x*y", "--vars", "x,y", "--weights", "1/2,1/2"),
+    ],
+)
+def test_sp_runs_buchberger_once(capsys, buchberger_calls, argv):
+    code, _, err = run(capsys, "sp", *argv)
+    assert (code, err) == (0, "")
+    assert len(buchberger_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("x^2 + x^3 + y^3", "--vars", "x,y"),  # inconsistent
+        ("x*y", "--vars", "x,y"),  # underdetermined
+        ("x^2 + y^3", "--vars", "x,y", "--weights", "1/2,1/2"),  # not homogeneous
+    ],
+)
+def test_sp_weight_errors_run_no_buchberger(capsys, buchberger_calls, argv):
+    code, out, _ = run(capsys, "sp", *argv)
+    assert (code, out) == (2, "")
+    assert buchberger_calls == []
+
+
+def test_sp_weight_error_outranks_non_isolation(capsys):
+    # not isolated either; the weights are refused before any Gröbner run
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sp", "(x+y+z)^20+x^21+y^22", "--vars", "x,y,z")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == "error: no weight vector makes every term weighted degree 1\n"
+
+
+def test_sp_non_isolated_with_good_weights_keeps_its_message(capsys):
+    code, out, err = run(capsys, "sp", "x^2*y", "--vars", "x,y", "--weights", "1/3,1/3")
+    assert (code, out) == (2, "")
+    assert err == "error: 'x^2*y' does not define an isolated singularity at the origin\n"
 
 
 def test_sp_overlong_integer_literals_exit_2(capsys):
@@ -190,7 +251,7 @@ def test_sp_rejects_bad_flag_values(capsys):
 
 def test_sp_consistency_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(
-        "singspec.cli.sp_product_formula", lambda ws: FracPoly()
+        "singspec.spectrum.sp_product_formula", lambda ws: FracPoly()
     )
     code, out, err = run(capsys, "sp", "x^2 + y^3", "--vars", "x,y")
     assert code == 3

@@ -9,15 +9,19 @@ from fractions import Fraction
 import pytest
 
 from singspec import (
+    NonIsolatedSingularityError,
     Polynomial,
     buchberger,
     infer_weights,
     is_isolated,
     jacobian_generators,
     milnor_basis,
+    milnor_number,
     sp_from_basis,
     sp_product_formula,
 )
+from singspec.checks import build_corpus
+from singspec.spectrum import analyze
 
 NAMES = ("x", "y", "z", "w")
 
@@ -70,6 +74,29 @@ def isolated_cases():
 def test_spectrum_routes_agree_on_random_polynomials():
     for f, ws in isolated_cases():
         assert sp_from_basis(milnor_basis(f, ws)) == sp_product_formula(ws), str(f)
+
+
+def test_analyze_matches_the_public_functions():
+    """One Gröbner run in analyze against the functions that each run their
+    own: on every random draw (isolated or not) and every corpus case."""
+    cases = [(f, ws) for f, ws in random_cases()]
+    cases += [(c.f, c.weights) for c in build_corpus()]
+    assert len(cases) == 100 + 129
+    isolated = 0
+    for f, ws in cases:
+        if not is_isolated(f):
+            with pytest.raises(NonIsolatedSingularityError):
+                analyze(f, ws)
+            continue
+        isolated += 1
+        a = analyze(f, ws)
+        basis = milnor_basis(f, ws)
+        assert a.weights == ws
+        assert a.basis == basis, str(f)
+        assert a.mu == a.mu_closed == milnor_number(f, ws)
+        assert a.s_basis == sp_from_basis(basis)
+        assert a.s_formula == sp_product_formula(ws)
+    assert isolated >= 50 + 129
 
 
 def test_groebner_bases_match_sympy():

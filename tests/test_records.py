@@ -19,7 +19,7 @@ from singspec.milnor import GroebnerBasis, MilnorBasis
 from singspec.motivic import VERTICAL, EquivClass, SncComponent, SncModel, Stratum
 from singspec.parse import parse_polynomial
 from singspec.poly import Polynomial
-from singspec.spectrum import sp_from_basis, sp_product_formula
+from singspec.spectrum import Analysis, EigenMultiset, analyze, sp_from_basis, sp_product_formula
 
 _X2 = Polynomial(("x",), {(2,): 1})
 _F = parse_polynomial("x^2 + y^3", ("x", "y"))
@@ -54,6 +54,12 @@ CASES = [
      "CorpusCase(name='x^2+y^3', f=Polynomial('y^3 + x^2', vars=('x', 'y')), "
      "weights=(Fraction(1, 2), Fraction(1, 3)), basis=MilnorBasis(variables=('x', 'y'), "
      "weights=(Fraction(1, 2), Fraction(1, 3)), monomials=((0, 0), (0, 1))), "
+     "mu_closed=Fraction(2, 1), s_basis=FracPoly('t^(5/6) + t^(7/6)'), "
+     "s_formula=FracPoly('t^(5/6) + t^(7/6)'))"),
+    (Analysis, ("weights", "basis", "mu", "mu_closed", "s_basis", "s_formula"),
+     (_WS, _BASIS, 2, F(2), sp_from_basis(_BASIS), sp_product_formula(_WS)), (F(1, 3), F(1, 2)),
+     "Analysis(weights=(Fraction(1, 2), Fraction(1, 3)), basis=MilnorBasis(variables=('x', 'y'), "
+     "weights=(Fraction(1, 2), Fraction(1, 3)), monomials=((0, 0), (0, 1))), mu=2, "
      "mu_closed=Fraction(2, 1), s_basis=FracPoly('t^(5/6) + t^(7/6)'), "
      "s_formula=FracPoly('t^(5/6) + t^(7/6)'))"),
 ]
@@ -94,6 +100,37 @@ def test_hash_and_pickle_follow_the_fields():
     assert hash(CheckResult("a", True, "b")) == hash(CheckResult(name="a", passed=True, detail="b"))
     assert len({v, SncComponent(id="V", multiplicity=2, kind=VERTICAL)}) == 1
     assert pickle.loads(pickle.dumps(v)) == v
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+@pytest.mark.parametrize("how", list(_COPIES))
+@pytest.mark.parametrize(
+    "value",
+    [
+        _F,
+        sp_product_formula(_WS),
+        EigenMultiset({F(1, 6): 1, F(5, 6): 2}),
+        _STRATUM.cover_class,
+        CorpusCase("x^2+y^3", _F, _WS, _BASIS, F(2), sp_from_basis(_BASIS), sp_product_formula(_WS)),
+        SncModel(1, (_V,), (_STRATUM,)),
+        analyze(_F),
+    ],
+    ids=["Polynomial", "FracPoly", "EigenMultiset", "EquivClass", "CorpusCase", "SncModel",
+         "Analysis"],
+)
+def test_copy_deepcopy_and_pickle_round_trip(value, how):
+    again = _COPIES[how](value)
+    assert type(again) is type(value)
+    assert again == value and repr(again) == repr(value)
+    if isinstance(value, Polynomial):
+        assert again.variables == value.variables
+        assert again * again == value * value  # a working map, not a shell
 
 
 def test_defaults_and_derived_members():
