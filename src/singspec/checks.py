@@ -4,17 +4,20 @@ Every computation that matters is recomputed here by at least two routes and
 compared exactly.  The corpus is the Brieskorn-Pham grid (sums of pure powers
 x_i^{a_i}, 2 <= a_i <= 6, up to four variables, exponent multisets) plus a
 handful of genuinely mixed weighted-homogeneous singularities whose Gröbner
-bases are not monomial.  All randomness is seeded; output is deterministic.
+bases are not monomial.  ``build_corpus`` returns it as a tuple of
+``spectrum.Analysis`` records, one per case; ``run_all`` takes that tuple
+and hands it to each check that reads the corpus, so a caller builds it once
+per run.  A FAIL line names a case by its polynomial.  All randomness is
+seeded; output is deterministic.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 from .fracpoly import FracPoly
-from .milnor import MilnorBasis, milnor_basis
+from .milnor import milnor_basis
 from .motivic import (
     EquivClass,
     SncComponent,
@@ -32,6 +35,7 @@ from .motivic import (
 from .parse import parse_polynomial
 from .poly import Polynomial, Record, as_weights
 from .spectrum import (
+    Analysis,
     analyze,
     char_poly,
     check_symmetry,
@@ -49,22 +53,6 @@ class CheckResult(Record):
 
     def __init__(self, name: str, passed: bool, detail: str):
         super().__init__(name, passed, detail)
-
-
-class CorpusCase(Record):
-    __slots__ = ("name", "f", "weights", "basis", "mu_closed", "s_basis", "s_formula")
-
-    def __init__(
-        self,
-        name: str,
-        f: Polynomial,
-        weights: tuple,
-        basis: MilnorBasis,
-        mu_closed: Fraction,
-        s_basis: FracPoly,
-        s_formula: FracPoly,
-    ):
-        super().__init__(name, f, weights, basis, mu_closed, s_basis, s_formula)
 
 
 _VARS = ("x", "y", "z", "w")
@@ -95,29 +83,17 @@ _EXTRA_CASES = (
 )
 
 
-def _make_case(name, f, weights) -> CorpusCase:
-    a = analyze(f, weights)
-    return CorpusCase(
-        name=name,
-        f=f,
-        weights=a.weights,
-        basis=a.basis,
-        mu_closed=a.mu_closed,
-        s_basis=a.s_basis,
-        s_formula=a.s_formula,
+def build_corpus() -> tuple[Analysis, ...]:
+    """The grid cases in enumeration order, then the mixed ones."""
+    grid = (
+        analyze(_bp_polynomial(exps), tuple(Fraction(1, a) for a in exps))
+        for exps in brieskorn_pham_exponents()
     )
-
-
-@lru_cache(maxsize=1)
-def build_corpus() -> tuple[CorpusCase, ...]:
-    cases = []
-    for exps in brieskorn_pham_exponents():
-        f = _bp_polynomial(exps)
-        weights = tuple(Fraction(1, a) for a in exps)
-        cases.append(_make_case("+".join(f"{v}^{a}" for v, a in zip(_VARS, exps)), f, weights))
-    for text, variables, weights in _EXTRA_CASES:
-        cases.append(_make_case(text, parse_polynomial(text, variables), weights))
-    return tuple(cases)
+    mixed = (
+        analyze(parse_polynomial(text, variables), weights)
+        for text, variables, weights in _EXTRA_CASES
+    )
+    return (*grid, *mixed)
 
 
 def bp_case_count() -> int:
@@ -224,8 +200,8 @@ def random_class(rng: random.Random) -> EquivClass:
 # -- the checks ----------------------------------------------------------------
 
 
-def check_bp_dual_route() -> CheckResult:
-    bad = [c.name for c in build_corpus() if c.s_basis != c.s_formula]
+def check_bp_dual_route(corpus) -> CheckResult:
+    bad = [str(c.f) for c in corpus if c.s_basis != c.s_formula]
     count = bp_case_count()
     if bad:
         return CheckResult("dual-route-equality", False, f"routes disagree: {bad[:5]}")
@@ -236,13 +212,12 @@ def check_bp_dual_route() -> CheckResult:
     )
 
 
-def check_bp_basis_box() -> CheckResult:
+def check_bp_basis_box(corpus) -> CheckResult:
     """Independent oracle for the grid: the Jacobian ideal of a sum of pure
     powers is monomial, so the standard monomials are exactly the box with
     exponent_i <= a_i - 2.  Compared against the bases the corpus holds,
     which must be the grid cases in enumeration order followed by the
     mixed ones."""
-    corpus = build_corpus()
     count = bp_case_count()
     if len(corpus) != count + len(_EXTRA_CASES):
         return CheckResult(
@@ -253,7 +228,7 @@ def check_bp_basis_box() -> CheckResult:
     for case, exps in zip(corpus, brieskorn_pham_exponents()):
         if case.f != _bp_polynomial(exps):
             return CheckResult(
-                "grid-basis-box", False, f"corpus case {case.name} is not the grid case {exps}"
+                "grid-basis-box", False, f"corpus case {case.f} is not the grid case {exps}"
             )
         box = set(itertools.product(*(range(a - 1) for a in exps)))
         if set(case.basis.monomials) != box or len(case.basis) != math.prod(a - 1 for a in exps):
@@ -283,28 +258,24 @@ def check_cusp_benchmark() -> CheckResult:
     )
 
 
-def check_symmetry_all() -> CheckResult:
-    bad = [
-        c.name
-        for c in build_corpus()
-        if not check_symmetry(c.s_basis, len(c.f.variables))
-    ]
+def check_symmetry_all(corpus) -> CheckResult:
+    bad = [str(c.f) for c in corpus if not check_symmetry(c.s_basis, len(c.f.variables))]
     if bad:
         return CheckResult("spectrum-symmetry", False, f"not symmetric: {bad[:5]}")
     return CheckResult(
-        "spectrum-symmetry", True, f"s == t^n iota(s) on all {len(build_corpus())} corpus cases"
+        "spectrum-symmetry", True, f"s == t^n iota(s) on all {len(corpus)} corpus cases"
     )
 
 
-def check_mu_counts() -> CheckResult:
-    for c in build_corpus():
+def check_mu_counts(corpus) -> CheckResult:
+    for c in corpus:
         if c.mu_closed.denominator != 1:
-            return CheckResult("mu-counts", False, f"{c.name}: weight product not integral")
+            return CheckResult("mu-counts", False, f"{c.f}: weight product not integral")
         mu = c.mu_closed.numerator
         if c.s_basis.coefficient_sum() != mu or len(c.basis) != mu:
-            return CheckResult("mu-counts", False, f"{c.name}: counts disagree")
+            return CheckResult("mu-counts", False, f"{c.f}: counts disagree")
         if c.s_formula.coefficient_sum() != mu:
-            return CheckResult("mu-counts", False, f"{c.name}: formula sum disagrees")
+            return CheckResult("mu-counts", False, f"{c.f}: formula sum disagrees")
     return CheckResult(
         "mu-counts",
         True,
@@ -312,27 +283,27 @@ def check_mu_counts() -> CheckResult:
     )
 
 
-def check_monodromy_conventions() -> CheckResult:
-    for c in build_corpus():
+def check_monodromy_conventions(corpus) -> CheckResult:
+    for c in corpus:
         eig = eigenvalues_gamma_c(c.s_basis)
         geo = eigenvalues_geometric(eig)
         if geo != spectral_residues(c.s_basis):
             return CheckResult(
-                "monodromy-conventions", False, f"{c.name}: convention triangle broken"
+                "monodromy-conventions", False, f"{c.f}: convention triangle broken"
             )
         if eigenvalues_geometric(geo) != eig:
             return CheckResult(
-                "monodromy-conventions", False, f"{c.name}: negation not involutive"
+                "monodromy-conventions", False, f"{c.f}: negation not involutive"
             )
         cp = char_poly(eig)
         mu = c.mu_closed.numerator
         if cp.total_degree() != mu:
             return CheckResult(
-                "monodromy-conventions", False, f"{c.name}: char poly degree != mu"
+                "monodromy-conventions", False, f"{c.f}: char poly degree != mu"
             )
         if any(v.denominator != 1 for v in cp.terms.values()):
             return CheckResult(
-                "monodromy-conventions", False, f"{c.name}: non-integer coefficient"
+                "monodromy-conventions", False, f"{c.f}: non-integer coefficient"
             )
     return CheckResult(
         "monodromy-conventions",
@@ -434,14 +405,16 @@ def check_class_functionals() -> CheckResult:
     )
 
 
-def run_all() -> list[CheckResult]:
+def run_all(corpus) -> list[CheckResult]:
+    """Every check; the five corpus checks read ``corpus``, a tuple as
+    ``build_corpus`` returns it."""
     return [
-        check_bp_dual_route(),
-        check_bp_basis_box(),
+        check_bp_dual_route(corpus),
+        check_bp_basis_box(corpus),
         check_cusp_benchmark(),
-        check_symmetry_all(),
-        check_mu_counts(),
-        check_monodromy_conventions(),
+        check_symmetry_all(corpus),
+        check_mu_counts(corpus),
+        check_monodromy_conventions(corpus),
         check_semistable_fixture(),
         check_cusp_fixture(),
         check_gcd_table(),

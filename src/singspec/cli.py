@@ -12,17 +12,19 @@ homogeneity and the closed-form Milnor number against its budget before its
 one Gröbner run.  ``sp`` then compares the standard-monomial count with the
 closed form and the basis-route spectrum with the product formula.
 
-Exit codes: 0 success; 1 a check failed; 2 input or validation error;
-3 internal failure: two routes disagreed, or any other unexpected exception,
-reported as one ``internal error:`` line (a bug, never user error).  An
-input that fails a weight check and would also fail the isolation test
-reports the weight error: no Gröbner run is made for it.
+Exit codes: 0 success; 1 a check failed; 2 input or validation error, or a
+report that could not be written (a closed pipe, a full disk), each reported
+as one ``error:`` line; 3 internal failure: two routes disagreed, or any
+other unexpected exception, reported as one ``internal error:`` line (a bug,
+never user error).  An input that fails a weight check and would also fail
+the isolation test reports the weight error: no Gröbner run is made for it.
 Identical inputs produce byte-identical ``--json`` output.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import checks
@@ -152,10 +154,9 @@ def _run_sp(args) -> Report:
         raise NonIsolatedSingularityError(
             f"{args.expr!r} does not define an isolated singularity at the origin"
         ) from None
-    if a.mu != a.mu_closed:
-        raise ConsistencyError(
-            f"standard monomial count {a.mu} != weight product {a.mu_closed}"
-        )
+    mu = len(a.basis)
+    if mu != a.mu_closed:
+        raise ConsistencyError(f"standard monomial count {mu} != weight product {a.mu_closed}")
     s_basis = a.s_basis
     if s_basis != a.s_formula:
         raise ConsistencyError(
@@ -170,9 +171,9 @@ def _run_sp(args) -> Report:
         {
             "input": args.expr,
             "variables": list(variables),
-            "weights": [str(w) for w in a.weights],
+            "weights": [str(w) for w in a.basis.weights],
             "dimension": len(variables),
-            "mu": a.mu,
+            "mu": mu,
             "spectrum": str(s_basis),
             "symmetric": check_symmetry(s_basis, len(variables)),
             # unsorted: render_text and to_json each sort the angles
@@ -212,7 +213,8 @@ def _run_nearby(args) -> Report:
 
 
 def _run_check(args) -> Report:
-    results = checks.run_all()
+    corpus = checks.build_corpus()
+    results = checks.run_all(corpus)
     return Report(
         "check",
         {
@@ -221,7 +223,7 @@ def _run_check(args) -> Report:
                 for r in results
             ],
             "passed": all(r.passed for r in results),
-            "corpus_cases": len(checks.build_corpus()),
+            "corpus_cases": len(corpus),
         },
     )
 
@@ -275,8 +277,11 @@ _RUNNERS = {"sp": _run_sp, "nearby": _run_nearby, "check": _run_check}
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    report = None
     try:
         report = _RUNNERS[args.command](args)
+        sys.stdout.write(report.to_json() if args.json else report.render_text())
+        sys.stdout.flush()
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
@@ -284,12 +289,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
+        if report is not None:
+            # the report could not be written: point stdout at the null
+            # device, so the bytes still buffered do not fail again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(report.to_json() if args.json else report.render_text())
     if report.kind == "check" and not report.data["passed"]:
         return 1
     return 0

@@ -1,17 +1,18 @@
 """Gröbner bases of Jacobian ideals and monomial bases of Milnor algebras.
 
-The monomial order is grevlex throughout (declared on the basis object).  The
-quotient by the Jacobian ideal is finite-dimensional exactly when every
-variable has a pure power among the leading terms of the reduced basis; the
-standard monomials below those powers then form the Milnor algebra basis, and
-their count must agree with the closed-form product of (1/w_i - 1) over the
-weights.  Disagreement is an internal error, never a user error.
+The monomial order is grevlex throughout, so ``GroebnerBasis`` records no
+order.  The quotient by the Jacobian ideal is finite-dimensional exactly when
+every variable has a pure power among the leading terms of the reduced basis;
+the standard monomials below those powers then form the Milnor algebra basis,
+and their count must agree with the closed-form product of (1/w_i - 1) over
+the weights.  Disagreement is an internal error, never a user error.
 ``milnor_basis`` checks that closed form against ``MAX_MU`` before it
 computes a Gröbner basis or enumerates a monomial, and tests isolation on the
 leading terms of its own single Gröbner run; ``spectrum.analyze`` builds on
-it, so ``singspec sp`` and the check battery run ``buchberger`` once per
-polynomial.  ``is_isolated`` and ``milnor_number`` each run it again; they
-stay as public entry points and as oracles for ``analyze``.
+it, so ``singspec sp`` runs ``buchberger`` once per request and
+``singspec check`` once per corpus case, building its corpus once per run.
+``is_isolated`` and ``milnor_number`` each run it again; they stay as public
+entry points and as oracles for ``analyze``.
 """
 
 import heapq
@@ -42,10 +43,10 @@ class GroebnerBasis(Record):
     """Reduced Gröbner basis: monic, no leading term divides another,
     every tail fully reduced.  Elements sorted by ascending leading term."""
 
-    __slots__ = ("variables", "polynomials", "order")
+    __slots__ = ("variables", "polynomials")
 
-    def __init__(self, variables: tuple, polynomials: tuple, order: str = "grevlex"):
-        super().__init__(variables, polynomials, order)
+    def __init__(self, variables: tuple, polynomials: tuple):
+        super().__init__(variables, polynomials)
 
     @property
     def lead_exponents(self) -> tuple[tuple[int, ...], ...]:

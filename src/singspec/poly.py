@@ -14,8 +14,8 @@ and mod-1 reduction run on ints; their public keys are still Fractions.
 
 ``Record`` is the base of the package's plain records (``GroebnerBasis``,
 ``MilnorBasis``, ``spectrum.Analysis``, the model-file records,
-``CheckResult``, ``CorpusCase``, ``cli.Report``): slotted and immutable,
-compared and shown by their fields.
+``checks.CheckResult``, ``cli.Report``): slotted and immutable, compared and
+shown by their fields.
 
 Exponent vectors are tuples of non-negative ints aligned with an ordered
 variable tuple; coefficients are ``fractions.Fraction`` (exact, lowest terms,

@@ -21,10 +21,12 @@ the spectrum is symmetric under s |-> t^n iota(s), and the coefficient sum is
 the Milnor number.
 
 ``analyze`` gathers what ``singspec sp`` and the check battery both need in
-one ``Analysis`` record: the weights first (given, or inferred), then the
-Milnor basis from a single Gröbner run, the basis size beside the closed form
+one ``Analysis`` record: the polynomial, its Milnor basis from a single
+Gröbner run on weights settled first (given, or inferred; the basis keeps
+them, and its size is the standard-monomial count), the closed form
 mu = prod(1/w_i - 1), and the spectrum from each route.  It compares nothing;
-each consumer compares the two spectra and the two counts for itself.
+each consumer compares the two spectra and the two counts for itself.  The
+battery's corpus is a tuple of these records.
 
 Eigenvalue conventions (one sign flip apart; both are exposed):
 
@@ -143,25 +145,25 @@ def sp_from_basis(basis: MilnorBasis) -> FracPoly:
 
 
 class Analysis(Record):
-    """What ``analyze`` found: the weights, the Milnor basis, its size ``mu``
-    and the closed form ``mu_closed``, and the spectrum from each route."""
+    """What ``analyze`` found for the polynomial ``f``: its Milnor basis
+    (which holds the weights, and whose size is the standard-monomial count),
+    the closed form ``mu_closed``, and the spectrum from each route."""
 
-    __slots__ = ("weights", "basis", "mu", "mu_closed", "s_basis", "s_formula")
+    __slots__ = ("f", "basis", "mu_closed", "s_basis", "s_formula")
 
     def __init__(
         self,
-        weights: tuple[Fraction, ...],
+        f: Polynomial,
         basis: MilnorBasis,
-        mu: int,
         mu_closed: Fraction,
         s_basis: FracPoly,
         s_formula: FracPoly,
     ):
-        super().__init__(weights, basis, mu, mu_closed, s_basis, s_formula)
+        super().__init__(f, basis, mu_closed, s_basis, s_formula)
 
 
 def analyze(f: Polynomial, weights=None) -> Analysis:
-    """Weights, Milnor basis, mu and both spectra of f, with one Gröbner run.
+    """Milnor basis, closed-form mu and both spectra of f, with one Gröbner run.
 
     The weights come first: the given ones, or ``infer_weights(f)`` when
     ``weights`` is None.  ``milnor_basis`` then checks homogeneity, checks
@@ -173,9 +175,7 @@ def analyze(f: Polynomial, weights=None) -> Analysis:
     """
     basis = milnor_basis(f, infer_weights(f) if weights is None else weights)
     ws = basis.weights
-    return Analysis(
-        ws, basis, len(basis), _closed_mu(ws), sp_from_basis(basis), sp_product_formula(ws)
-    )
+    return Analysis(f, basis, _closed_mu(ws), sp_from_basis(basis), sp_product_formula(ws))
 
 
 def sp_twist(s: FracPoly, n: int) -> FracPoly:

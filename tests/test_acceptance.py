@@ -85,29 +85,29 @@ def test_criterion_02_cusp_benchmark():
 def test_criterion_03_symmetry_for_every_corpus_spectrum():
     for case in build_corpus():
         n = len(case.f.variables)
-        assert check_symmetry(case.s_basis, n), case.name
-        assert check_symmetry(case.s_formula, n), case.name
+        assert check_symmetry(case.s_basis, n), str(case.f)
+        assert check_symmetry(case.s_formula, n), str(case.f)
 
 
 def test_criterion_04_mu_counts_agree_three_ways():
     for case in build_corpus():
         closed = case.mu_closed
-        assert closed.denominator == 1, case.name
+        assert closed.denominator == 1, str(case.f)
         mu = closed.numerator
-        assert case.s_basis.coefficient_sum() == mu, case.name
-        assert case.s_formula.coefficient_sum() == mu, case.name
-        assert len(case.basis) == mu, case.name
+        assert case.s_basis.coefficient_sum() == mu, str(case.f)
+        assert case.s_formula.coefficient_sum() == mu, str(case.f)
+        assert len(case.basis) == mu, str(case.f)
 
 
 def test_criterion_05_monodromy_conventions():
     for case in build_corpus():
         eig = eigenvalues_gamma_c(case.s_basis)
-        assert eigenvalues_geometric(eig) == spectral_residues(case.s_basis), case.name
-        assert eigenvalues_geometric(eigenvalues_geometric(eig)) == eig, case.name
+        assert eigenvalues_geometric(eig) == spectral_residues(case.s_basis), str(case.f)
+        assert eigenvalues_geometric(eigenvalues_geometric(eig)) == eig, str(case.f)
         cp = char_poly(eig)
         mu = case.mu_closed.numerator
-        assert cp.total_degree() == mu, case.name
-        assert all(c.denominator == 1 for c in cp.terms.values()), case.name
+        assert cp.total_degree() == mu, str(case.f)
+        assert all(c.denominator == 1 for c in cp.terms.values()), str(case.f)
 
 
 def test_criterion_06_semistable_two_component_fixture():

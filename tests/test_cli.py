@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -357,11 +358,27 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
 def test_check_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         "singspec.checks.run_all",
-        lambda: [CheckResult("injected", False, "synthetic failure")],
+        lambda corpus: [CheckResult("injected", False, "synthetic failure")],
     )
     code, out, _ = run(capsys, "check")
     assert code == 1
     assert "FAIL injected" in out
+
+
+def test_check_builds_the_corpus_once(capsys, monkeypatch):
+    from singspec import checks
+
+    calls = []
+    real = checks.build_corpus
+
+    def counted():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(checks, "build_corpus", counted)
+    code, _, _ = run(capsys, "check")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_report_round_trip(capsys):
@@ -379,6 +396,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "t^(5/6) + t^(7/6)" in proc.stdout
+
+
+def _singspec(argv, stdout):
+    """Exit code and stderr of ``python -m singspec ARGV`` writing to ``stdout``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "singspec", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_report_on_a_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        code, err = _singspec(["sp", "x^2 + y^3", "--vars", "x,y", "--json"], full)
+    assert code == 2
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
+def test_report_into_a_closed_pipe_exits_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: every write is EPIPE
+    try:
+        code, err = _singspec(["check"], write_end)
+    finally:
+        os.close(write_end)
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_zero_denominator_weight_is_named(capsys):

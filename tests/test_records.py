@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import singspec
-from singspec.checks import CheckResult, CorpusCase
+from singspec.checks import CheckResult
 from singspec.cli import Report
 from singspec.milnor import GroebnerBasis, MilnorBasis
 from singspec.motivic import VERTICAL, EquivClass, SncComponent, SncModel, Stratum
@@ -33,9 +33,8 @@ _STRATUM = Stratum(("V",), EquivClass({(1, 1, F(1, 2)): -1}))
 CASES = [
     (Report, ("kind", "data"), ("sp", {"mu": 2}), "nearby",
      "Report(kind='sp', data={'mu': 2})"),
-    (GroebnerBasis, ("variables", "polynomials", "order"), (("x",), (_X2,), "grevlex"), ("y",),
-     "GroebnerBasis(variables=('x',), polynomials=(Polynomial('x^2', vars=('x',)),), "
-     "order='grevlex')"),
+    (GroebnerBasis, ("variables", "polynomials"), (("x",), (_X2,)), ("y",),
+     "GroebnerBasis(variables=('x',), polynomials=(Polynomial('x^2', vars=('x',)),))"),
     (MilnorBasis, ("variables", "weights", "monomials"), (("x", "y"), _WS, ((0, 0), (0, 1))),
      ("y", "x"),
      "MilnorBasis(variables=('x', 'y'), weights=(Fraction(1, 2), Fraction(1, 3)), "
@@ -49,17 +48,10 @@ CASES = [
      "strata=(Stratum(ids=('V',), cover_class=EquivClass({(1,1,1/2): -1})),))"),
     (CheckResult, ("name", "passed", "detail"), ("cusp", True, "ok"), "other",
      "CheckResult(name='cusp', passed=True, detail='ok')"),
-    (CorpusCase, ("name", "f", "weights", "basis", "mu_closed", "s_basis", "s_formula"),
-     ("x^2+y^3", _F, _WS, _BASIS, F(2), sp_from_basis(_BASIS), sp_product_formula(_WS)), "other",
-     "CorpusCase(name='x^2+y^3', f=Polynomial('y^3 + x^2', vars=('x', 'y')), "
-     "weights=(Fraction(1, 2), Fraction(1, 3)), basis=MilnorBasis(variables=('x', 'y'), "
+    (Analysis, ("f", "basis", "mu_closed", "s_basis", "s_formula"),
+     (_F, _BASIS, F(2), sp_from_basis(_BASIS), sp_product_formula(_WS)), _X2,
+     "Analysis(f=Polynomial('y^3 + x^2', vars=('x', 'y')), basis=MilnorBasis(variables=('x', 'y'), "
      "weights=(Fraction(1, 2), Fraction(1, 3)), monomials=((0, 0), (0, 1))), "
-     "mu_closed=Fraction(2, 1), s_basis=FracPoly('t^(5/6) + t^(7/6)'), "
-     "s_formula=FracPoly('t^(5/6) + t^(7/6)'))"),
-    (Analysis, ("weights", "basis", "mu", "mu_closed", "s_basis", "s_formula"),
-     (_WS, _BASIS, 2, F(2), sp_from_basis(_BASIS), sp_product_formula(_WS)), (F(1, 3), F(1, 2)),
-     "Analysis(weights=(Fraction(1, 2), Fraction(1, 3)), basis=MilnorBasis(variables=('x', 'y'), "
-     "weights=(Fraction(1, 2), Fraction(1, 3)), monomials=((0, 0), (0, 1))), mu=2, "
      "mu_closed=Fraction(2, 1), s_basis=FracPoly('t^(5/6) + t^(7/6)'), "
      "s_formula=FracPoly('t^(5/6) + t^(7/6)'))"),
 ]
@@ -117,12 +109,10 @@ _COPIES = {
         sp_product_formula(_WS),
         EigenMultiset({F(1, 6): 1, F(5, 6): 2}),
         _STRATUM.cover_class,
-        CorpusCase("x^2+y^3", _F, _WS, _BASIS, F(2), sp_from_basis(_BASIS), sp_product_formula(_WS)),
         SncModel(1, (_V,), (_STRATUM,)),
         analyze(_F),
     ],
-    ids=["Polynomial", "FracPoly", "EigenMultiset", "EquivClass", "CorpusCase", "SncModel",
-         "Analysis"],
+    ids=["Polynomial", "FracPoly", "EigenMultiset", "EquivClass", "SncModel", "Analysis"],
 )
 def test_copy_deepcopy_and_pickle_round_trip(value, how):
     again = _COPIES[how](value)
@@ -135,8 +125,7 @@ def test_copy_deepcopy_and_pickle_round_trip(value, how):
 
 def test_defaults_and_derived_members():
     gb = GroebnerBasis(("x",), (_X2,))
-    assert gb.order == "grevlex"
-    assert gb == GroebnerBasis(variables=("x",), polynomials=(_X2,), order="grevlex")
+    assert gb == GroebnerBasis(variables=("x",), polynomials=(_X2,))
     assert gb.lead_exponents == ((2,),)
     assert len(_BASIS) == 2
     # the constructors still canonicalize what they are given
