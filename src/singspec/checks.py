@@ -9,13 +9,20 @@ bases are not monomial.  ``build_corpus`` returns it as a tuple of
 and hands it to each check that reads the corpus, so a caller builds it once
 per run.  A FAIL line names a case by its polynomial.  All randomness is
 seeded; output is deterministic.
+
+Each check has one failure path (``_check``): a library error raised inside
+it, such as ``NotGaloisStableError``, is its FAIL line like a failed
+comparison, and the other checks still run; so ``singspec check`` exits 1 on
+a broken corpus, never 2.
 """
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
+from .errors import ConsistencyError, SingspecError
 from .fracpoly import FracPoly
 from .milnor import milnor_basis
 from .motivic import (
@@ -200,19 +207,42 @@ def random_class(rng: random.Random) -> EquivClass:
 # -- the checks ----------------------------------------------------------------
 
 
-def check_bp_dual_route(corpus) -> CheckResult:
+class CheckFailure(Exception):
+    """A check's comparison came out wrong; the message is its FAIL detail."""
+
+
+def _check(name: str):
+    """Turn a body that returns its PASS detail or raises into the check
+    ``name``; the only place in the module that builds a ``CheckResult``.
+    A ``CheckFailure``, ``SingspecError`` or ``ConsistencyError`` from the
+    body is a FAIL with the exception's message; any other exception
+    propagates, as a bug rather than a failed comparison."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args) -> CheckResult:
+            try:
+                passed, detail = True, body(*args)
+            except (CheckFailure, SingspecError, ConsistencyError) as exc:
+                passed, detail = False, str(exc)
+            return CheckResult(name, passed, detail)
+
+        return check
+
+    return decorate
+
+
+@_check("dual-route-equality")
+def check_bp_dual_route(corpus):
     bad = [str(c.f) for c in corpus if c.s_basis != c.s_formula]
-    count = bp_case_count()
     if bad:
-        return CheckResult("dual-route-equality", False, f"routes disagree: {bad[:5]}")
-    return CheckResult(
-        "dual-route-equality",
-        True,
-        f"basis route == product formula on {count} grid cases + {len(_EXTRA_CASES)} mixed",
-    )
+        raise CheckFailure(f"routes disagree: {bad[:5]}")
+    count = bp_case_count()
+    return f"basis route == product formula on {count} grid cases + {len(_EXTRA_CASES)} mixed"
 
 
-def check_bp_basis_box(corpus) -> CheckResult:
+@_check("grid-basis-box")
+def check_bp_basis_box(corpus):
     """Independent oracle for the grid: the Jacobian ideal of a sum of pure
     powers is monomial, so the standard monomials are exactly the box with
     exponent_i <= a_i - 2.  Compared against the bases the corpus holds,
@@ -220,111 +250,85 @@ def check_bp_basis_box(corpus) -> CheckResult:
     mixed ones."""
     count = bp_case_count()
     if len(corpus) != count + len(_EXTRA_CASES):
-        return CheckResult(
-            "grid-basis-box",
-            False,
-            f"corpus holds {len(corpus)} cases, expected {count} grid + {len(_EXTRA_CASES)} mixed",
+        raise CheckFailure(
+            f"corpus holds {len(corpus)} cases, expected {count} grid + {len(_EXTRA_CASES)} mixed"
         )
     for case, exps in zip(corpus, brieskorn_pham_exponents()):
         if case.f != _bp_polynomial(exps):
-            return CheckResult(
-                "grid-basis-box", False, f"corpus case {case.f} is not the grid case {exps}"
-            )
+            raise CheckFailure(f"corpus case {case.f} is not the grid case {exps}")
         box = set(itertools.product(*(range(a - 1) for a in exps)))
         if set(case.basis.monomials) != box or len(case.basis) != math.prod(a - 1 for a in exps):
-            return CheckResult("grid-basis-box", False, f"box mismatch at {exps}")
-    return CheckResult(
-        "grid-basis-box", True, f"standard monomials match the closed-form box on {count} cases"
-    )
+            raise CheckFailure(f"box mismatch at {exps}")
+    return f"standard monomials match the closed-form box on {count} cases"
 
 
-def check_cusp_benchmark() -> CheckResult:
+@_check("cusp-benchmark")
+def check_cusp_benchmark():
     f = parse_polynomial("x^2 + y^3", ("x", "y"))
     ws = as_weights(("1/2", "1/3"))
     basis = milnor_basis(f, ws)
     expected = FracPoly({Fraction(5, 6): 1, Fraction(7, 6): 1})
-    ok = (
+    if not (
         basis.monomials == ((0, 0), (0, 1))
         and sp_from_basis(basis) == expected
         and sp_product_formula(ws) == expected
         and str(expected) == "t^(5/6) + t^(7/6)"
-    )
-    return CheckResult(
-        "cusp-benchmark",
-        ok,
-        "x^2 + y^3: basis {1, y}, both routes give t^(5/6) + t^(7/6)"
-        if ok
-        else "cusp values drifted",
-    )
+    ):
+        raise CheckFailure("cusp values drifted")
+    return "x^2 + y^3: basis {1, y}, both routes give t^(5/6) + t^(7/6)"
 
 
-def check_symmetry_all(corpus) -> CheckResult:
+@_check("spectrum-symmetry")
+def check_symmetry_all(corpus):
     bad = [str(c.f) for c in corpus if not check_symmetry(c.s_basis, len(c.f.variables))]
     if bad:
-        return CheckResult("spectrum-symmetry", False, f"not symmetric: {bad[:5]}")
-    return CheckResult(
-        "spectrum-symmetry", True, f"s == t^n iota(s) on all {len(corpus)} corpus cases"
-    )
+        raise CheckFailure(f"not symmetric: {bad[:5]}")
+    return f"s == t^n iota(s) on all {len(corpus)} corpus cases"
 
 
-def check_mu_counts(corpus) -> CheckResult:
+@_check("mu-counts")
+def check_mu_counts(corpus):
     for c in corpus:
         if c.mu_closed.denominator != 1:
-            return CheckResult("mu-counts", False, f"{c.f}: weight product not integral")
+            raise CheckFailure(f"{c.f}: weight product not integral")
         mu = c.mu_closed.numerator
         if c.s_basis.coefficient_sum() != mu or len(c.basis) != mu:
-            return CheckResult("mu-counts", False, f"{c.f}: counts disagree")
+            raise CheckFailure(f"{c.f}: counts disagree")
         if c.s_formula.coefficient_sum() != mu:
-            return CheckResult("mu-counts", False, f"{c.f}: formula sum disagrees")
-    return CheckResult(
-        "mu-counts",
-        True,
-        "coefficient sum == weight product == standard monomial count on every case",
-    )
+            raise CheckFailure(f"{c.f}: formula sum disagrees")
+    return "coefficient sum == weight product == standard monomial count on every case"
 
 
-def check_monodromy_conventions(corpus) -> CheckResult:
+@_check("monodromy-conventions")
+def check_monodromy_conventions(corpus):
+    # char_poly builds its polynomial from an int list: integral by construction
     for c in corpus:
         eig = eigenvalues_gamma_c(c.s_basis)
         geo = eigenvalues_geometric(eig)
         if geo != spectral_residues(c.s_basis):
-            return CheckResult(
-                "monodromy-conventions", False, f"{c.f}: convention triangle broken"
-            )
+            raise CheckFailure(f"{c.f}: convention triangle broken")
         if eigenvalues_geometric(geo) != eig:
-            return CheckResult(
-                "monodromy-conventions", False, f"{c.f}: negation not involutive"
-            )
-        cp = char_poly(eig)
-        mu = c.mu_closed.numerator
-        if cp.total_degree() != mu:
-            return CheckResult(
-                "monodromy-conventions", False, f"{c.f}: char poly degree != mu"
-            )
-        if any(v.denominator != 1 for v in cp.terms.values()):
-            return CheckResult(
-                "monodromy-conventions", False, f"{c.f}: non-integer coefficient"
-            )
-    return CheckResult(
-        "monodromy-conventions",
-        True,
-        "angle negation closes the convention triangle; char polys integral of degree mu",
-    )
+            raise CheckFailure(f"{c.f}: negation not involutive")
+        if char_poly(eig).total_degree() != c.mu_closed.numerator:
+            raise CheckFailure(f"{c.f}: char poly degree != mu")
+    return "angle negation closes the convention triangle; char polys integral of degree mu"
 
 
-def check_semistable_fixture() -> CheckResult:
+@_check("semistable-fixture")
+def check_semistable_fixture():
     model = semistable_i2_model()
     total = nearby_fiber_class(model, "total")
-    ok = total == EquivClass.zero() and euler_specialization(total) == 0
-    ok = ok and nearby_fiber_class(model, "open") == EquivClass.zero()
-    return CheckResult(
-        "semistable-fixture",
-        ok,
-        "two-line cycle: nearby class 0, Euler number 0" if ok else "nonzero class",
-    )
+    if not (
+        total == EquivClass.zero()
+        and euler_specialization(total) == 0
+        and nearby_fiber_class(model, "open") == EquivClass.zero()
+    ):
+        raise CheckFailure("nonzero class")
+    return "two-line cycle: nearby class 0, Euler number 0"
 
 
-def check_cusp_fixture() -> CheckResult:
+@_check("cusp-fixture")
+def check_cusp_fixture():
     model = cusp_resolution_model()
     cls = nearby_fiber_class(model, "local")
     expected_cls = EquivClass(
@@ -333,20 +337,15 @@ def check_cusp_fixture() -> CheckResult:
     spectrum = sp_prime_reduced(cls, model.n)
     expected_sp = FracPoly({Fraction(5, 6): 1, Fraction(7, 6): 1})
     euler = euler_specialization(cls)
-    ok = (
+    if not (
         cls == expected_cls
         and spectrum == expected_sp
         and sp_twist(spectrum, model.n) == expected_sp
         and euler == -1
         and euler == 2 + 3 - 6
-    )
-    return CheckResult(
-        "cusp-fixture",
-        ok,
-        "resolution model gives t^(5/6) + t^(7/6) and Euler -1 = 2 + 3 - 6"
-        if ok
-        else "cusp model evaluation drifted",
-    )
+    ):
+        raise CheckFailure("cusp model evaluation drifted")
+    return "resolution model gives t^(5/6) + t^(7/6) and Euler -1 = 2 + 3 - 6"
 
 
 _GCD_TABLE = (
@@ -364,7 +363,8 @@ _GCD_TABLE = (
 )
 
 
-def check_gcd_table() -> CheckResult:
+@_check("gcd-table")
+def check_gcd_table():
     for mults, adj, degree, comps in _GCD_TABLE:
         names = tuple(f"c{i}" for i in range(len(mults)))
         model = SncModel(
@@ -376,33 +376,22 @@ def check_gcd_table() -> CheckResult:
             strata=(),
         )
         if covering_degree(model, names) != degree:
-            return CheckResult("gcd-table", False, f"degree wrong for {mults}")
+            raise CheckFailure(f"degree wrong for {mults}")
         if component_count_cstar(model, names, "adj") != comps:
-            return CheckResult("gcd-table", False, f"component count wrong for {mults} + {adj}")
-    return CheckResult(
-        "gcd-table", True, f"cover degree and C*-component count on {len(_GCD_TABLE)} tuples"
-    )
+            raise CheckFailure(f"component count wrong for {mults} + {adj}")
+    return f"cover degree and C*-component count on {len(_GCD_TABLE)} tuples"
 
 
-def check_class_functionals() -> CheckResult:
+@_check("class-functional-consistency")
+def check_class_functionals():
     rng = random.Random(90577)
     trials = 1000
     for _ in range(trials):
         c = random_class(rng)
         n = rng.randint(0, 4)
-        via_twist = sp_twist(sp_prime_of_class(c), n)
-        direct = sp_of_class(c, n)
-        if via_twist != direct:
-            return CheckResult(
-                "class-functional-consistency",
-                False,
-                f"functionals disagree on {c!r} with n={n}",
-            )
-    return CheckResult(
-        "class-functional-consistency",
-        True,
-        f"twisted functional == interval functional on {trials} random classes",
-    )
+        if sp_twist(sp_prime_of_class(c), n) != sp_of_class(c, n):
+            raise CheckFailure(f"functionals disagree on {c!r} with n={n}")
+    return f"twisted functional == interval functional on {trials} random classes"
 
 
 def run_all(corpus) -> list[CheckResult]:

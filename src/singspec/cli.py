@@ -18,7 +18,10 @@ as one ``error:`` line; 3 internal failure: two routes disagreed, or any
 other unexpected exception, reported as one ``internal error:`` line (a bug,
 never user error).  An input that fails a weight check and would also fail
 the isolation test reports the weight error: no Gröbner run is made for it.
-Identical inputs produce byte-identical ``--json`` output.
+``check`` takes no input, so it never exits 2 on its own corpus: a library
+error raised inside a check is that check's FAIL line (exit 1), and every
+check still reports.  Identical inputs produce byte-identical ``--json``
+output.
 """
 
 import argparse

@@ -355,6 +355,32 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: synthetic fault\n"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("mu_closed", 3, "standard monomial count 2 != weight product 3"),
+        (
+            "s_formula",
+            FracPoly({"5/6": 2}),
+            "spectrum routes disagree: basis gave t^(5/6) + t^(7/6), formula gave 2*t^(5/6)",
+        ),
+    ],
+)
+def test_sp_exits_3_when_the_routes_disagree(capsys, monkeypatch, field, value, message):
+    real = cli.analyze
+
+    def planted(f, weights):
+        a = real(f, weights)
+        values = {name: getattr(a, name) for name in a.__slots__}
+        return type(a)(**{**values, field: value})
+
+    monkeypatch.setattr(cli, "analyze", planted)
+    code, out, err = run(capsys, "sp", "x^2 + y^3", "--vars", "x,y")
+    assert code == 3
+    assert out == ""
+    assert err == f"internal consistency failure: {message}\n"
+
+
 def test_check_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         "singspec.checks.run_all",

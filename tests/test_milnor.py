@@ -234,6 +234,13 @@ def test_milnor_rejects_bad_inputs():
         milnor_basis(parse_polynomial("x^2*y", XY), ("1/4", "1/2"))
 
 
+def test_milnor_basis_refuses_the_zero_polynomial():
+    # the zero polynomial is weighted-homogeneous for every weight vector,
+    # so it reaches the Jacobian step, and its Jacobian ideal is zero
+    with pytest.raises(NonIsolatedSingularityError, match="^zero Jacobian ideal$"):
+        milnor_basis(Polynomial(XY), ("1/2", "1/3"))
+
+
 def test_milnor_number_stable_across_weight_family():
     # xy admits a one-parameter family of valid weights; the closed-form
     # cross-check inside milnor_number must hold for every member
