@@ -58,9 +58,6 @@ from .spectrum import (
 class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str):
-        super().__init__(name, passed, detail)
-
 
 _VARS = ("x", "y", "z", "w")
 

@@ -26,7 +26,6 @@ output.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -65,9 +64,6 @@ class Report(Record):
 
     __slots__ = ("kind", "data")
 
-    def __init__(self, kind: str, data: dict):
-        super().__init__(kind, data)
-
     def to_json(self) -> str:
         return json.dumps({"data": self.data, "kind": self.kind}, sort_keys=True, indent=2) + "\n"
 
@@ -77,6 +73,8 @@ class Report(Record):
         return cls(kind=obj["kind"], data=obj["data"])
 
     def render_text(self) -> str:
+        """The report as "key: value" lines, or the battery's PASS and FAIL
+        lines; a dict (eigenvalue angles) prints in the order it was built."""
         if self.kind == "check":
             lines = [
                 f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}"
@@ -95,7 +93,7 @@ class Report(Record):
             if isinstance(value, bool):
                 value = "true" if value else "false"
             elif isinstance(value, dict):
-                value = ", ".join(f"{k}:{value[k]}" for k in _ascending(value)) or "(empty)"
+                value = ", ".join(f"{k}:{m}" for k, m in value.items()) or "(empty)"
             elif key == "class":
                 value = ", ".join(
                     f"({p},{q},{f}):{m}" for p, q, f, m in value
@@ -106,17 +104,10 @@ class Report(Record):
         return "\n".join(lines) + "\n"
 
 
-def _ascending(keys) -> list:
-    """Rational strings "u/v" or "u" in ascending order of value, compared
-    as integer numerators over the lcm of their denominators."""
-    parts = [(k, *k.partition("/")[::2]) for k in keys]
-    den = math.lcm(*(int(v or 1) for _, _, v in parts))
-    return [k for _, k in sorted((int(u) * (den // int(v or 1)), k) for k, u, v in parts)]
-
-
 def _angles(e) -> dict:
-    """An eigenvalue multiset as {"u/v": multiplicity}."""
-    return {ratio(k, e.den): m for k, m in e.scaled.items()}
+    """An eigenvalue multiset as {"u/v": multiplicity}, in ascending order of
+    angle: int numerators over one denominator sort as the angles do."""
+    return {ratio(k, e.den): e.scaled[k] for k in sorted(e.scaled)}
 
 
 def _split_names(raw: str) -> tuple[str, ...]:
@@ -179,7 +170,6 @@ def _run_sp(args) -> Report:
             "mu": mu,
             "spectrum": str(s_basis),
             "symmetric": check_symmetry(s_basis, len(variables)),
-            # unsorted: render_text and to_json each sort the angles
             "eigenvalues_gamma_c": _angles(eig_c),
             "eigenvalues_geometric": _angles(eig_geo),
             "char_poly": str(char_poly(eig_c)),

@@ -101,5 +101,8 @@ class ConsistencyError(Exception):
     """Two independent computational routes disagreed.  Internal failure."""
 
 
-class MissingStratumWarning(UserWarning):
-    """A declared component appears in no stratum; sums over strata may be partial."""
+class MissingStratumWarning(UserWarning, SingspecError):
+    """A declared component appears in no stratum; sums over strata may be partial.
+
+    A ``SingspecError`` too, as the model file is at fault: raised as an error
+    (``python -W error``), it is an ``error:`` line (exit 2) or a check's FAIL."""

@@ -5,9 +5,11 @@ mapping exponent tuples to nonzero exact coefficients.  The functions here are
 the inner loop of every Gröbner-basis run.
 
 Monomial order: graded reverse lexicographic with respect to the tuple order,
-x_0 > x_1 > ... > x_{n-1}.
+x_0 > x_1 > ... > x_{n-1}, defined by ``grevlex_key`` alone: every
+comparison, leading term and sort in the package goes through that key.
 """
 
+import operator
 import sys
 
 
@@ -24,21 +26,9 @@ def backend_name() -> str:
 
 
 def grevlex_key(e):
-    """Sort key: larger key = larger monomial in grevlex."""
-    return (sum(e), tuple(-v for v in reversed(e)))
-
-
-def grevlex_greater(a, b):
-    """True if a > b in grevlex."""
-    da, db = sum(a), sum(b)
-    if da != db:
-        return da > db
-    # equal degree: rightmost nonzero entry of a - b must be negative
-    for i in range(len(a) - 1, -1, -1):
-        d = a[i] - b[i]
-        if d:
-            return d < 0
-    return False
+    """Sort key: larger key = larger monomial in grevlex (total degree first,
+    then the smaller rightmost differing exponent)."""
+    return (sum(e), tuple(map(operator.neg, reversed(e))))
 
 
 def exp_add(a, b):
@@ -70,12 +60,7 @@ def exp_coprime(a, b):
 
 def leading_exponent(terms):
     """Grevlex-largest exponent of a nonzero polynomial dict."""
-    it = iter(terms)
-    best = next(it)
-    for e in it:
-        if grevlex_greater(e, best):
-            best = e
-    return best
+    return max(terms, key=grevlex_key)
 
 
 def normal_form(terms, lead_exps, tails):

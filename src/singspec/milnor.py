@@ -45,9 +45,6 @@ class GroebnerBasis(Record):
 
     __slots__ = ("variables", "polynomials")
 
-    def __init__(self, variables: tuple, polynomials: tuple):
-        super().__init__(variables, polynomials)
-
     @property
     def lead_exponents(self) -> tuple[tuple[int, ...], ...]:
         return tuple(kernel.leading_exponent(p.terms) for p in self.polynomials)
@@ -58,9 +55,6 @@ class MilnorBasis(Record):
     (weighted degree, grevlex)."""
 
     __slots__ = ("variables", "weights", "monomials")
-
-    def __init__(self, variables: tuple, weights: tuple[Fraction, ...], monomials: tuple):
-        super().__init__(variables, weights, monomials)
 
     def __len__(self):
         return len(self.monomials)
@@ -153,14 +147,9 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
         other_leads = [leads[k] for k in kept if k != i]
         other_tails = [tails[k] for k in kept if k != i]
         tail = kernel.normal_form(tails[i], other_leads, other_tails)
-        full = dict(tail)
-        full[leads[i]] = Fraction(1)
-        out.append((leads[i], full))
-    out.sort(key=lambda pair: kernel.grevlex_key(pair[0]))
-    return GroebnerBasis(
-        variables=variables,
-        polynomials=tuple(Polynomial(variables, d) for _, d in out),
-    )
+        out.append(Polynomial(variables, {**tail, leads[i]: Fraction(1)}))
+    # kept follows ascending grevlex order of the leads, so out is sorted
+    return GroebnerBasis(variables, tuple(out))
 
 
 def reduce_modulo(p: Polynomial, gb: GroebnerBasis) -> Polynomial:

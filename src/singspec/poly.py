@@ -12,10 +12,13 @@ numerators over one denominator per map, so that arithmetic, hashing, sorting
 and mod-1 reduction run on ints; their public keys are still Fractions.
 ``copy``, ``deepcopy`` and ``pickle`` rebuild a map through ``from_scaled``.
 
+``terms`` never lets a caller change a map: ``Polynomial.terms`` is a
+read-only view of the stored dict, the others build a new dict on each read.
+
 ``Record`` is the base of the package's plain records (``GroebnerBasis``,
 ``MilnorBasis``, ``spectrum.Analysis``, the model-file records,
 ``checks.CheckResult``, ``cli.Report``): slotted and immutable, compared and
-shown by their fields.
+shown by their fields, which are named once, in ``__slots__``.
 
 Exponent vectors are tuples of non-negative ints aligned with an ordered
 variable tuple; coefficients are ``fractions.Fraction`` (exact, lowest terms,
@@ -28,6 +31,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import kernel
 from .errors import (
@@ -130,7 +134,7 @@ class ExactMap:
 
     def __init__(self, terms=()):
         key, value, num, with_ = self._key, self._value, self._num, self._with
-        items = terms.items() if isinstance(terms, dict) else terms
+        items = terms.items() if isinstance(terms, (dict, MappingProxyType)) else terms
         pairs = [(key(k), value(c)) for k, c in items]
         den = math.lcm(*(d for (_, d), _ in pairs))
         self._merge(
@@ -167,10 +171,11 @@ class ExactMap:
         return {k: c for k, c in acc.items() if c}
 
     @property
-    def terms(self) -> dict:
-        """The public map; a new dict on each read unless keys have no rational part."""
+    def terms(self):
+        """The public map: a new dict on each read, or, when keys have no
+        rational part, a read-only view of the stored one."""
         if self._public is None:
-            return self.scaled
+            return MappingProxyType(self.scaled)
         public, den = self._public, self.den
         return {public(k, den): c for k, c in self.scaled.items()}
 
@@ -275,21 +280,29 @@ class ExactMap:
 
 
 class Record:
-    """Immutable record whose fields are the names in ``__slots__``, in order.
+    """Immutable record whose fields are named once, in ``__slots__``, in order.
 
-    A subclass's ``__init__`` takes the fields (positionally or by keyword,
-    with their defaults), checks them and hands the values, in slot order,
-    to ``Record.__init__``.  As for a frozen dataclass, ``==`` and ``hash``
-    go by the tuple of field values of records of one type, ``repr`` is
-    ``Name(field=value, ...)``, assignment raises AttributeError, and
+    ``Record.__init__`` binds each field by slot name, given positionally in
+    slot order or by keyword; a missing, extra or repeated field raises
+    TypeError.  A subclass defines ``__init__`` only to check or canonicalize
+    its fields before handing them on.  As for a frozen dataclass, ``==`` and
+    ``hash`` go by the tuple of field values of records of one type, ``repr``
+    is ``Name(field=value, ...)``, assignment raises AttributeError, and
     ``copy`` and ``pickle`` rebuild a record through its constructor.
     """
 
     __slots__ = ()
     __setattr__ = ExactMap.__setattr__
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values, **fields):
+        names = self.__slots__
+        # the keywords must name exactly the fields after the positional ones
+        if len(values) > len(names) or fields.keys() != set(names[len(values):]):
+            raise TypeError(
+                f"{type(self).__qualname__} takes the fields {', '.join(names)}; "
+                f"got {len(values)} positional and keywords {sorted(fields)}"
+            )
+        for name, value in (*zip(names, values), *fields.items()):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -323,7 +336,7 @@ class Polynomial(ExactMap):
     _scalars = (int, Fraction)
     _noun = "polynomial"
     _value = staticmethod(exact_rational)
-    _public = None  # no rational key part: terms is scaled itself
+    _public = None  # no rational key part: terms is a read-only view of scaled
 
     def __init__(self, variables, terms=()):
         object.__setattr__(self, "variables", tuple(variables))

@@ -151,16 +151,6 @@ class Analysis(Record):
 
     __slots__ = ("f", "basis", "mu_closed", "s_basis", "s_formula")
 
-    def __init__(
-        self,
-        f: Polynomial,
-        basis: MilnorBasis,
-        mu_closed: Fraction,
-        s_basis: FracPoly,
-        s_formula: FracPoly,
-    ):
-        super().__init__(f, basis, mu_closed, s_basis, s_formula)
-
 
 def analyze(f: Polynomial, weights=None) -> Analysis:
     """Milnor basis, closed-form mu and both spectra of f, with one Gröbner run.

@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
-from singspec import FracPoly
+from singspec import FracPoly, MissingStratumWarning
 from singspec.checks import CheckResult
 from singspec import cli
 from singspec.cli import Report, main
@@ -323,6 +324,28 @@ def test_nearby_non_utf8_file_exits_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: not valid UTF-8")
     assert err.count("\n") == 1
+
+
+def test_nearby_missing_stratum_as_error_exits_2(capsys, tmp_path):
+    # where warnings are errors, a component in no stratum is an input error
+    model = tmp_path / "partial.json"
+    model.write_text(
+        json.dumps(
+            {
+                "n": 1,
+                "components": [
+                    {"id": "A", "multiplicity": 1, "kind": "vertical"},
+                    {"id": "B", "multiplicity": 2, "kind": "vertical"},
+                ],
+                "strata": [{"ids": ["A"], "cover_class": [[0, 0, "0", 1]]}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MissingStratumWarning)
+        code, out, err = run(capsys, "nearby", str(model))
+    assert (code, out, err) == (2, "", "error: component 'B' appears in no stratum\n")
 
 
 def test_check_passes(capsys):

@@ -142,7 +142,9 @@ def _rational_part(key):
 def _assert_canonical(m):
     """Integer numerators over the smallest denominator that serves every key."""
     if isinstance(m, Polynomial):
-        assert m.den == 1 and m.scaled is m.terms
+        assert m.den == 1 and m.terms == m.scaled
+        with pytest.raises(TypeError):
+            m.terms[(0,) * len(m.variables)] = 1  # a read-only view
         return
     public = m.terms
     assert m.den == math.lcm(*(F(_rational_part(k)).denominator for k in public))

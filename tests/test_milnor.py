@@ -144,16 +144,32 @@ def monic_terms(terms):
 
 def test_kernel_grevlex_order_properties():
     rng = random.Random(11)
+    key = kernel.grevlex_key
     for _ in range(300):
         n = rng.randint(1, 4)
         a = random_exponent(rng, n)
         b = random_exponent(rng, n)
         c = random_exponent(rng, n)
-        # the key induces the comparison
-        assert kernel.grevlex_greater(a, b) == (kernel.grevlex_key(a) > kernel.grevlex_key(b))
+        # a total order, graded by total degree
+        assert (key(a) == key(b)) == (a == b)
+        if sum(a) != sum(b):
+            assert (key(a) > key(b)) == (sum(a) > sum(b))
         # compatible with monomial multiplication
-        if kernel.grevlex_greater(a, b):
-            assert kernel.grevlex_greater(kernel.exp_add(a, c), kernel.exp_add(b, c))
+        if key(a) > key(b):
+            assert key(kernel.exp_add(a, c)) > key(kernel.exp_add(b, c))
+
+
+def test_leading_exponent_matches_sympy_grevlex():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        terms = random_terms(rng, n, max_terms=8)
+        symbols = sympy.symbols(f"x0:{n}")
+        p = sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in terms.items()}, *symbols
+        )
+        assert kernel.leading_exponent(terms) == p.monoms(order="grevlex")[0], terms
 
 
 def test_kernel_normal_form_is_irreducible():

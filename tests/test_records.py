@@ -79,6 +79,8 @@ def test_record_semantics(cls, names, values, other, text):
     with pytest.raises(TypeError):
         cls(*values, None)  # one positional argument too many
     with pytest.raises(TypeError):
+        cls(*values[:-1])  # the last field missing
+    with pytest.raises(TypeError):
         cls(*values[:-1], **{names[0]: values[0]})  # a field given twice
 
 
