@@ -71,7 +71,8 @@ def normal_form(terms, lead_exps, tails):
     grevlex-largest remaining term is reduced first, by the first basis
     element in list order whose lead divides it.  Reduction only ever creates
     monomials strictly smaller than the one removed, so emitted terms are
-    final.
+    final and come in strictly descending grevlex order; callers rely on
+    that: the first key of a nonzero result is its leading exponent.
     """
     work = dict(terms)
     out = {}
@@ -99,7 +100,8 @@ def normal_form(terms, lead_exps, tails):
 
 
 def s_polynomial(f, lf, g, lg):
-    """S-polynomial of two monic polynomial dicts with leading exponents lf, lg."""
+    """S-polynomial of the monic x^lf + f and x^lg + g, given their tails f, g;
+    full monic dicts give the same result (their lcm terms cancel)."""
     lcm = exp_lcm(lf, lg)
     df = exp_sub(lcm, lf)
     dg = exp_sub(lcm, lg)

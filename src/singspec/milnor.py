@@ -60,16 +60,11 @@ class MilnorBasis(Record):
         return len(self.monomials)
 
 
-def _monic(d: dict) -> tuple[dict, tuple]:
-    le = kernel.leading_exponent(d)
-    lc = d[le]
-    if lc != 1:
-        d = {e: c / lc for e, c in d.items()}
-    return d, le
-
-
 def buchberger(generators, variables=None) -> GroebnerBasis:
     """Reduced Gröbner basis of the ideal the generators span.
+
+    Elements are (lead, tail) pairs, a leading exponent and the monic other
+    terms; a remainder's lead is its first key (``normal_form``'s order).
 
     Deterministic: generators are pre-sorted, the pair with the grevlex-least
     lcm is processed first (normal selection), and both classical discards
@@ -93,25 +88,23 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
         if g.variables != variables:
             raise ValueError("generators must share one variable tuple")
 
-    polys: list[dict] = []
     leads: list[tuple] = []
     tails: list[dict] = []
     pending: set[tuple[int, int]] = set()
     queue: list[tuple] = []
 
-    def add(d: dict):
-        d, le = _monic(d)
-        new = len(polys)
-        polys.append(d)
+    def add(d: dict, le: tuple):
+        lc = d.pop(le)
+        new = len(leads)
         leads.append(le)
-        tails.append({e: c for e, c in d.items() if e != le})
+        tails.append(d if lc == 1 else {e: c / lc for e, c in d.items()})
         for i in range(new):
             lcm = kernel.exp_lcm(leads[i], le)
             heapq.heappush(queue, (kernel.grevlex_key(lcm), i, new, lcm))
             pending.add((i, new))
 
     for g in sorted(gens, key=lambda p: sorted(p.terms.items())):
-        add(dict(g.terms))
+        add(dict(g.terms), kernel.leading_exponent(g.terms))
 
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
@@ -119,7 +112,7 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
         if kernel.exp_coprime(leads[i], leads[j]):
             continue
         chained = False
-        for k in range(len(polys)):
+        for k in range(len(leads)):
             if k in (i, j) or not kernel.exp_divides(leads[k], lcm):
                 continue
             a = (min(i, k), max(i, k))
@@ -129,26 +122,26 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
                 break
         if chained:
             continue
-        s = kernel.s_polynomial(polys[i], leads[i], polys[j], leads[j])
+        s = kernel.s_polynomial(tails[i], leads[i], tails[j], leads[j])
         r = kernel.normal_form(s, leads, tails)
         if r:
-            add(r)
+            add(r, next(iter(r)))
 
     # minimal basis: drop leads divisible by another kept lead
-    order = sorted(range(len(polys)), key=lambda i: kernel.grevlex_key(leads[i]))
-    kept: list[int] = []
-    for i in order:
-        if not any(kernel.exp_divides(leads[k], leads[i]) for k in kept):
-            kept.append(i)
+    kept_leads: list[tuple] = []
+    kept_tails: list[dict] = []
+    for i in sorted(range(len(leads)), key=lambda i: kernel.grevlex_key(leads[i])):
+        if not any(kernel.exp_divides(k, leads[i]) for k in kept_leads):
+            kept_leads.append(leads[i])
+            kept_tails.append(tails[i])
 
-    # reduced basis: every tail in normal form against the other elements
+    # reduced basis: every tail in normal form against the kept elements
     out = []
-    for i in kept:
-        other_leads = [leads[k] for k in kept if k != i]
-        other_tails = [tails[k] for k in kept if k != i]
-        tail = kernel.normal_form(tails[i], other_leads, other_tails)
-        out.append(Polynomial(variables, {**tail, leads[i]: Fraction(1)}))
-    # kept follows ascending grevlex order of the leads, so out is sorted
+    for le, tail in zip(kept_leads, kept_tails):
+        # x^a | x^b implies x^b >= x^a, so an element never reduces its own tail
+        tail = kernel.normal_form(tail, kept_leads, kept_tails)
+        out.append(Polynomial(variables, {**tail, le: Fraction(1)}))
+    # kept_leads ascend in grevlex order, so out is sorted
     return GroebnerBasis(variables, tuple(out))
 
 

@@ -239,7 +239,7 @@ class ExactMap:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # a bool is no exponent
             raise ValueError(f"{self._noun} powers must be non-negative integers")
         out, base = self._like([(self._unit, 1)]), self
         while n:

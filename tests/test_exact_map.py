@@ -269,11 +269,24 @@ def test_immutable(value):
         value.other = 1
 
 
+@pytest.mark.parametrize(
+    "value", [Polynomial.variable(XY, "x"), EquivClass.lefschetz()], ids=["Polynomial", "EquivClass"]
+)
+def test_foreign_operands_are_refused(value):
+    with pytest.raises(TypeError):
+        value - "x"
+    with pytest.raises(TypeError):
+        value * "x"
+    assert value != "x"
+
+
 def test_power_errors_keep_their_messages():
     with pytest.raises(ValueError, match="polynomial powers"):
         Polynomial.variable(XY, "x") ** -1
     with pytest.raises(ValueError, match="class powers"):
         EquivClass.unit() ** 1.5
+    with pytest.raises(ValueError, match="polynomial powers"):
+        Polynomial.variable(XY, "x") ** True
 
 
 def test_polynomial_variables_stay_apart():

@@ -188,6 +188,9 @@ def test_kernel_normal_form_is_irreducible():
         # nothing left divisible by a basis lead
         for e in got:
             assert not any(kernel.exp_divides(le, e) for le in lead_exps)
+        # terms come out in strictly descending grevlex order
+        keys = [kernel.grevlex_key(e) for e in got]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
 def test_kernel_s_polynomial_cancels_lead_lcm():
@@ -201,6 +204,21 @@ def test_kernel_s_polynomial_cancels_lead_lcm():
         s = kernel.s_polynomial(f, lf, g, lg)
         if s:
             assert kernel.leading_exponent(s) != kernel.exp_lcm(lf, lg)
+        # the tails alone give the same S-polynomial
+        ft = {e: c for e, c in f.items() if e != lf}
+        gt = {e: c for e, c in g.items() if e != lg}
+        assert kernel.s_polynomial(ft, lf, gt, lg) == s
+
+
+def test_input_guards_carry_messages():
+    with pytest.raises(ValueError, match="^cannot infer variables from an empty generator list$"):
+        buchberger([])
+    x = Polynomial.variable(XY, "x")
+    z = Polynomial.variable(("x", "z"), "z")
+    with pytest.raises(ValueError, match="^generators must share one variable tuple$"):
+        buchberger([x, z])
+    with pytest.raises(ValueError, match="^variable mismatch$"):
+        reduce_modulo(z, buchberger([x]))
 
 
 def test_is_isolated():

@@ -312,6 +312,11 @@ def test_covering_degree_rejects_horizontal():
         covering_degree(model, ())
 
 
+def test_covering_degree_rejects_unknown_id():
+    with pytest.raises(KeyError, match="'c9'"):
+        covering_degree(_mult_model((6, 4)), ("c0", "c9"))
+
+
 # -- spectrum functionals ----------------------------------------------------------
 
 
@@ -472,6 +477,36 @@ def test_model_schema_rejects_bad(text, where):
     assert (exc.value.location or "/") == where or (exc.value.location or "/").startswith(
         where
     )
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        (_mutate(components={}), "/components", "components must be a list"),
+        (_mutate(components=["V"]), "/components/0", "component must be an object"),
+        (_mutate(strata={}), "/strata", "strata must be a list"),
+        (_mutate(strata=[["V"]]), "/strata/0", "stratum must be an object"),
+        (
+            _mutate(strata=[{"ids": ["V"], "cover_class": {}}]),
+            "/strata/0/cover_class",
+            "cover_class must be a list of entries",
+        ),
+        (
+            _mutate(strata=[{"ids": ["V"], "cover_class": [[0, 0.0, "1/2", 1]]}]),
+            "/strata/0/cover_class/0",
+            "p and q must be integers",
+        ),
+        (
+            _mutate(strata=[{"ids": ["V"], "cover_class": [[False, 0, "1/2", 1]]}]),
+            "/strata/0/cover_class/0",
+            "p and q must be integers",
+        ),
+    ],
+)
+def test_model_shape_errors_carry_messages(text, where, message):
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_json(text)
+    assert (exc.value.location, exc.value.message) == (where, message)
 
 
 def test_model_semantic_errors():

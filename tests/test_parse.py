@@ -60,10 +60,28 @@ def test_unknown_variable_named_and_located():
 
 
 def test_syntax_errors_carry_offsets():
-    for text, bad in (("x +", 3), ("x ^ y", 4), ("x * * y", 4), ("(x + y", 6)):
+    for text, bad, message in (
+        ("x +", 3, "expected a number, variable, or '(', found end of input"),
+        ("x ^ y", 4, "expected integer exponent, found 'y'"),
+        ("x * * y", 4, "expected a number, variable, or '(', found '*'"),
+        ("(x + y", 6, "expected ')', found end of input"),
+        ("x + é", 4, "unexpected character 'é'"),
+        ("x $ y", 2, "unexpected character '$'"),
+        ("1/", 2, "expected integer denominator, found end of input"),
+        ("1/0", 2, "zero denominator"),
+    ):
         with pytest.raises(PolynomialSyntaxError) as exc:
             parse_polynomial(text, XY)
         assert exc.value.offset == bad
+        assert str(exc.value) == f"{message} (at offset {bad})"
+
+
+def test_zero_operands_pass_the_budgets(monkeypatch):
+    # a zero base or factor has no terms to bound, so even a zero budget admits it
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 0)
+    monkeypatch.setattr(parse, "MAX_POWER_BITS", 0)
+    assert parse_polynomial("0^3", XY) == Polynomial(XY)
+    assert parse_polynomial("0*(x + y)", XY) == Polynomial(XY)
 
 
 def test_implicit_multiplication_rejected():

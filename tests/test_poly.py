@@ -36,6 +36,13 @@ def test_construction_merges_and_drops_zeros():
 def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatchError):
         Polynomial(XY, {(1,): 1})
+    with pytest.raises(LengthMismatchError, match=r"^1 weights for 2 variables$"):
+        as_weights(["1/2"], 2)
+
+
+def test_negative_exponent_rejected():
+    with pytest.raises(ValueError, match=r"^negative exponent in \(1, -1\)$"):
+        Polynomial(XY, {(1, -1): 1})
 
 
 def test_immutable():
