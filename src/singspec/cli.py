@@ -22,9 +22,13 @@ the isolation test reports the weight error: no Gröbner run is made for it.
 error raised inside a check is that check's FAIL line (exit 1), and every
 check still reports.  Identical inputs produce byte-identical ``--json``
 output.
+
+The argparse parser is built on the first ``main`` call and reused by every
+later call in the same process; importing the module does not build it.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -221,6 +225,7 @@ def _run_check(args) -> Report:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singspec",

@@ -468,25 +468,32 @@ def is_weighted_homogeneous(f: Polynomial, weights) -> bool:
 def infer_weights(f: Polynomial) -> tuple[Fraction, ...]:
     """Solve for the unique weight vector giving every term degree 1.
 
-    Exact Gauss-Jordan elimination on the exponent matrix.  Raises
-    InconsistentWeightsError when no solution exists,
+    Fraction-free Gauss-Jordan elimination on the integer rows ``[*e, 1]``:
+    a column is cleared by ``row = p*row - a*pivot_row`` (p the pivot, a the
+    row's entry), and the row is then divided by the gcd of its entries.
+    Each integer row is a nonzero multiple of the row that exact rational
+    elimination with the same pivots would hold, so the same entries vanish,
+    the same pivots are chosen, and each weight is one ``Fraction(rhs,
+    pivot)``.  Raises InconsistentWeightsError when no solution exists,
     UnderdeterminedWeightsError when the solution is not unique, and
     WeightOutOfRangeError when the solved weights leave (0, 1).
     """
     n = len(f.variables)
-    rows = [[Fraction(x) for x in e] + [Fraction(1)] for e in sorted(f.terms)]
+    rows = [[*e, 1] for e in sorted(f.terms)]
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        pivot = rows[rank]
+        p = pivot[col]
+        for i, row in enumerate(rows):
+            a = row[col]
+            if a and i != rank:
+                row = [p * x - a * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         rank += 1
         if rank == len(rows):
             break
@@ -499,11 +506,8 @@ def infer_weights(f: Polynomial) -> tuple[Fraction, ...]:
         raise UnderdeterminedWeightsError(
             "weights are not determined by the exponents; pass them explicitly"
         )
-    solution = [Fraction(0)] * n
-    for i in range(n):
-        col = next(j for j in range(n) if rows[i][j])
-        solution[col] = rows[i][n]
-    return as_weights(solution, n)
+    # rank == n: row i has its pivot in column i and zeros in the others
+    return as_weights([Fraction(rows[i][n], rows[i][i]) for i in range(n)], n)
 
 
 def jacobian_generators(f: Polynomial) -> tuple[Polynomial, ...]:

@@ -447,15 +447,19 @@ def test_module_entry_point():
     assert "t^(5/6) + t^(7/6)" in proc.stdout
 
 
+def _child_env():
+    """The environment with ``PYTHONPATH`` set to the package under test."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 def _singspec(argv, stdout):
     """Exit code and stderr of ``python -m singspec ARGV`` writing to ``stdout``."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "singspec", *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=60,
     )
     return proc.returncode, proc.stderr
@@ -558,3 +562,59 @@ def test_deeply_nested_model_file_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "nearby", str(model))
     assert code == 2 and out == ""
     assert err == "error: not valid JSON: nested too deeply (at /)\n"
+
+
+# one process serves them in this order; a usage error and --help leave
+# through SystemExit, so each is a call the reused parser must survive
+PARSER_REUSE_SEQUENCE = [
+    ("sp", "x^2 + y^3", "--vars", "x,y"),
+    ("sp", "x^2 + y^3"),
+    ("--help",),
+    ("sp", "x^2 + y^3", "--vars", "x,y", "--weights", "1/2,3/2"),
+    ("sp", "x^2 + y^3", "--vars", "x,y"),
+]
+
+
+def _fresh_main(argv):
+    """Exit code, stdout and stderr of one ``cli.main(ARGV)`` in a new process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from singspec import cli; sys.exit(cli.main(sys.argv[1:]))",
+         *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    got = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        got.append((code, out.out, out.err))
+    assert [code for code, _, _ in got] == [0, 2, 0, 2, 0]
+    assert got[1][2].startswith("usage: singspec sp ")
+    assert got[-1] == got[0]
+    assert got == [_fresh_main(argv) for argv in PARSER_REUSE_SEQUENCE]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_import_does_not_build_the_parser():
+    script = (
+        "import contextlib, io\n"
+        "from singspec import cli\n"
+        "print(cli._build_parser.cache_info().currsize)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['sp', 'x^2 + y^3', '--vars', 'x,y'])\n"
+        "print(cli._build_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n1\n", "")

@@ -171,3 +171,63 @@ def test_infer_weights_error_cases():
     # unique solution but w = 1 is out of range
     with pytest.raises(WeightOutOfRangeError):
         infer_weights(parse_polynomial("x + y^2", XY))
+
+
+def _gauss_jordan_weights(f):
+    """Exact rational Gauss-Jordan elimination on the exponent matrix: the
+    oracle for the integer elimination in ``infer_weights``."""
+    n = len(f.variables)
+    rows = [[Fraction(x) for x in e] + [Fraction(1)] for e in sorted(f.terms)]
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    for row in rows[rank:]:
+        if row[n]:
+            raise InconsistentWeightsError(
+                "no weight vector makes every term weighted degree 1"
+            )
+    if rank < n:
+        raise UnderdeterminedWeightsError(
+            "weights are not determined by the exponents; pass them explicitly"
+        )
+    solution = [Fraction(0)] * n
+    for i in range(n):
+        col = next(j for j in range(n) if rows[i][j])
+        solution[col] = rows[i][n]
+    return as_weights(solution, n)
+
+
+def _weights_or_error(solve, f):
+    try:
+        return solve(f)
+    except (InconsistentWeightsError, UnderdeterminedWeightsError, WeightOutOfRangeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_infer_weights_matches_rational_elimination():
+    rng = random.Random(16)
+    outcomes = set()
+    for _ in range(400):
+        variables = tuple(f"x{i}" for i in range(rng.randint(1, 5)))
+        terms = {
+            tuple(rng.randint(0, 6) for _ in variables): 1 for _ in range(rng.randint(1, 6))
+        }
+        f = Polynomial(variables, terms)
+        expected = _weights_or_error(_gauss_jordan_weights, f)
+        assert _weights_or_error(infer_weights, f) == expected, f
+        outcomes.add(expected[0] if isinstance(expected[0], type) else "ok")
+    assert outcomes == {
+        "ok", InconsistentWeightsError, UnderdeterminedWeightsError, WeightOutOfRangeError
+    }
