@@ -51,8 +51,8 @@ class GroebnerBasis(Record):
 
 
 class MilnorBasis(Record):
-    """Standard monomials of the Jacobian ideal, sorted by
-    (weighted degree, grevlex)."""
+    """Standard monomials of the Jacobian ideal, in lexicographic order of
+    their exponent tuples (the order ``_standard_monomials`` walks them)."""
 
     __slots__ = ("variables", "weights", "monomials")
 
@@ -242,15 +242,7 @@ def milnor_basis(f: Polynomial, weights) -> MilnorBasis:
         raise NonIsolatedSingularityError(
             f"no pure power of {f.variables[bad]} in the leading ideal"
         )
-    monomials = _standard_monomials(leads, len(f.variables))
-    # weighted degrees scaled by the lcm of the weight denominators are
-    # integers and order the monomials exactly as the rational degrees do
-    scale = math.lcm(*(w.denominator for w in ws))
-    c = [w.numerator * (scale // w.denominator) for w in ws]
-    monomials.sort(
-        key=lambda m: (sum(ci * ei for ci, ei in zip(c, m)), kernel.grevlex_key(m))
-    )
-    return MilnorBasis(f.variables, ws, tuple(monomials))
+    return MilnorBasis(f.variables, ws, tuple(_standard_monomials(leads, len(f.variables))))
 
 
 def milnor_number(f: Polynomial, weights) -> int:

@@ -24,7 +24,6 @@ from singspec import (
 )
 from singspec import kernel, milnor, spectrum
 from singspec.checks import _EXTRA_CASES, _bp_polynomial, brieskorn_pham_exponents
-from singspec.poly import weighted_degree
 
 XY = ("x", "y")
 
@@ -237,12 +236,9 @@ def test_milnor_basis_node_cusp_cubes():
     assert len(cubes) == 4
 
 
-def test_milnor_basis_sorted_by_weighted_degree():
+def test_milnor_basis_in_lexicographic_order():
     b = milnor_basis(parse_polynomial("x^3 + x*y^3", XY), ("1/3", "2/9"))
-    degs = [
-        sum(w * m for w, m in zip(b.weights, e)) for e in b.monomials
-    ]
-    assert degs == sorted(degs)
+    assert b.monomials == tuple(sorted(b.monomials))
 
 
 def test_milnor_number_values():
@@ -440,18 +436,15 @@ def test_pair_queue_matches_scan_order(monkeypatch):
 
 def box_filter(b, leads):
     """Every exponent of the box below the pure powers that no lead divides,
-    sorted by (rational weighted degree, grevlex)."""
+    in lexicographic order."""
     bounds = [
         min(le[i] for le in leads if le[i] and sum(le) == le[i])
         for i in range(len(b.variables))
     ]
-    kept = [
+    return tuple(
         m
         for m in itertools.product(*(range(a) for a in bounds))
         if not any(kernel.exp_divides(le, m) for le in leads)
-    ]
-    return tuple(
-        sorted(kept, key=lambda g: (weighted_degree(g, b.weights), kernel.grevlex_key(g)))
     )
 
 

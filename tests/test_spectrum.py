@@ -24,7 +24,7 @@ from singspec import (
     sp_twist,
     spectral_residues,
 )
-from singspec import kernel, spectrum
+from singspec import spectrum
 from singspec.checks import _EXTRA_CASES, _bp_polynomial, brieskorn_pham_exponents
 from singspec.errors import ConsistencyError
 from singspec.poly import weighted_degree
@@ -425,16 +425,6 @@ def _degree_cases():
     grid = list(brieskorn_pham_exponents())
     for exps in random.Random(3301).sample(grid, 20):
         yield milnor_basis(_bp_polynomial(exps), tuple(F(1, a) for a in exps))
-
-
-def test_milnor_basis_order_matches_rational_degrees():
-    for b in _degree_cases():
-        assert b.monomials == tuple(
-            sorted(
-                b.monomials,
-                key=lambda g: (weighted_degree(g, b.weights), kernel.grevlex_key(g)),
-            )
-        )
 
 
 def test_sp_from_basis_matches_rational_degrees():
