@@ -123,9 +123,9 @@ def _tokenize(text: str):
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isascii() and ch.isdigit():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             if 0 < digits < j - i:
                 raise PolynomialSyntaxError(

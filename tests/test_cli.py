@@ -240,6 +240,13 @@ def test_sp_overlong_integer_literals_exit_2(capsys):
         assert err.endswith(f" (at offset {offset})\n")
 
 
+def test_sp_non_ascii_digits_exit_2(capsys):
+    for expr, ch, offset in (("x^²", "²", 2), ("x^2+y^³", "³", 6), ("٣*x^2+y^3", "٣", 0)):
+        code, out, err = run(capsys, "sp", expr, "--vars", "x,y")
+        assert (code, out) == (2, "")
+        assert err == f"error: unexpected character {ch!r} (at offset {offset})\n"
+
+
 def test_sp_rejects_bad_flag_values(capsys):
     code, _, err = run(capsys, "sp", "x^2 + y^3", "--vars", "x,x")
     assert code == 2 and "duplicate" in err

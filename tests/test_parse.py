@@ -67,6 +67,11 @@ def test_syntax_errors_carry_offsets():
         ("(x + y", 6, "expected ')', found end of input"),
         ("x + é", 4, "unexpected character 'é'"),
         ("x $ y", 2, "unexpected character '$'"),
+        # digits outside ASCII: int() reads them, the grammar does not
+        ("x^²", 2, "unexpected character '²'"),
+        ("x^2+y^³", 6, "unexpected character '³'"),
+        ("٣*x^2+y^3", 0, "unexpected character '٣'"),
+        ("x^2+y^3١", 7, "unexpected character '١'"),
         ("1/", 2, "expected integer denominator, found end of input"),
         ("1/0", 2, "zero denominator"),
     ):
