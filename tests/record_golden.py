@@ -27,8 +27,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import gen  # noqa: E402
 from singspec.cli import main  # noqa: E402
 
-SEEDS = (0, 1)
-
 
 def requests() -> list[list[str]]:
     """Every argv of the golden set, each with and without ``--json``."""
@@ -42,7 +40,7 @@ def requests() -> list[list[str]]:
         ["check"],
     ]
     for shapes in (gen.LARGE_SHAPES, gen.COUPLED_SHAPES):
-        for seed in SEEDS:
+        for seed in (0, 1):
             plain += [
                 [a for a in r.argv() if a != "--json"] for r in gen.sp_requests(shapes, seed)
             ]
