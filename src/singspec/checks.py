@@ -316,9 +316,9 @@ def check_semistable_fixture():
     model = semistable_i2_model()
     total = nearby_fiber_class(model, "total")
     if not (
-        total == EquivClass.zero()
+        total == EquivClass()
         and euler_specialization(total) == 0
-        and nearby_fiber_class(model, "open") == EquivClass.zero()
+        and nearby_fiber_class(model, "open") == EquivClass()
     ):
         raise CheckFailure("nonzero class")
     return "two-line cycle: nearby class 0, Euler number 0"

@@ -24,10 +24,6 @@ class FracPoly(ExactMap):
     _scalars = (int,)
     _value = staticmethod(exact_int)
 
-    @classmethod
-    def term(cls, exponent, coefficient=1):
-        return cls({exponent: coefficient})
-
     def coefficient_sum(self) -> int:
         return sum(self.scaled.values())
 

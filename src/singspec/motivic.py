@@ -84,10 +84,6 @@ class EquivClass(ExactMap):
         return self.terms
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def unit(cls):
         """Class of a point with trivial action."""
         return cls({(0, 0, 0): 1})

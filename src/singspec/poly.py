@@ -109,7 +109,7 @@ class ExactMap:
     ``_joiner`` (the join of two stored keys over ``den``), ``_unit`` (the
     key of the constant term), ``_num`` and ``_with`` (read and replace a
     stored key's numerator), ``_public`` (the public key of a stored key over
-    ``den``) and ``_like`` (for maps with more state).
+    ``den``), and ``from_scaled`` and ``_like`` for maps with more state.
     """
 
     __slots__ = ("scaled", "den")
@@ -359,16 +359,18 @@ class Polynomial(ExactMap):
     def _unit(self):
         return (0,) * len(self.variables)
 
-    def _like(self, pairs, den=1):
-        out = super()._like(pairs, den)
-        object.__setattr__(out, "variables", self.variables)
+    @classmethod
+    def from_scaled(cls, pairs, den, variables):
+        """The polynomial in ``variables`` of the stored pairs over ``den`` (always 1)."""
+        out = super().from_scaled(pairs, den)
+        object.__setattr__(out, "variables", tuple(variables))
         return out
 
-    def __reduce__(self):
-        return (*super().__reduce__(), self.variables)
+    def _like(self, pairs, den=1):
+        return type(self).from_scaled(pairs, den, self.variables)
 
-    def __setstate__(self, variables):
-        object.__setattr__(self, "variables", variables)
+    def __reduce__(self):
+        return type(self).from_scaled, (tuple(self.scaled.items()), self.den, self.variables)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial) and other.variables != self.variables:
@@ -383,17 +385,9 @@ class Polynomial(ExactMap):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables):
-        return cls(variables)
-
-    @classmethod
     def constant(cls, variables, value):
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
-    def monomial(cls, variables, exponents, coefficient=1):
-        return cls(variables, [(exponents, coefficient)])
 
     @classmethod
     def variable(cls, variables, name):

@@ -43,7 +43,6 @@ are stored as int numerators over one denominator per multiset.
 """
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -140,8 +139,8 @@ def sp_from_basis(basis: MilnorBasis) -> FracPoly:
     m = math.lcm(*(w.denominator for w in basis.weights))
     c = [w.numerator * (m // w.denominator) for w in basis.weights]
     shift = sum(c)
-    counts = Counter(sum(ci * ei for ci, ei in zip(c, g)) + shift for g in basis.monomials)
-    return FracPoly.from_scaled(counts.items(), m)
+    degrees = (sum(ci * ei for ci, ei in zip(c, g)) + shift for g in basis.monomials)
+    return FracPoly.from_scaled(((d, 1) for d in degrees), m)
 
 
 class Analysis(Record):

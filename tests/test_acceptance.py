@@ -113,9 +113,9 @@ def test_criterion_05_monodromy_conventions():
 def test_criterion_06_semistable_two_component_fixture():
     model = load_model(FIXTURES / "i2_semistable.json")
     cls = nearby_fiber_class(model, "total")
-    assert cls == EquivClass.zero()
+    assert cls == EquivClass()
     assert euler_specialization(cls) == 0
-    assert nearby_fiber_class(model, "open") == EquivClass.zero()
+    assert nearby_fiber_class(model, "open") == EquivClass()
 
 
 def test_criterion_07_cusp_resolution_fixture():

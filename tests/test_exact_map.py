@@ -6,7 +6,9 @@ a convolution, powers as repeated products, all on ``Fraction`` keys.  The
 maps themselves store integer numerators over one denominator.
 """
 
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -221,6 +223,19 @@ def test_one_map_over_den_12_and_den_6():
     assert cls_12.items() == [((0, 1, F(1, 2)), 1), ((1, 0, F(0)), 2)]
 
 
+def test_polynomial_from_scaled_is_a_whole_polynomial():
+    # stored pairs, repeated key and zero included, give the constructor's polynomial
+    pairs = [((1, 0), F(1, 2)), ((0, 2), -1), ((1, 0), F(1, 2)), ((2, 2), 0)]
+    p = Polynomial.from_scaled(pairs, 1, ["x", "y"])
+    want = Polynomial(XY, {(1, 0): 1, (0, 2): -1})
+    assert p == want and p.variables == XY and p.scaled == want.scaled
+    assert str(p) == "-y^2 + x" and repr(p) == repr(want)
+    assert p * p - want * want == 0
+    for how in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        q = how(p)
+        assert q == want and q.variables == XY and str(q) == str(want)
+
+
 def test_zero_map_has_denominator_one():
     for m in (
         FracPoly.from_scaled([(5, 1), (5, -1)], 12),
@@ -319,16 +334,6 @@ ENTRY_SLOTS = {
         [0.5, True],
         [3, F(3), "3"],
     ),
-    "Polynomial.monomial exponent": (
-        lambda v: Polynomial.monomial(XY, (v, 1)),
-        [1.0, F(1, 2), False],
-        [2, F(2), F(6, 3)],
-    ),
-    "Polynomial.monomial coefficient": (
-        lambda v: Polynomial.monomial(XY, (1, 1), v),
-        [0.25, True],
-        [F(-1, 4), "-1/4", "-0.25"],
-    ),
     "FracPoly exponent": (
         lambda v: FracPoly({v: 1}),
         [0.1, 0.5, True, None],
@@ -338,11 +343,6 @@ ENTRY_SLOTS = {
         lambda v: FracPoly({F(1, 2): v}),
         [F(3, 2), 1.0, True, "2"],
         [2, F(2), F(6, 3)],
-    ),
-    "FracPoly.term": (
-        lambda v: FracPoly.term(v, 2),
-        [0.1, True],
-        [F(7, 6), "7/6"],
     ),
     "EigenMultiset residue": (
         lambda v: EigenMultiset({v: 1}),

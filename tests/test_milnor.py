@@ -40,8 +40,8 @@ def s_polynomial(f, g):
     lf = kernel.leading_exponent(f.terms)
     lg = kernel.leading_exponent(g.terms)
     lcm = kernel.exp_lcm(lf, lg)
-    mf = Polynomial.monomial(f.variables, kernel.exp_sub(lcm, lf), 1 / f.terms[lf])
-    mg = Polynomial.monomial(g.variables, kernel.exp_sub(lcm, lg), 1 / g.terms[lg])
+    mf = Polynomial(f.variables, {kernel.exp_sub(lcm, lf): 1 / f.terms[lf]})
+    mg = Polynomial(g.variables, {kernel.exp_sub(lcm, lg): 1 / g.terms[lg]})
     return mf * f - mg * g
 
 

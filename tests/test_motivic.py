@@ -43,7 +43,7 @@ ONE = EquivClass.unit()
 
 
 def test_constructors():
-    assert EquivClass.zero().entries == {}
+    assert EquivClass().entries == {}
     assert ONE.entries == {(0, 0, F(0)): 1}
     assert L.entries == {(1, 1, F(0)): 1}
 
@@ -60,7 +60,7 @@ def test_merging_and_zero_drop():
 
 def test_ring_axioms_randomized():
     rng = random.Random(118)
-    zero = EquivClass.zero()
+    zero = EquivClass()
     for _ in range(150):
         a = random_class(rng)
         b = random_class(rng)
@@ -116,7 +116,7 @@ def test_single_smooth_component_returns_its_class():
 def test_semistable_cycle_vanishes():
     model = semistable_i2_model()
     for variant in ("total", "open", "local"):
-        assert nearby_fiber_class(model, variant) == EquivClass.zero()
+        assert nearby_fiber_class(model, variant) == EquivClass()
     assert euler_specialization(nearby_fiber_class(model, "total")) == 0
 
 
@@ -223,7 +223,7 @@ def _running_sum(model, variant):
     """The evaluator as it was: a running total rebuilt once per stratum."""
     variant = "total" if variant == "local" else variant
     vertical = model.vertical_ids()
-    total = EquivClass.zero()
+    total = EquivClass()
     for s in model.strata:
         k = sum(1 for i in s.ids if i in vertical)
         if k and (variant == "total" or k == len(s.ids)):
@@ -325,7 +325,7 @@ def test_sp_prime_of_class_golden():
         {F(5, 6): 1}
     )
     assert sp_prime_of_class(L) == FracPoly({F(1): 1})
-    assert sp_prime_of_class(EquivClass.zero()) == FracPoly()
+    assert sp_prime_of_class(EquivClass()) == FracPoly()
     mixed = EquivClass({(2, 0, F(1, 3)): -3, (0, 7, F(0)): 2})
     assert sp_prime_of_class(mixed) == FracPoly({F(7, 3): -3, F(0): 2})
 
@@ -339,9 +339,9 @@ def test_sp_of_class_is_twisted_functional():
 
 
 def test_reduce_class():
-    assert reduce_class(ONE) == EquivClass.zero()
+    assert reduce_class(ONE) == EquivClass()
     assert reduce_class(L) == L - ONE
-    assert reduce_class(EquivClass.zero()) == -ONE
+    assert reduce_class(EquivClass()) == -ONE
 
 
 def test_sp_prime_reduced_signs():
@@ -589,11 +589,12 @@ def test_angle_spellings_give_one_class():
     assert _cover([[0, 0, "0", 1], [0, 0, "00/7", 1]]) == EquivClass({(0, 0, 0): 2})
 
 
+
 def test_reader_merges_repeated_entries_and_drops_cancelled_ones():
     got = _cover([[0, 0, "1/2", 1], [1, 1, "1/3", 2], [0, 0, "2/4", 2], [0, 0, "0.5", -3]])
     assert got == EquivClass({(1, 1, F(1, 3)): 2}) and got.den == 3
     got = _cover([[0, 0, "1/6", 1], [0, 0, "1/6", -1]])
-    assert got == EquivClass.zero() and got.den == 1 and not got.entries
+    assert got == EquivClass() and got.den == 1 and not got.entries
 
 
 def _spelled(rng, entry):
