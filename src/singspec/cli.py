@@ -48,7 +48,7 @@ from .motivic import (
     sp_prime_reduced,
 )
 from .parse import parse_polynomial
-from .poly import Record, as_weights, exact_rational, ratio
+from .poly import Record, _digit_limit, as_weights, exact_rational, ratio
 from .spectrum import (
     analyze,
     char_poly,
@@ -182,11 +182,13 @@ def _run_sp(args) -> Report:
 
 
 def _run_nearby(args) -> Report:
-    if args.dim is not None and args.dim < 0:
-        raise SingspecError(f"--dim must be a non-negative integer, got {args.dim}")
+    dim = args.dim
+    # ASCII digits only: int() would read any Unicode digit
+    if dim is not None and not (dim.isascii() and dim.isdigit() and len(dim) <= _digit_limit()):
+        raise SingspecError(f"--dim must be a non-negative integer, got {dim}")
     model = load_model(args.model)
     cls = nearby_fiber_class(model, args.variant)
-    n = args.dim if args.dim is not None else model.n
+    n = int(dim) if dim is not None else model.n
     if args.variant == "local":
         # Milnor-fiber reading: drop H^0 and unfold the alternating signs
         sp_p = sp_prime_reduced(cls, n)
@@ -259,8 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     nb.add_argument(
         "--dim",
-        type=int,
-        default=None,
         help="ambient fiber dimension for the spectrum twist (default: n from the file)",
     )
     nb.add_argument("--json", action="store_true", help="machine-readable output")

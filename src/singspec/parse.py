@@ -13,18 +13,17 @@ literals).  Identifiers must appear in the caller's variable list.  Errors
 carry the byte offset of the offending token; the grammar is pure ASCII, so
 byte and character offsets agree at every reachable error position.
 Parentheses nest at most ``MAX_NESTING`` deep, so that no input exhausts the
-interpreter's recursion limit; an integer literal has at most the digits the
-interpreter converts; and a power ``base^k`` or a product ``a*b`` is expanded
+interpreter's recursion limit; an integer literal has at most
+``poly._digit_limit()`` digits; and a power ``base^k`` or a product ``a*b`` is expanded
 only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
 ``_check_power`` and ``_check_product``).
 """
 
 import math
-import sys
 from fractions import Fraction
 
 from .errors import PolynomialSyntaxError, ResourceLimitError, UnknownVariableError
-from .poly import Polynomial
+from .poly import Polynomial, _digit_limit
 
 _OPS = set("+-*/^()")
 
@@ -114,8 +113,7 @@ def _check_product(a: Polynomial, b: Polynomial, offset: int) -> None:
 
 
 def _tokenize(text: str):
-    # the interpreter's limit on the digits of an integer literal (0: none)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _digit_limit()
     toks = []
     i, n = 0, len(text)
     while i < n:
@@ -127,7 +125,7 @@ def _tokenize(text: str):
             j = i + 1
             while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
-            if 0 < digits < j - i:
+            if j - i > digits:
                 raise PolynomialSyntaxError(
                     f"integer literal of {j - i} digits exceeds the limit of {digits}", i
                 )

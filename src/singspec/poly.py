@@ -54,29 +54,37 @@ def exact_int(x) -> int:
 def exact_rational(x) -> Fraction:
     """A non-bool int, a Fraction or a decimal string as a Fraction; else TypeError.
 
-    A malformed string raises ValueError (or ZeroDivisionError), and so does
-    a decimal exponent beyond the limit of ``_check_exponent``."""
+    A malformed string raises ValueError (or ZeroDivisionError), and so do a
+    character outside ASCII (Fraction would read any Unicode digit) and a
+    decimal exponent beyond the limit of ``_check_exponent``."""
     if type(x) is Fraction:
         return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        if not x.isascii():
+            raise ValueError(f"unexpected character {next(c for c in x if not c.isascii())!r}")
         _check_exponent(x)
         return Fraction(x)
     raise TypeError(f"{x!r} is not an exact rational")
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on the digits of an int read from a string,
+    or its default, 4300, where none is set (limit 0, or Python < 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def _check_exponent(s: str) -> None:
-    """Refuse a decimal exponent e beyond the interpreter's limit on the
-    digits of an int read from a string (the parser's limit on literals), or
-    beyond that limit's default where none is set: Fraction would expand
-    10^e, which has e + 1 digits, and 1e-999999999 would never return."""
+    """Refuse a decimal exponent e beyond ``_digit_limit()`` (the parser's
+    limit on literals): Fraction would expand 10^e, which has e + 1 digits,
+    and 1e-999999999 would never return."""
     _, e, tail = s.lower().rpartition("e")
     try:
         exp = int(tail) if e else 0
     except ValueError:
         return  # no integer exponent: Fraction names the malformed literal
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = _digit_limit()
     if abs(exp) > limit:
         raise ValueError(f"decimal exponent {exp} exceeds the limit of {limit}")
 

@@ -589,6 +589,14 @@ def test_angle_spellings_give_one_class():
     assert _cover([[0, 0, "0", 1], [0, 0, "00/7", 1]]) == EquivClass({(0, 0, 0): 2})
 
 
+def test_angles_in_non_ascii_digits_are_refused():
+    # Fraction would read "١/٢" as 1/2
+    for angle, ch in (("١/٢", "١"), ("1/٢", "٢"), ("0.５", "５")):
+        with pytest.raises(ModelFormatError) as exc:
+            _cover([[0, 0, angle, 1]])
+        assert exc.value.location == "/strata/0/cover_class/0"
+        assert exc.value.message == f"bad angle {angle!r}: unexpected character {ch!r}"
+
 
 def test_reader_merges_repeated_entries_and_drops_cancelled_ones():
     got = _cover([[0, 0, "1/2", 1], [1, 1, "1/3", 2], [0, 0, "2/4", 2], [0, 0, "0.5", -3]])

@@ -144,6 +144,13 @@ def test_overlong_integer_literals():
         with pytest.raises(PolynomialSyntaxError, match=f"{limit + 1} digits") as exc:
             parse_polynomial(text, XY)
         assert exc.value.offset == offset
+    # with no interpreter limit (0) literals keep the default limit of 4300 digits
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(PolynomialSyntaxError, match="4301 digits exceeds the limit of 4300"):
+            parse_polynomial("9" * 4301 + "*x", XY)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_product_budget_boundary(monkeypatch):
