@@ -183,7 +183,7 @@ def _run_sp(args) -> Report:
 
 def _run_nearby(args) -> Report:
     dim = args.dim
-    # ASCII digits only: int() would read any Unicode digit
+    # ASCII digits (int() would read any Unicode digit), no more than int() converts
     if dim is not None and not (dim.isascii() and dim.isdigit() and len(dim) <= _digit_limit()):
         raise SingspecError(f"--dim must be a non-negative integer, got {dim}")
     model = load_model(args.model)

@@ -13,8 +13,8 @@ literals).  Identifiers must appear in the caller's variable list.  Errors
 carry the byte offset of the offending token; the grammar is pure ASCII, so
 byte and character offsets agree at every reachable error position.
 Parentheses nest at most ``MAX_NESTING`` deep, so that no input exhausts the
-interpreter's recursion limit; an integer literal has at most
-``poly._digit_limit()`` digits; and a power ``base^k`` or a product ``a*b`` is expanded
+interpreter's recursion limit; an integer literal has at most the digits of
+``poly._digit_limit``; and a power ``base^k`` or a product ``a*b`` is expanded
 only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
 ``_check_power`` and ``_check_product``).
 """

@@ -15,6 +15,7 @@ from singspec import cli
 from singspec.cli import Report, main
 from singspec.milnor import MAX_MU
 from singspec.parse import MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS
+from singspec.poly import _digit_limit
 from singspec.spectrum import MAX_DENSE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -308,6 +309,9 @@ def test_nearby_negative_dim_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --dim must be a non-negative integer, got -3\n"
+    # more digits than int() converts
+    code, out, err = run(capsys, "nearby", CUSP, "--dim", "9" * (_digit_limit() + 1))
+    assert (code, out) == (2, "") and err.startswith("error: --dim must be a non-negative")
     code, out, _ = run(capsys, "nearby", CUSP, "--variant", "local", "--dim", "0", "--json")
     assert code == 0
     assert json.loads(out)["data"]["dimension"] == 0
