@@ -13,6 +13,7 @@ from singspec import (
 )
 from singspec import parse
 from singspec.parse import MAX_NESTING
+from singspec.poly import exact_rational
 
 XY = ("x", "y")
 
@@ -144,11 +145,14 @@ def test_overlong_integer_literals():
         with pytest.raises(PolynomialSyntaxError, match=f"{limit + 1} digits") as exc:
             parse_polynomial(text, XY)
         assert exc.value.offset == offset
-    # with no interpreter limit (0) literals keep the default limit of 4300 digits
+    # with no interpreter limit (0) literals and decimal exponents keep the
+    # default limit of 4300 digits
     sys.set_int_max_str_digits(0)
     try:
         with pytest.raises(PolynomialSyntaxError, match="4301 digits exceeds the limit of 4300"):
             parse_polynomial("9" * 4301 + "*x", XY)
+        with pytest.raises(ValueError, match="4301 exceeds the limit of 4300"):
+            exact_rational("1e4301")
     finally:
         sys.set_int_max_str_digits(limit)
 
