@@ -48,7 +48,7 @@ from .motivic import (
     sp_prime_reduced,
 )
 from .parse import parse_polynomial
-from .poly import Record, _digit_limit, as_weights, exact_rational, ratio
+from .poly import Record, as_weights, exact_rational, ratio
 from .spectrum import (
     analyze,
     char_poly,
@@ -182,16 +182,11 @@ def _run_sp(args) -> Report:
 
 
 def _run_nearby(args) -> Report:
-    dim = args.dim
-    # ASCII digits (int() would read any Unicode digit), no more than int() converts
-    if dim is not None and not (dim.isascii() and dim.isdigit() and len(dim) <= _digit_limit()):
-        raise SingspecError(f"--dim must be a non-negative integer, got {dim}")
     model = load_model(args.model)
     cls = nearby_fiber_class(model, args.variant)
-    n = int(dim) if dim is not None else model.n
     if args.variant == "local":
         # Milnor-fiber reading: drop H^0 and unfold the alternating signs
-        sp_p = sp_prime_reduced(cls, n)
+        sp_p = sp_prime_reduced(cls, model.n)
         normalization = "reduced-signed"
     else:
         sp_p = sp_prime_of_class(cls)
@@ -201,12 +196,12 @@ def _run_nearby(args) -> Report:
         {
             "model": args.model,
             "variant": args.variant,
-            "dimension": n,
+            "dimension": model.n,
             "class": [[p, q, ratio(a, cls.den), m] for (p, q, a), m in sorted(cls.scaled.items())],
             "euler": euler_specialization(cls),
             "normalization": normalization,
             "sp_prime": str(sp_p),
-            "sp": str(sp_twist(sp_p, n)),
+            "sp": str(sp_twist(sp_p, model.n)),
         },
     )
 
@@ -237,7 +232,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sp", help="spectrum of a polynomial singularity")
-    sp.add_argument("expr", help="polynomial, e.g. \"x^2 + y^3\"")
+    sp.add_argument(
+        "expr",
+        help="polynomial, e.g. \"x^2 + y^3\"; put -- before one that starts with a minus",
+    )
     sp.add_argument(
         "--vars",
         required=True,
@@ -258,10 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="total: strata meeting the special fiber; open: strata inside it; "
         "local: total over a caller-restricted stratum list, reported as a "
         "Milnor-fiber spectrum",
-    )
-    nb.add_argument(
-        "--dim",
-        help="ambient fiber dimension for the spectrum twist (default: n from the file)",
     )
     nb.add_argument("--json", action="store_true", help="machine-readable output")
 

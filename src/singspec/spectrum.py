@@ -5,10 +5,10 @@ Routes:
 * weight product formula: the product over variables of
   (t - t^{w_i}) / (t^{w_i} - 1), evaluated by substituting s = t^{1/m}
   (m = least common multiple of the weight denominators), which turns every
-  factor into a quotient of binomials s^d - 1; the numerator binomials are
-  multiplied into one integer coefficient list and the denominator binomials
-  divided out of it one at a time, each step linear in the list length
-  (every division exact and the quotient non-negative);
+  factor into a quotient of binomials s^d - 1, which ``_binomial_quotient``
+  evaluates on one integer coefficient list, each multiplication and
+  division linear in the list length (every division exact and the quotient
+  non-negative);
 * basis route: one term t^{l(g) + sum(w)} per standard monomial g of the
   Milnor algebra, l = weighted degree, counted on the integer degrees
   m * (l(g) + sum(w)).
@@ -38,8 +38,9 @@ Eigenvalue conventions (one sign flip apart; both are exposed):
 
 The characteristic polynomial of a Galois-stable multiset is a product of
 cyclotomic polynomials, built from binomials T^d - 1 through the Möbius
-identity Phi_n = prod over d | n of (T^d - 1)^mu(n/d).  Angles, like exponents,
-are stored as int numerators over one denominator per multiset.
+identity Phi_n = prod over d | n of (T^d - 1)^mu(n/d), by the same
+``_binomial_quotient``.  Angles, like exponents, are stored as int numerators
+over one denominator per multiset.
 """
 
 import math
@@ -73,23 +74,25 @@ MAX_DENSE = 1_000_000
 # -- dense one-variable integer polynomials (index = degree) -----------------
 
 
-def _times_binomial(a: list, d: int) -> list:
-    """a * (T^d - 1)."""
-    return [x - y for x, y in zip([0] * d + a, a + [0] * d)]
+def _binomial_quotient(ups, downs) -> list | None:
+    """prod over d in ups of (T^d - 1) / prod over d in downs of (T^d - 1),
+    or None when the quotient leaves a remainder.
 
-
-def _over_binomial(a: list, d: int) -> list | None:
-    """a / (T^d - 1), or None when T^d - 1 does not divide a.
-
-    Coefficient j of the quotient is the sum of a[j + d], a[j + 2d], ...:
-    a suffix sum along each residue class of the exponent mod d, with the
-    sums landing on degrees below d forming the remainder."""
-    b = list(a)
-    for r in range(d):
-        b[r::d] = list(accumulate(a[r::d][::-1]))[::-1]
-    if any(b[:d]):
-        return None
-    return b[d:]
+    Every factor of ``ups`` goes in before the first division: one division
+    alone need not be exact, but when the whole quotient is, every division
+    of the sequence is.  Dividing by T^d - 1 is a suffix sum along each
+    residue class of the exponent mod d; the sums that land on degrees below
+    d are the remainder."""
+    a = [1]
+    for d in ups:
+        a = [x - y for x, y in zip([0] * d + a, a + [0] * d)]
+    for d in downs:
+        for r in range(d):
+            a[r::d] = list(accumulate(a[r::d][::-1]))[::-1]
+        if any(a[:d]):
+            return None
+        a = a[d:]
+    return a
 
 
 # -- the two spectrum routes --------------------------------------------------
@@ -99,10 +102,9 @@ def sp_product_formula(weights) -> FracPoly:
     """Spectrum from the weights alone.
 
     With s = t^(1/m) and c_i = m * w_i it reads
-    s^(sum c_i) * prod (s^(m - c_i) - 1) / prod (s^(c_i) - 1).  All numerator
-    binomials go in before the first division: one factor's quotient need not
-    be a polynomial (numerator of w_i above 1), but the whole quotient is
-    exact exactly when each division of the sequence is.
+    s^(sum c_i) * prod (s^(m - c_i) - 1) / prod (s^(c_i) - 1), one call to
+    ``_binomial_quotient`` (one factor's quotient need not be a polynomial:
+    numerator of w_i above 1).
 
     Raises ResourceLimitError before allocating when n * m + 1 exceeds
     MAX_DENSE, and NonExactDivisionError on a remainder or a negative
@@ -116,15 +118,9 @@ def sp_product_formula(weights) -> FracPoly:
             f"the limit of {MAX_DENSE}"
         )
     cs = [w.numerator * (m // w.denominator) for w in ws]
-    coeffs = [1]
-    for c in cs:
-        coeffs = _times_binomial(coeffs, m - c)
-    for c in cs:
-        coeffs = _over_binomial(coeffs, c)
-        if coeffs is None:
-            raise NonExactDivisionError(
-                f"weight product for {tuple(map(str, ws))} leaves a remainder"
-            )
+    coeffs = _binomial_quotient([m - c for c in cs], cs)
+    if coeffs is None:
+        raise NonExactDivisionError(f"weight product for {tuple(map(str, ws))} leaves a remainder")
     if any(x < 0 for x in coeffs):
         raise NonExactDivisionError(
             f"weight product for {tuple(map(str, ws))} has a negative coefficient"
@@ -302,13 +298,9 @@ def char_poly(e: EigenMultiset) -> Polynomial:
             divisors += [(d // p, -c) for d, c in divisors]
         for d, c in divisors:
             exps[d] = exps.get(d, 0) + c
-    coeffs = [1]
-    for d, k in sorted(exps.items()):
-        for _ in range(k):
-            coeffs = _times_binomial(coeffs, d)
-    for d, k in sorted(exps.items()):
-        for _ in range(-k):
-            coeffs = _over_binomial(coeffs, d)
-            if coeffs is None:
-                raise ConsistencyError(f"T^{d} - 1 does not divide the product of binomials")
+    ups = [d for d, k in sorted(exps.items()) for _ in range(k)]
+    downs = [d for d, k in sorted(exps.items()) for _ in range(-k)]
+    coeffs = _binomial_quotient(ups, downs)
+    if coeffs is None:
+        raise ConsistencyError("the product of binomials leaves a remainder")
     return Polynomial(("T",), {(k,): c for k, c in enumerate(coeffs) if c})

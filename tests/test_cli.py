@@ -15,7 +15,6 @@ from singspec import cli
 from singspec.cli import Report, main
 from singspec.milnor import MAX_MU
 from singspec.parse import MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS
-from singspec.poly import _digit_limit
 from singspec.spectrum import MAX_DENSE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -27,6 +26,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_sp_leading_minus_after_double_dash(capsys):
+    code, out, err = run(capsys, "sp", "--vars", "x,y", "--", "-x^2+y^3")
+    assert (code, err) == (0, "")
+    assert "spectrum: t^(5/6) + t^(7/6)\n" in out
+    assert "input: -x^2+y^3\n" in out
 
 
 def test_sp_text_output(capsys):
@@ -250,8 +256,6 @@ def test_sp_non_ascii_digits_exit_2(capsys):
     code, out, err = run(capsys, "sp", "x^2+y^3", "--vars", "x,y", "--weights", "1/2,1/٣")
     assert (code, out) == (2, "")
     assert err == "error: bad weight list '1/2,1/٣': unexpected character '٣'\n"
-    code, out, err = run(capsys, "nearby", CUSP, "--dim", "٢")
-    assert (code, out, err) == (2, "", "error: --dim must be a non-negative integer, got ٢\n")
 
 
 def test_sp_rejects_bad_flag_values(capsys):
@@ -295,27 +299,22 @@ def test_nearby_cusp_local(capsys):
     assert data["class"] == [[0, 0, "0", 1], [0, 1, "5/6", -1], [1, 0, "1/6", -1]]
 
 
-def test_nearby_dim_override(capsys):
-    code, out, _ = run(capsys, "nearby", CUSP, "--variant", "total", "--dim", "3", "--json")
+def test_nearby_twists_by_the_model_n_and_has_no_dim_option(capsys, tmp_path):
+    model = json.loads(Path(CUSP).read_text(encoding="utf-8"))
+    model["n"] = 3
+    path = tmp_path / "cusp3.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    code, out, _ = run(capsys, "nearby", str(path), "--variant", "total", "--json")
     assert code == 0
     data = json.loads(out)["data"]
     assert data["dimension"] == 3
     # raw functional, then twisted by 3
     assert data["sp_prime"] == "1 - t^(5/6) - t^(7/6)"
     assert data["sp"] == "-t^(11/6) - t^(13/6) + t^3"
-
-
-def test_nearby_negative_dim_exits_2(capsys):
-    code, out, err = run(capsys, "nearby", CUSP, "--dim", "-3")
-    assert code == 2
-    assert out == ""
-    assert err == "error: --dim must be a non-negative integer, got -3\n"
-    # more digits than int() converts
-    code, out, err = run(capsys, "nearby", CUSP, "--dim", "9" * (_digit_limit() + 1))
-    assert (code, out) == (2, "") and err.startswith("error: --dim must be a non-negative")
-    code, out, _ = run(capsys, "nearby", CUSP, "--variant", "local", "--dim", "0", "--json")
-    assert code == 0
-    assert json.loads(out)["data"]["dimension"] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["nearby", CUSP, "--dim", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dim 3" in capsys.readouterr().err
 
 
 def test_nearby_missing_file(capsys):

@@ -149,8 +149,6 @@ def _nearby_argv(rng, fixtures, path: Path) -> list[str]:
     path.write_text(text, encoding="utf-8")
     argv = [_leaf(rng, "nearby"), str(path)]
     argv += [_leaf(rng, "--variant"), _leaf(rng, rng.choice(("total", "open", "local")))]
-    if rng.random() < 0.3:
-        argv += [_leaf(rng, "--dim"), _leaf(rng, str(rng.randint(0, 3)))]
     if rng.random() < 0.5:
         argv.append(_leaf(rng, "--json"))
     return argv

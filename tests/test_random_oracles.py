@@ -1,8 +1,10 @@
 """Seeded random weighted-homogeneous polynomials: the reduced Gröbner basis
-against sympy's, and the two spectrum routes against each other."""
+against sympy's, the two spectrum routes against each other, and the
+characteristic polynomial of the monodromy against the weights alone."""
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +14,8 @@ from singspec import (
     NonIsolatedSingularityError,
     Polynomial,
     buchberger,
+    char_poly,
+    eigenvalues_gamma_c,
     infer_weights,
     is_isolated,
     jacobian_generators,
@@ -125,3 +129,66 @@ def test_groebner_bases_match_sympy():
                 frozenset((e, Fraction(int(c.p), int(c.q)) / lc) for e, c in terms)
             )
         assert ours == theirs, str(f)
+
+
+# -- the monodromy from the weights alone (Milnor-Orlik) ---------------------
+
+
+def milnor_orlik_divisor(ws) -> dict:
+    """{a: c_a} with Delta = prod (T^a - 1)^(c_a): the product over the
+    weights w = p/q of (Lambda_q / p - 1), where Lambda_1 = 1 and
+    Lambda_a * Lambda_b = gcd(a, b) * Lambda_lcm(a, b) (Milnor-Orlik,
+    Topology 9, 1970)."""
+    divisor = {1: Fraction(1)}
+    for w in ws:
+        factor = ((w.denominator, Fraction(1, w.numerator)), (1, Fraction(-1)))
+        product = {}
+        for a, c in divisor.items():
+            for b, d in factor:
+                key = math.lcm(a, b)
+                product[key] = product.get(key, 0) + c * d * math.gcd(a, b)
+        divisor = product
+    assert all(c.denominator == 1 for c in divisor.values()), divisor
+    return {a: int(c) for a, c in divisor.items() if c}
+
+
+def times_binomials(poly: dict, binomials) -> dict:
+    """poly (exponent -> coefficient) times T^a - 1 for every a listed."""
+    for a in binomials:
+        out = dict.fromkeys(poly, 0)
+        for e, c in poly.items():
+            out[e + a] = out.get(e + a, 0) + c
+            out[e] -= c
+        poly = {e: c for e, c in out.items() if c}
+    return poly
+
+
+def assert_char_poly_is_milnor_orlik(s, ws):
+    """char_poly * prod over c_a < 0 == prod over c_a > 0, which needs no
+    division and holds exactly when Delta is the Milnor-Orlik quotient."""
+    divisor = milnor_orlik_divisor(ws)
+    ours = {k: c for (k,), c in char_poly(eigenvalues_gamma_c(s)).terms.items()}
+    lhs = times_binomials(ours, [a for a, c in divisor.items() for _ in range(-c)])
+    rhs = times_binomials({0: 1}, [a for a, c in divisor.items() for _ in range(c)])
+    assert lhs == rhs, tuple(map(str, ws))
+
+
+def test_char_poly_matches_milnor_orlik_on_random_and_corpus_cases():
+    for f, ws in isolated_cases():
+        assert_char_poly_is_milnor_orlik(sp_from_basis(milnor_basis(f, ws)), ws)
+    corpus = build_corpus()
+    assert len(corpus) == 129
+    for c in corpus:
+        assert_char_poly_is_milnor_orlik(c.s_basis, c.basis.weights)
+
+
+def test_char_poly_matches_milnor_orlik_on_larger_lcms():
+    tuples = [
+        (Fraction(1, 12), Fraction(1, 15), Fraction(1, 16)),  # lcm 240
+        (Fraction(1, 9), Fraction(1, 10), Fraction(1, 14)),  # lcm 630
+        (Fraction(2, 15), Fraction(1, 3), Fraction(1, 7)),  # x^5*y + y^3 + z^7
+        (Fraction(4, 35), Fraction(1, 5), Fraction(1, 8)),  # x^7*y + y^5 + z^8
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)),
+    ]
+    for ws in tuples:
+        assert_char_poly_is_milnor_orlik(sp_product_formula(ws), ws)

@@ -286,18 +286,22 @@ def test_char_poly_random_galois_stable_multisets():
 
 def test_binomial_division_is_exact_or_fails():
     # (T^2 - 1)(T^3 - 1) = T^5 - T^3 - T^2 + 1
-    product = [1, 0, -1, -1, 0, 1]
-    assert spectrum._over_binomial(product, 3) == [-1, 0, 1]
-    assert spectrum._over_binomial(product, 2) == [-1, 0, 0, 1]
-    assert spectrum._over_binomial(product, 4) is None
-    assert spectrum._over_binomial([1], 1) is None
+    assert spectrum._binomial_quotient([2, 3], []) == [1, 0, -1, -1, 0, 1]
+    assert spectrum._binomial_quotient([2, 3], [3]) == [-1, 0, 1]
+    assert spectrum._binomial_quotient([2, 3], [2]) == [-1, 0, 0, 1]
+    assert spectrum._binomial_quotient([2, 3], [4]) is None
+    assert spectrum._binomial_quotient([], [1]) is None
+    # (T^6 - 1)(T - 1) / ((T^3 - 1)(T^2 - 1)) = Phi_6, whichever order
+    assert spectrum._binomial_quotient([6, 1], [3, 2]) == [1, -1, 1]
+    assert spectrum._binomial_quotient([1, 6], [2, 3]) == [1, -1, 1]
 
 
 def test_char_poly_remainder_is_a_consistency_error(monkeypatch):
-    # Phi_6 = (T^6 - 1)(T - 1) / ((T^3 - 1)(T^2 - 1)); with the multiplied-in
-    # binomials reduced to bare shifts, the first division leaves a remainder
+    # Phi_6 = (T^6 - 1)(T - 1) / ((T^3 - 1)(T^2 - 1)); with the first
+    # multiplied-in binomial (T - 1) dropped, the quotient leaves a remainder
     sixth = _galois_orbits({6: 1})
-    monkeypatch.setattr(spectrum, "_times_binomial", lambda a, d: [0] * d + a)
+    quotient = spectrum._binomial_quotient
+    monkeypatch.setattr(spectrum, "_binomial_quotient", lambda up, down: quotient(up[1:], down))
     with pytest.raises(ConsistencyError):
         char_poly(sixth)
 
