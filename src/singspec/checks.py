@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 
 from .errors import ConsistencyError, SingspecError
-from .fracpoly import FracPoly
+from .fracpoly import FracPoly, sp_twist
 from .milnor import milnor_basis
 from .motivic import (
     EquivClass,
@@ -50,7 +50,6 @@ from .spectrum import (
     eigenvalues_geometric,
     sp_from_basis,
     sp_product_formula,
-    sp_twist,
     spectral_residues,
 )
 

@@ -25,6 +25,12 @@ output.
 
 The argparse parser is built on the first ``main`` call and reused by every
 later call in the same process; importing the module does not build it.
+
+Importing the module loads only ``errors`` and ``poly`` of the package; each
+subcommand imports what it runs when it runs: ``sp`` loads ``parse`` and
+``spectrum`` (with ``milnor``, ``kernel`` and ``fracpoly``), ``nearby``
+loads ``motivic`` (with ``fracpoly``), and ``check`` loads ``checks``, which
+uses every module.
 """
 
 import argparse
@@ -33,30 +39,13 @@ import json
 import os
 import sys
 
-from . import checks
 from .errors import (
     ConsistencyError,
     NonIsolatedSingularityError,
     NotWeightedHomogeneousError,
     SingspecError,
 )
-from .motivic import (
-    euler_specialization,
-    load_model,
-    nearby_fiber_class,
-    sp_prime_of_class,
-    sp_prime_reduced,
-)
-from .parse import parse_polynomial
 from .poly import Record, as_weights, exact_rational, ratio
-from .spectrum import (
-    analyze,
-    char_poly,
-    check_symmetry,
-    eigenvalues_gamma_c,
-    eigenvalues_geometric,
-    sp_twist,
-)
 
 
 class Report(Record):
@@ -137,6 +126,15 @@ def _parse_weights(raw: str, nvars: int):
 
 
 def _run_sp(args) -> Report:
+    from .parse import parse_polynomial
+    from .spectrum import (
+        analyze,
+        char_poly,
+        check_symmetry,
+        eigenvalues_gamma_c,
+        eigenvalues_geometric,
+    )
+
     variables = _split_names(args.vars)
     f = parse_polynomial(args.expr, variables)
     if not f:
@@ -182,6 +180,15 @@ def _run_sp(args) -> Report:
 
 
 def _run_nearby(args) -> Report:
+    from .fracpoly import sp_twist
+    from .motivic import (
+        euler_specialization,
+        load_model,
+        nearby_fiber_class,
+        sp_prime_of_class,
+        sp_prime_reduced,
+    )
+
     model = load_model(args.model)
     cls = nearby_fiber_class(model, args.variant)
     if args.variant == "local":
@@ -207,6 +214,8 @@ def _run_nearby(args) -> Report:
 
 
 def _run_check(args) -> Report:
+    from . import checks
+
     corpus = checks.build_corpus()
     results = checks.run_all(corpus)
     return Report(

@@ -52,3 +52,9 @@ class FracPoly(ExactMap):
 def iota(s: FracPoly) -> FracPoly:
     """Exponent negation t^a -> t^(-a); an involution."""
     return FracPoly.from_scaled(((-k, c) for k, c in s.scaled.items()), s.den)
+
+
+def sp_twist(s: FracPoly, n: int) -> FracPoly:
+    """t^n * iota(s): exponent a -> n - a."""
+    top = n * s.den
+    return FracPoly.from_scaled(((top - k, c) for k, c in s.scaled.items()), s.den)

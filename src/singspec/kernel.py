@@ -4,13 +4,14 @@ Exponent vectors are tuples of non-negative ints; polynomials are dicts
 mapping exponent tuples to nonzero exact coefficients.  The functions here are
 the inner loop of every Gröbner-basis run.
 
-Monomial order: graded reverse lexicographic with respect to the tuple order,
-x_0 > x_1 > ... > x_{n-1}, defined by ``grevlex_key`` alone: every
-comparison, leading term and sort in the package goes through that key.
+Monomial order: graded reverse lexicographic, defined by ``poly.grevlex_key``
+alone.  That key and ``exp_add`` live in ``poly``, which renders and
+multiplies with them, so that ``poly`` never imports this module.
 """
 
-import operator
 import sys
+
+from .poly import exp_add, grevlex_key
 
 
 def active():
@@ -23,16 +24,6 @@ def backend_name() -> str:
     """Always ``"python"``.  Kept only because ``perfbench/child.py`` reports it
     in its setup probe; remove together with that call."""
     return "python"
-
-
-def grevlex_key(e):
-    """Sort key: larger key = larger monomial in grevlex (total degree first,
-    then the smaller rightmost differing exponent)."""
-    return (sum(e), tuple(map(operator.neg, reversed(e))))
-
-
-def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def exp_sub(a, b):

@@ -22,9 +22,14 @@ shown by their fields, which are named once, in ``__slots__``.
 
 Exponent vectors are tuples of non-negative ints aligned with an ordered
 variable tuple; coefficients are ``fractions.Fraction`` (exact, lowest terms,
-positive denominator).  Weight vectors are tuples of Fractions in the open
-interval (0, 1); a polynomial is weighted-homogeneous when every term has
-weighted degree exactly 1.
+positive denominator).  The monomial order is graded reverse lexicographic
+with respect to the tuple order, x_0 > x_1 > ... > x_{n-1}, defined by
+``grevlex_key`` alone: every comparison, leading term and sort in the
+package goes through that key.
+
+Weight vectors are tuples of Fractions in the open interval (0, 1); a
+polynomial is weighted-homogeneous when every term has weighted degree
+exactly 1.
 """
 
 import math
@@ -33,7 +38,6 @@ import sys
 from fractions import Fraction
 from types import MappingProxyType
 
-from . import kernel
 from .errors import (
     InconsistentWeightsError,
     LengthMismatchError,
@@ -332,6 +336,19 @@ class Record:
         return type(self), self._values()
 
 
+# -- exponent vectors ---------------------------------------------------------
+
+
+def grevlex_key(e):
+    """Sort key: larger key = larger monomial in grevlex (total degree first,
+    then the smaller rightmost differing exponent)."""
+    return (sum(e), tuple(map(operator.neg, reversed(e))))
+
+
+def exp_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
 class Polynomial(ExactMap):
     """Immutable sparse polynomial.  ``terms`` maps exponent tuples to
     Fraction coefficients.
@@ -352,7 +369,7 @@ class Polynomial(ExactMap):
 
     @staticmethod
     def _joiner(den):
-        return kernel.exp_add
+        return exp_add
 
     def _key(self, e):
         e = tuple(map(exact_int, e))
@@ -427,7 +444,7 @@ class Polynomial(ExactMap):
 
     def __str__(self):
         return self._render(
-            sorted(self.terms, key=kernel.grevlex_key, reverse=True), self._monomial
+            sorted(self.terms, key=grevlex_key, reverse=True), self._monomial
         )
 
     def __repr__(self):

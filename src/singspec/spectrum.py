@@ -54,7 +54,7 @@ from .errors import (
     NotGaloisStableError,
     ResourceLimitError,
 )
-from .fracpoly import FracPoly
+from .fracpoly import FracPoly, sp_twist
 from .milnor import MilnorBasis, _closed_mu, milnor_basis
 from .poly import (
     ExactMap,
@@ -161,12 +161,6 @@ def analyze(f: Polynomial, weights=None) -> Analysis:
     basis = milnor_basis(f, infer_weights(f) if weights is None else weights)
     ws = basis.weights
     return Analysis(f, basis, _closed_mu(ws), sp_from_basis(basis), sp_product_formula(ws))
-
-
-def sp_twist(s: FracPoly, n: int) -> FracPoly:
-    """t^n * iota(s): exponent a -> n - a."""
-    top = n * s.den
-    return FracPoly.from_scaled(((top - k, c) for k, c in s.scaled.items()), s.den)
 
 
 def check_symmetry(s: FracPoly, n: int) -> bool:

@@ -11,7 +11,7 @@ import pytest
 
 from singspec import FracPoly, MissingStratumWarning
 from singspec.checks import CheckResult
-from singspec import cli
+from singspec import cli, spectrum
 from singspec.cli import Report, main
 from singspec.milnor import MAX_MU
 from singspec.parse import MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS
@@ -406,14 +406,14 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     ],
 )
 def test_sp_exits_3_when_the_routes_disagree(capsys, monkeypatch, field, value, message):
-    real = cli.analyze
+    real = spectrum.analyze
 
     def planted(f, weights):
         a = real(f, weights)
         values = {name: getattr(a, name) for name in a.__slots__}
         return type(a)(**{**values, field: value})
 
-    monkeypatch.setattr(cli, "analyze", planted)
+    monkeypatch.setattr(spectrum, "analyze", planted)
     code, out, err = run(capsys, "sp", "x^2 + y^3", "--vars", "x,y")
     assert code == 3
     assert out == ""
