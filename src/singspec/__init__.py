@@ -10,7 +10,7 @@ The namespace is lazy (PEP 562): ``import singspec`` loads no submodule, and
 each public name below imports its defining module on first use, so a
 command-line request loads only the modules its subcommand runs.  A name
 outside the table raises AttributeError, which lets ``from singspec import
-kernel`` fall back to importing the submodule.
+milnor`` fall back to importing the submodule.
 """
 
 _EXPORTS = {

@@ -4,7 +4,8 @@ Three subcommands: ``sp`` runs the polynomial-to-spectrum pipeline (both
 routes, compared exactly), ``nearby`` evaluates a degeneration model file,
 ``check`` runs the built-in cross-validation battery.  Reports go to stdout,
 human-readable by default, machine-readable with ``--json``; diagnostics go
-to stderr.
+to stderr, a warning of the library (a model component in no stratum) as one
+``warning:`` line.
 
 ``sp`` works weights first: it parses the polynomial, reads ``--weights`` or
 infers them, and hands both to ``spectrum.analyze``, which checks
@@ -28,9 +29,9 @@ later call in the same process; importing the module does not build it.
 
 Importing the module loads only ``errors`` and ``poly`` of the package; each
 subcommand imports what it runs when it runs: ``sp`` loads ``parse`` and
-``spectrum`` (with ``milnor``, ``kernel`` and ``fracpoly``), ``nearby``
-loads ``motivic`` (with ``fracpoly``), and ``check`` loads ``checks``, which
-uses every module.
+``spectrum`` (with ``milnor`` and ``fracpoly``), ``nearby`` loads
+``motivic`` (with ``fracpoly``), and ``check`` loads ``checks``, which uses
+every module but ``kernel``.
 """
 
 import argparse
@@ -38,6 +39,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 from .errors import (
     ConsistencyError,
@@ -190,7 +192,10 @@ def _run_nearby(args) -> Report:
     )
 
     model = load_model(args.model)
-    cls = nearby_fiber_class(model, args.variant)
+    with warnings.catch_warnings(record=True) as caught:
+        cls = nearby_fiber_class(model, args.variant)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     if args.variant == "local":
         # Milnor-fiber reading: drop H^0 and unfold the alternating signs
         sp_p = sp_prime_reduced(cls, model.n)

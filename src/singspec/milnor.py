@@ -1,10 +1,13 @@
 """Gröbner bases of Jacobian ideals and monomial bases of Milnor algebras.
 
-The monomial order is grevlex throughout, so ``GroebnerBasis`` records no
-order.  The quotient by the Jacobian ideal is finite-dimensional exactly when
-every variable has a pure power among the leading terms of the reduced basis;
-the standard monomials below those powers then form the Milnor algebra basis,
-and their count must agree with the closed-form product of (1/w_i - 1) over
+The monomial order is grevlex throughout (``poly.grevlex_key``), so
+``GroebnerBasis`` records no order.  Exponent arithmetic on tuples,
+``normal_form`` and ``s_polynomial`` (on dicts from exponent tuples to nonzero
+exact coefficients) are the reduction loop of every Gröbner run.  The quotient
+by the Jacobian ideal is finite-dimensional exactly when every variable has a
+pure power among the leading terms of the reduced basis; the standard
+monomials below those powers then form the Milnor algebra basis, and their
+count must agree with the closed-form product of (1/w_i - 1) over
 the weights.  Disagreement is an internal error, never a user error.
 ``milnor_basis`` checks that closed form against ``MAX_MU`` before it
 computes a Gröbner basis or enumerates a monomial, and tests isolation on the
@@ -19,7 +22,6 @@ import heapq
 import math
 from fractions import Fraction
 
-from . import kernel
 from .errors import (
     ConsistencyError,
     NonIsolatedSingularityError,
@@ -30,6 +32,8 @@ from .poly import (
     Polynomial,
     Record,
     as_weights,
+    exp_add,
+    grevlex_key,
     is_weighted_homogeneous,
     jacobian_generators,
 )
@@ -37,6 +41,89 @@ from .poly import (
 # budget on the closed-form Milnor number, i.e. on the number of standard
 # monomials milnor_basis may enumerate; x^30+y^31+z^37 has mu 31,320
 MAX_MU = 100_000
+
+
+def exp_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def exp_lcm(a, b):
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
+def exp_divides(a, b):
+    """True if the monomial with exponent a divides the one with exponent b."""
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def exp_coprime(a, b):
+    for x, y in zip(a, b):
+        if x and y:
+            return False
+    return True
+
+
+def leading_exponent(terms):
+    """Grevlex-largest exponent of a nonzero polynomial dict."""
+    return max(terms, key=grevlex_key)
+
+
+def normal_form(terms, lead_exps, tails):
+    """Full normal form of a polynomial dict modulo a monic basis.
+
+    Basis element i is x^lead_exps[i] + tails[i] (tails are polynomial dicts
+    whose monomials are grevlex-smaller than the lead).  Deterministic: the
+    grevlex-largest remaining term is reduced first, by the first basis
+    element in list order whose lead divides it.  Reduction only ever creates
+    monomials strictly smaller than the one removed, so emitted terms are
+    final and come in strictly descending grevlex order; callers rely on
+    that: the first key of a nonzero result is its leading exponent.
+    """
+    work = dict(terms)
+    out = {}
+    nbasis = len(lead_exps)
+    while work:
+        e = leading_exponent(work)
+        c = work.pop(e)
+        hit = -1
+        for i in range(nbasis):
+            if exp_divides(lead_exps[i], e):
+                hit = i
+                break
+        if hit < 0:
+            out[e] = c
+            continue
+        d = exp_sub(e, lead_exps[hit])
+        for te, tc in tails[hit].items():
+            k = exp_add(d, te)
+            v = work.get(k, 0) - c * tc
+            if v:
+                work[k] = v
+            elif k in work:
+                del work[k]
+    return out
+
+
+def s_polynomial(f, lf, g, lg):
+    """S-polynomial of the monic x^lf + f and x^lg + g, given their tails f, g;
+    full monic dicts give the same result (their lcm terms cancel)."""
+    lcm = exp_lcm(lf, lg)
+    df = exp_sub(lcm, lf)
+    dg = exp_sub(lcm, lg)
+    out = {}
+    for e, c in f.items():
+        out[exp_add(e, df)] = c
+    for e, c in g.items():
+        k = exp_add(e, dg)
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        elif k in out:
+            del out[k]
+    return out
 
 
 class GroebnerBasis(Record):
@@ -47,7 +134,7 @@ class GroebnerBasis(Record):
 
     @property
     def lead_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(kernel.leading_exponent(p.terms) for p in self.polynomials)
+        return tuple(leading_exponent(p.terms) for p in self.polynomials)
 
 
 class MilnorBasis(Record):
@@ -99,21 +186,21 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
         leads.append(le)
         tails.append(d if lc == 1 else {e: c / lc for e, c in d.items()})
         for i in range(new):
-            lcm = kernel.exp_lcm(leads[i], le)
-            heapq.heappush(queue, (kernel.grevlex_key(lcm), i, new, lcm))
+            lcm = exp_lcm(leads[i], le)
+            heapq.heappush(queue, (grevlex_key(lcm), i, new, lcm))
             pending.add((i, new))
 
     for g in sorted(gens, key=lambda p: sorted(p.terms.items())):
-        add(dict(g.terms), kernel.leading_exponent(g.terms))
+        add(dict(g.terms), leading_exponent(g.terms))
 
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        if kernel.exp_coprime(leads[i], leads[j]):
+        if exp_coprime(leads[i], leads[j]):
             continue
         chained = False
         for k in range(len(leads)):
-            if k in (i, j) or not kernel.exp_divides(leads[k], lcm):
+            if k in (i, j) or not exp_divides(leads[k], lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -122,16 +209,16 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
                 break
         if chained:
             continue
-        s = kernel.s_polynomial(tails[i], leads[i], tails[j], leads[j])
-        r = kernel.normal_form(s, leads, tails)
+        s = s_polynomial(tails[i], leads[i], tails[j], leads[j])
+        r = normal_form(s, leads, tails)
         if r:
             add(r, next(iter(r)))
 
     # minimal basis: drop leads divisible by another kept lead
     kept_leads: list[tuple] = []
     kept_tails: list[dict] = []
-    for i in sorted(range(len(leads)), key=lambda i: kernel.grevlex_key(leads[i])):
-        if not any(kernel.exp_divides(k, leads[i]) for k in kept_leads):
+    for i in sorted(range(len(leads)), key=lambda i: grevlex_key(leads[i])):
+        if not any(exp_divides(k, leads[i]) for k in kept_leads):
             kept_leads.append(leads[i])
             kept_tails.append(tails[i])
 
@@ -139,7 +226,7 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
     out = []
     for le, tail in zip(kept_leads, kept_tails):
         # x^a | x^b implies x^b >= x^a, so an element never reduces its own tail
-        tail = kernel.normal_form(tail, kept_leads, kept_tails)
+        tail = normal_form(tail, kept_leads, kept_tails)
         out.append(Polynomial(variables, {**tail, le: Fraction(1)}))
     # kept_leads ascend in grevlex order, so out is sorted
     return GroebnerBasis(variables, tuple(out))
@@ -154,7 +241,7 @@ def reduce_modulo(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         {e: c for e, c in poly.terms.items() if e != le}
         for poly, le in zip(gb.polynomials, leads)
     ]
-    return Polynomial(gb.variables, kernel.normal_form(p.terms, leads, tails))
+    return Polynomial(gb.variables, normal_form(p.terms, leads, tails))
 
 
 def _missing_pure_power(leads, nvars: int) -> int:
@@ -184,7 +271,7 @@ def _standard_monomials(leads, nvars: int) -> list[tuple[int, ...]]:
     k = last - 1  # the prefix coordinate stepped last
     while True:
         head = tuple(prefix)
-        run = min(t for h, t in heads if kernel.exp_divides(h, head))
+        run = min(t for h, t in heads if exp_divides(h, head))
         if run:
             out.extend(head + (t,) for t in range(run))
             k = last - 1

@@ -364,6 +364,22 @@ def test_nearby_missing_stratum_as_error_exits_2(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: component 'B' appears in no stratum\n")
 
 
+def test_nearby_missing_stratum_is_one_warning_line(capsys, tmp_path):
+    # a vertical component in no stratum leaves the cusp's class as it is
+    data = json.loads(Path(CUSP).read_text(encoding="utf-8"))
+    data["components"].append({"id": "F", "multiplicity": 1, "kind": "vertical"})
+    model = tmp_path / "cusp_and_f.json"
+    model.write_text(json.dumps(data), encoding="utf-8")
+    _, want, _ = run(capsys, "nearby", CUSP)
+    want = want.replace(f"model: {CUSP}\n", f"model: {model}\n")
+    for _ in range(2):  # every call warns, not only the first in a process
+        code, out, err = run(capsys, "nearby", str(model))
+        assert (code, out, err) == (0, want, "warning: component 'F' appears in no stratum\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MissingStratumWarning)
+        assert run(capsys, "nearby", str(model)) == (0, want, "")
+
+
 def test_check_passes(capsys):
     code, out, _ = run(capsys, "check")
     assert code == 0

@@ -22,7 +22,7 @@ from singspec import (
     reduce_modulo,
     sp_product_formula,
 )
-from singspec import kernel, milnor, spectrum
+from singspec import milnor, spectrum
 from singspec.checks import _EXTRA_CASES, _bp_polynomial, brieskorn_pham_exponents
 
 XY = ("x", "y")
@@ -37,11 +37,11 @@ def random_polynomial(rng, variables, max_terms=4, max_exp=3):
 
 
 def s_polynomial(f, g):
-    lf = kernel.leading_exponent(f.terms)
-    lg = kernel.leading_exponent(g.terms)
-    lcm = kernel.exp_lcm(lf, lg)
-    mf = Polynomial(f.variables, {kernel.exp_sub(lcm, lf): 1 / f.terms[lf]})
-    mg = Polynomial(g.variables, {kernel.exp_sub(lcm, lg): 1 / g.terms[lg]})
+    lf = milnor.leading_exponent(f.terms)
+    lg = milnor.leading_exponent(g.terms)
+    lcm = milnor.exp_lcm(lf, lg)
+    mf = Polynomial(f.variables, {milnor.exp_sub(lcm, lf): 1 / f.terms[lf]})
+    mg = Polynomial(g.variables, {milnor.exp_sub(lcm, lg): 1 / g.terms[lg]})
     return mf * f - mg * g
 
 
@@ -54,7 +54,7 @@ def assert_is_reduced_groebner(gb, generators):
     for i, p in enumerate(gb.polynomials):
         for e in p.terms:
             divisors = [
-                j for j, le in enumerate(leads) if kernel.exp_divides(le, e)
+                j for j, le in enumerate(leads) if milnor.exp_divides(le, e)
             ]
             if e == leads[i]:
                 assert divisors == [i]
@@ -94,7 +94,7 @@ def test_buchberger_mixed_ideal():
     gb = buchberger(gens)
     assert_is_reduced_groebner(gb, gens)
     # a pure power of y must join the leading ideal for the quotient to be finite
-    assert any(kernel.exp_divides(le, (0, 4)) for le in gb.lead_exponents)
+    assert any(milnor.exp_divides(le, (0, 4)) for le in gb.lead_exponents)
 
 
 def test_buchberger_random_pairs_reduce_to_zero():
@@ -137,13 +137,13 @@ def random_terms(rng, n, max_terms=5):
 
 
 def monic_terms(terms):
-    lc = terms[kernel.leading_exponent(terms)]
+    lc = terms[milnor.leading_exponent(terms)]
     return {e: c / lc for e, c in terms.items()}
 
 
 def test_kernel_grevlex_order_properties():
     rng = random.Random(11)
-    key = kernel.grevlex_key
+    key = milnor.grevlex_key
     for _ in range(300):
         n = rng.randint(1, 4)
         a = random_exponent(rng, n)
@@ -155,7 +155,7 @@ def test_kernel_grevlex_order_properties():
             assert (key(a) > key(b)) == (sum(a) > sum(b))
         # compatible with monomial multiplication
         if key(a) > key(b):
-            assert key(kernel.exp_add(a, c)) > key(kernel.exp_add(b, c))
+            assert key(milnor.exp_add(a, c)) > key(milnor.exp_add(b, c))
 
 
 def test_leading_exponent_matches_sympy_grevlex():
@@ -168,7 +168,7 @@ def test_leading_exponent_matches_sympy_grevlex():
         p = sympy.Poly.from_dict(
             {e: sympy.Rational(c.numerator, c.denominator) for e, c in terms.items()}, *symbols
         )
-        assert kernel.leading_exponent(terms) == p.monoms(order="grevlex")[0], terms
+        assert milnor.leading_exponent(terms) == p.monoms(order="grevlex")[0], terms
 
 
 def test_kernel_normal_form_is_irreducible():
@@ -180,15 +180,15 @@ def test_kernel_normal_form_is_irreducible():
         tails = []
         for _ in range(rng.randint(1, 3)):
             basis = monic_terms(random_terms(rng, n, max_terms=3))
-            le = kernel.leading_exponent(basis)
+            le = milnor.leading_exponent(basis)
             lead_exps.append(le)
             tails.append({e: c for e, c in basis.items() if e != le})
-        got = kernel.normal_form(target, lead_exps, tails)
+        got = milnor.normal_form(target, lead_exps, tails)
         # nothing left divisible by a basis lead
         for e in got:
-            assert not any(kernel.exp_divides(le, e) for le in lead_exps)
+            assert not any(milnor.exp_divides(le, e) for le in lead_exps)
         # terms come out in strictly descending grevlex order
-        keys = [kernel.grevlex_key(e) for e in got]
+        keys = [milnor.grevlex_key(e) for e in got]
         assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
@@ -198,15 +198,15 @@ def test_kernel_s_polynomial_cancels_lead_lcm():
         n = rng.randint(1, 3)
         f = monic_terms(random_terms(rng, n))
         g = monic_terms(random_terms(rng, n))
-        lf = kernel.leading_exponent(f)
-        lg = kernel.leading_exponent(g)
-        s = kernel.s_polynomial(f, lf, g, lg)
+        lf = milnor.leading_exponent(f)
+        lg = milnor.leading_exponent(g)
+        s = milnor.s_polynomial(f, lf, g, lg)
         if s:
-            assert kernel.leading_exponent(s) != kernel.exp_lcm(lf, lg)
+            assert milnor.leading_exponent(s) != milnor.exp_lcm(lf, lg)
         # the tails alone give the same S-polynomial
         ft = {e: c for e, c in f.items() if e != lf}
         gt = {e: c for e, c in g.items() if e != lg}
-        assert kernel.s_polynomial(ft, lf, gt, lg) == s
+        assert milnor.s_polynomial(ft, lf, gt, lg) == s
 
 
 def test_input_guards_carry_messages():
@@ -326,7 +326,7 @@ def scan_buchberger(generators, variables):
     polys, leads, tails = [], [], []
 
     def add(d):
-        le = kernel.leading_exponent(d)
+        le = milnor.leading_exponent(d)
         lc = d[le]
         if lc != 1:
             d = {e: c / lc for e, c in d.items()}
@@ -340,17 +340,17 @@ def scan_buchberger(generators, variables):
 
     def lcm_key(pair):
         i, j = pair
-        return (kernel.grevlex_key(kernel.exp_lcm(leads[i], leads[j])), i, j)
+        return (milnor.grevlex_key(milnor.exp_lcm(leads[i], leads[j])), i, j)
 
     while pending:
         i, j = min(pending, key=lcm_key)
         pending.remove((i, j))
-        if kernel.exp_coprime(leads[i], leads[j]):
+        if milnor.exp_coprime(leads[i], leads[j]):
             continue
-        lcm = kernel.exp_lcm(leads[i], leads[j])
+        lcm = milnor.exp_lcm(leads[i], leads[j])
         chained = False
         for k in range(len(polys)):
-            if k in (i, j) or not kernel.exp_divides(leads[k], lcm):
+            if k in (i, j) or not milnor.exp_divides(leads[k], lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -359,26 +359,26 @@ def scan_buchberger(generators, variables):
                 break
         if chained:
             continue
-        s = kernel.s_polynomial(polys[i], leads[i], polys[j], leads[j])
-        r = kernel.normal_form(s, leads, tails)
+        s = milnor.s_polynomial(polys[i], leads[i], polys[j], leads[j])
+        r = milnor.normal_form(s, leads, tails)
         if r:
             new = len(polys)
             add(r)
             pending.update((k, new) for k in range(new))
 
-    order = sorted(range(len(polys)), key=lambda i: kernel.grevlex_key(leads[i]))
+    order = sorted(range(len(polys)), key=lambda i: milnor.grevlex_key(leads[i]))
     kept = []
     for i in order:
-        if not any(kernel.exp_divides(leads[k], leads[i]) for k in kept):
+        if not any(milnor.exp_divides(leads[k], leads[i]) for k in kept):
             kept.append(i)
     out = []
     for i in kept:
         other_leads = [leads[k] for k in kept if k != i]
         other_tails = [tails[k] for k in kept if k != i]
-        full = dict(kernel.normal_form(tails[i], other_leads, other_tails))
+        full = dict(milnor.normal_form(tails[i], other_leads, other_tails))
         full[leads[i]] = Fraction(1)
         out.append((leads[i], full))
-    out.sort(key=lambda pair: kernel.grevlex_key(pair[0]))
+    out.sort(key=lambda pair: milnor.grevlex_key(pair[0]))
     return GroebnerBasis(
         variables=variables,
         polynomials=tuple(Polynomial(variables, d) for _, d in out),
@@ -411,14 +411,14 @@ def seeded_atoms(seed=5150, count=24):
 
 
 def test_pair_queue_matches_scan_order(monkeypatch):
-    real = kernel.s_polynomial
+    real = milnor.s_polynomial
     seen = []
 
     def recording(f, lf, g, lg):
         seen.append((lf, lg))
         return real(f, lf, g, lg)
 
-    monkeypatch.setattr(kernel, "s_polynomial", recording)
+    monkeypatch.setattr(milnor, "s_polynomial", recording)
     for f in seeded_atoms():
         gens = jacobian_generators(f)
         seen.clear()
@@ -444,7 +444,7 @@ def box_filter(b, leads):
     return tuple(
         m
         for m in itertools.product(*(range(a) for a in bounds))
-        if not any(kernel.exp_divides(le, m) for le in leads)
+        if not any(milnor.exp_divides(le, m) for le in leads)
     )
 
 

@@ -103,6 +103,31 @@ def test_analyze_matches_the_public_functions():
     assert isolated >= 50 + 129
 
 
+def thom_sebastiani_sum(f, g):
+    """f + g in disjoint variables: g's exponents shifted past f's variables."""
+    nf, ng = len(f.variables), len(g.variables)
+    terms = {e + (0,) * ng: c for e, c in f.terms.items()}
+    terms.update({(0,) * nf + e: c for e, c in g.terms.items()})
+    return Polynomial(tuple(f"x{i}" for i in range(nf + ng)), terms)
+
+
+def test_basis_route_factors_over_disjoint_sums():
+    """Thom–Sebastiani on the basis route alone: sp(f + g) = sp(f)·sp(g) and
+    mu(f + g) = mu(f)·mu(g), with no product formula on either side."""
+    rng = random.Random(2112)
+    small = [(f, ws) for f, ws in isolated_cases() if len(ws) <= 3]
+    pairs = 0
+    while pairs < 32:
+        (f, wf), (g, wg) = rng.choice(small), rng.choice(small)
+        if len(wf) + len(wg) > 5:
+            continue
+        pairs += 1
+        a, b = analyze(f, wf), analyze(g, wg)
+        h = analyze(thom_sebastiani_sum(f, g), wf + wg)
+        assert h.s_basis == a.s_basis * b.s_basis, (str(f), str(g))
+        assert len(h.basis) == len(a.basis) * len(b.basis), (str(f), str(g))
+
+
 def test_groebner_bases_match_sympy():
     sympy = pytest.importorskip("sympy")
     for f, _ in isolated_cases():
