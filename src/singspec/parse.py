@@ -17,6 +17,11 @@ interpreter's recursion limit; an integer literal has at most the digits of
 ``poly._digit_limit``; and a power ``base^k`` or a product ``a*b`` is expanded
 only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
 ``_check_power`` and ``_check_product``).
+
+The tokenizer, the variable check and those budgets are the parser's
+validation, so atoms (a Fraction constant or a variable's unit exponent),
+closed-form powers of a single term and the final sum are built with
+``Polynomial.from_scaled``, not re-checked by the public constructor.
 """
 
 import math
@@ -156,6 +161,13 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.variables = tuple(variables)
+        n = len(self.variables)
+        self.zero = (0,) * n
+        # the exponent of each variable; the first of repeated names wins
+        self.units = {
+            v: self.zero[:i] + (1,) + self.zero[i + 1:]
+            for i, v in reversed(tuple(enumerate(self.variables)))
+        }
 
     def peek(self):
         return self.toks[self.pos]
@@ -171,14 +183,14 @@ class _Parser:
         raise PolynomialSyntaxError(f"expected {expected}, found {what}", offset)
 
     def expr(self) -> Polynomial:
-        """The signed terms of every summand go into one constructor call."""
+        """The signed terms of every summand go into one ``from_scaled`` call."""
         pairs = []
         op = self.take()[0] if self.peek()[0] in ("+", "-") else "+"
         while True:
             sign = -1 if op == "-" else 1
-            pairs += [(e, sign * c) for e, c in self.term().terms.items()]
+            pairs += [(e, sign * c) for e, c in self.term().scaled.items()]
             if self.peek()[0] not in ("+", "-"):
-                return Polynomial(self.variables, pairs)
+                return Polynomial.from_scaled(pairs, 1, self.variables)
             op = self.take()[0]
 
     def term(self) -> Polynomial:
@@ -201,8 +213,8 @@ class _Parser:
             k = int(text)
             _check_power(base, k, offset)
             if len(base.terms) == 1:  # closed form: exponents times k, coefficient to the k
-                [(e, c)] = base.terms.items()
-                return Polynomial(self.variables, {tuple(x * k for x in e): c**k})
+                [(e, c)] = base.scaled.items()
+                return Polynomial.from_scaled([(tuple(x * k for x in e), c**k)], 1, self.variables)
             return base**k
         return base
 
@@ -220,12 +232,12 @@ class _Parser:
                 if int(dt) == 0:
                     raise PolynomialSyntaxError("zero denominator", doff)
                 value /= int(dt)
-            return Polynomial.constant(self.variables, value)
+            return Polynomial.from_scaled([(self.zero, value)], 1, self.variables)
         if kind == "ident":
             self.take()
             if text not in self.variables:
                 raise UnknownVariableError(text, offset)
-            return Polynomial.variable(self.variables, text)
+            return Polynomial.from_scaled([(self.units[text], Fraction(1))], 1, self.variables)
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise PolynomialSyntaxError(

@@ -12,6 +12,14 @@ numerators over one denominator per map, so that arithmetic, hashing, sorting
 and mod-1 reduction run on ints; their public keys are still Fractions.
 ``copy``, ``deepcopy`` and ``pickle`` rebuild a map through ``from_scaled``.
 
+One rule says which way in to take: the constructor validates what a caller
+hands in, and package code that already holds exact, checked values (stored
+keys, Fraction coefficients of a Polynomial) builds its maps with
+``from_scaled``, which validates nothing.  Besides the arithmetic below,
+``from_scaled`` builds the parser's atoms, powers and sums,
+``Polynomial.partial``, the reduced basis of ``milnor.buchberger``, the normal
+form of ``milnor.reduce_modulo`` and the result of ``spectrum.char_poly``.
+
 ``terms`` never lets a caller change a map: ``Polynomial.terms`` is a
 read-only view of the stored dict, the others build a new dict on each read.
 
@@ -115,13 +123,15 @@ class ExactMap:
     ``_key``, to a stored key and its own denominator, and values through
     ``_value``) and ``from_scaled`` (stored pairs over ``den``, as ``+`` and
     ``*`` hand them over) add the values of repeated keys and pass the sums
-    through ``_finish``, which drops zeros.  Subclasses set ``_value``,
-    ``_scalars`` (types that lift to constants) and ``_noun`` (for the power
-    error), and override where the default does not fit: ``_key``,
-    ``_joiner`` (the join of two stored keys over ``den``), ``_unit`` (the
-    key of the constant term), ``_num`` and ``_with`` (read and replace a
-    stored key's numerator), ``_public`` (the public key of a stored key over
-    ``den``), and ``from_scaled`` and ``_like`` for maps with more state.
+    through ``_finish``, which drops zeros.  ``from_scaled`` checks nothing:
+    it takes only values already checked (see the module docstring).
+    Subclasses set ``_value``, ``_scalars`` (types that lift to constants)
+    and ``_noun`` (for the power error), and override where the default does
+    not fit: ``_key``, ``_joiner`` (the join of two stored keys over
+    ``den``), ``_unit`` (the key of the constant term), ``_num`` and
+    ``_with`` (read and replace a stored key's numerator), ``_public`` (the
+    public key of a stored key over ``den``), and ``from_scaled`` and
+    ``_like`` for maps with more state.
     """
 
     __slots__ = ("scaled", "den")
@@ -253,7 +263,7 @@ class ExactMap:
     def __pow__(self, n):
         if type(n) is not int or n < 0:  # a bool is no exponent
             raise ValueError(f"{self._noun} powers must be non-negative integers")
-        out, base = self._like([(self._unit, 1)]), self
+        out, base = self._like([(self._unit, self._value(1))]), self
         while n:
             if n & 1:
                 out = out * base
@@ -278,16 +288,19 @@ class ExactMap:
 
     def _render(self, keys, monomial) -> str:
         """Signed sum over stored keys of |value| * monomial(key): coefficient
-        1 omitted, a bare number for the empty monomial, "0" for no terms."""
+        1 omitted, a bare number for the empty monomial, "0" for no terms.
+        A value is read as the ints ``numerator`` and ``denominator`` (an int
+        has them too) and printed "|n|" or "|n|/d", as ``str(Fraction)`` does."""
         parts = []
         for k in keys:
             c = self.scaled[k]
-            a, m = abs(c), monomial(k)
-            body = (m if a == 1 else f"{a}*{m}") if m else str(a)
+            n, d, m = c.numerator, c.denominator, monomial(k)
+            a = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+            body = (m if a == "1" else f"{a}*{m}") if m else a
             if parts:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
+                parts.append(f" - {body}" if n < 0 else f" + {body}")
             else:
-                parts.append(f"-{body}" if c < 0 else body)
+                parts.append(f"-{body}" if n < 0 else body)
         return "".join(parts) or "0"
 
 
@@ -425,13 +438,13 @@ class Polynomial(ExactMap):
 
     def partial(self, i: int) -> "Polynomial":
         """Partial derivative with respect to variable i."""
-        out = {}
-        for e, c in self.terms.items():
+        pairs = []
+        for e, c in self.scaled.items():
             if e[i]:
                 d = list(e)
                 d[i] -= 1
-                out[tuple(d)] = c * e[i]
-        return Polynomial(self.variables, out)
+                pairs.append((tuple(d), c * e[i]))
+        return self._like(pairs)
 
     def total_degree(self):
         """Largest total degree of a term, or -1 for the zero polynomial."""

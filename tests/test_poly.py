@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from singspec import (
+    EquivClass,
+    FracPoly,
     InconsistentWeightsError,
     LengthMismatchError,
     Polynomial,
@@ -93,6 +95,18 @@ def test_render_golden():
     p = Polynomial(XY, {(2, 0): 1, (0, 3): -1, (0, 0): Fraction(1, 2)})
     assert str(p) == "-y^3 + x^2 + 1/2"
     assert str(Polynomial(XY)) == "0"
+    # signs and magnitudes come from the ints numerator and denominator
+    p = Polynomial(XY, {(2, 0): Fraction(-3, 2), (1, 1): -1, (0, 0): Fraction(-5, 7)})
+    assert str(p) == "-3/2*x^2 - x*y - 5/7"
+    assert str(Polynomial(XY, {(1, 0): -1, (0, 0): Fraction(-12, 8)})) == "-x - 3/2"
+    assert str(Polynomial(XY, {(0, 1): Fraction(7, 3), (0, 0): -1})) == "7/3*y - 1"
+    # the int side: FracPoly values and EquivClass multiplicities are ints
+    assert str(FracPoly({Fraction(1, 2): -3, Fraction(1): -1, Fraction(2): 2})) == (
+        "-3*t^(1/2) - t + 2*t^2"
+    )
+    assert repr(EquivClass({(1, 1, Fraction(1, 2)): -2, (0, 0, 0): -1})) == (
+        "EquivClass({(0,0,0): -1, (1,1,1/2): -2})"
+    )
 
 
 def test_partial_derivatives():

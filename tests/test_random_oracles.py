@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from test_milnor import random_polynomial
+
 from singspec import (
     NonIsolatedSingularityError,
     Polynomial,
@@ -21,6 +23,8 @@ from singspec import (
     jacobian_generators,
     milnor_basis,
     milnor_number,
+    parse_polynomial,
+    reduce_modulo,
     sp_from_basis,
     sp_product_formula,
 )
@@ -217,3 +221,42 @@ def test_char_poly_matches_milnor_orlik_on_larger_lcms():
     ]
     for ws in tuples:
         assert_char_poly_is_milnor_orlik(sp_product_formula(ws), ws)
+
+
+def assert_canonical(p):
+    """p is what the validating constructor makes of its own terms: every key
+    a tuple of len(variables) non-negative ints, every value a nonzero
+    Fraction."""
+    assert p == Polynomial(p.variables, dict(p.terms)), str(p)
+    n = len(p.variables)
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == n, e
+        assert all(type(x) is int and x >= 0 for x in e), e
+        assert type(c) is Fraction and c != 0, (e, c)
+
+
+def test_internal_builders_return_canonical_polynomials():
+    """The parser, partial derivatives, Buchberger, reduce_modulo and
+    char_poly build their results with from_scaled, which validates nothing."""
+    for text in ("(x+y)^0", "x^0*y^0", "0*x + 3", "(2/3*x - y)^3 + x - x", "-(x)^2 + 4/6"):
+        assert_canonical(parse_polynomial(text, ("x", "y")))
+    rng = random.Random(2024)
+    for f, _ in isolated_cases():
+        assert_canonical(parse_polynomial(str(f), f.variables))
+        jac = jacobian_generators(f)
+        gb = buchberger(jac)
+        for p in (*jac, *gb.polynomials):
+            assert_canonical(p)
+        assert_canonical(reduce_modulo(random_polynomial(rng, f.variables), gb))
+    xy = ("x", "y")
+    for _ in range(60):
+        f = random_polynomial(rng, xy)
+        assert_canonical(parse_polynomial(str(f), xy))
+        for p in jacobian_generators(f):
+            assert_canonical(p)
+        gb = buchberger([random_polynomial(rng, xy) for _ in range(rng.randint(1, 3))], xy)
+        for p in gb.polynomials:
+            assert_canonical(p)
+        assert_canonical(reduce_modulo(f, gb))
+    for c in build_corpus():
+        assert_canonical(char_poly(eigenvalues_gamma_c(c.s_basis)))
