@@ -6,20 +6,22 @@ The monomial order is grevlex throughout (``poly.grevlex_key``), so
 exact coefficients) are the reduction loop of every Gröbner run.  The quotient
 by the Jacobian ideal is finite-dimensional exactly when every variable has a
 pure power among the leading terms of the reduced basis; the standard
-monomials below those powers then form the Milnor algebra basis, and their
-count must agree with the closed-form product of (1/w_i - 1) over
-the weights.  Disagreement is an internal error, never a user error.
-``milnor_basis`` checks that closed form against ``MAX_MU`` before it
-computes a Gröbner basis or enumerates a monomial, and tests isolation on the
-leading terms of its own single Gröbner run; ``spectrum.analyze`` builds on
-it, so ``singspec sp`` runs ``buchberger`` once per request and
-``singspec check`` once per corpus case, building its corpus once per run.
-``is_isolated`` and ``milnor_number`` each run it again; they stay as public
-entry points and as oracles for ``analyze``.
+monomials below those powers then form the Milnor algebra basis (walked with
+the leads filtered coordinate by coordinate, ``_standard_monomials``), and
+their count must agree with the closed-form product of (1/w_i - 1) over the
+weights.  Disagreement is an internal error, never a user error.
+``milnor_basis`` checks that closed form against ``MAX_MU`` before it computes
+a Gröbner basis or enumerates a monomial, and tests isolation on the leading
+terms of its own single Gröbner run; ``spectrum.analyze`` builds on it, so
+``singspec sp`` runs ``buchberger`` once per request and ``singspec check``
+once per corpus case, building its corpus once per run.  ``is_isolated`` and
+``milnor_number`` each run it again; they stay as public entry points and as
+oracles for ``analyze``.
 """
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -44,7 +46,7 @@ MAX_MU = 100_000
 
 
 def exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def exp_lcm(a, b):
@@ -53,10 +55,7 @@ def exp_lcm(a, b):
 
 def exp_divides(a, b):
     """True if the monomial with exponent a divides the one with exponent b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(operator.le, a, b))
 
 
 def exp_coprime(a, b):
@@ -263,16 +262,24 @@ def _standard_monomials(leads, nvars: int) -> list[tuple[int, ...]]:
     coordinates divide the run's prefix.  An empty run ends the run of the
     prefix coordinate stepped last in the same way.  So the walk visits each
     standard prefix once, plus one empty prefix per ended run.
+
+    ``live[j]`` keeps the leads whose first j coordinates divide the prefix,
+    and a step of coordinate k filters only ``live[k + 1:]`` again.  That
+    changes which leads are compared, not which prefixes are visited, so the
+    order and the output are those of a scan of every lead.  The pure power
+    of the last variable passes every filter: ``live[last]`` is never empty.
     """
     last = nvars - 1
-    heads = [(le[:last], le[last]) for le in leads]
     prefix = [0] * last
+    live = [leads] * nvars
     out = []
-    k = last - 1  # the prefix coordinate stepped last
+    k = 0  # the prefix coordinate stepped last: live[k + 1:] are stale
     while True:
-        head = tuple(prefix)
-        run = min(t for h, t in heads if exp_divides(h, head))
+        for j in range(k, last):
+            live[j + 1] = [h for h in live[j] if h[j] <= prefix[j]]
+        run = min([h[last] for h in live[last]])
         if run:
+            head = tuple(prefix)
             out.extend(head + (t,) for t in range(run))
             k = last - 1
         else:

@@ -20,7 +20,8 @@ only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
 
 The tokenizer, the variable check and those budgets are the parser's
 validation, so atoms (a Fraction constant or a variable's unit exponent),
-closed-form powers of a single term and the final sum are built with
+closed-form powers and products of single terms (refused under the bits
+``_check_product`` counts for them) and the final sum are built with
 ``Polynomial.from_scaled``, not re-checked by the public constructor.
 """
 
@@ -28,7 +29,7 @@ import math
 from fractions import Fraction
 
 from .errors import PolynomialSyntaxError, ResourceLimitError, UnknownVariableError
-from .poly import Polynomial, _digit_limit
+from .poly import Polynomial, _digit_limit, exp_add
 
 _OPS = set("+-*/^()")
 
@@ -198,8 +199,15 @@ class _Parser:
         while self.peek()[0] == "*":
             offset = self.take()[2]
             right = self.factor()
-            _check_product(result, right, offset)
-            result = result * right
+            if len(result.scaled) == len(right.scaled) == 1:
+                [(ea, ca)], [(eb, cb)] = result.scaled.items(), right.scaled.items()
+                bits = sum((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
+                           for c in (ca, cb))
+                _refuse("product", 1, bits, offset)
+                result = Polynomial.from_scaled([(exp_add(ea, eb), ca * cb)], 1, self.variables)
+            else:
+                _check_product(result, right, offset)
+                result = result * right
         return result
 
     def factor(self) -> Polynomial:

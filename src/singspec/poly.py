@@ -359,7 +359,7 @@ def grevlex_key(e):
 
 
 def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 class Polynomial(ExactMap):

@@ -137,16 +137,24 @@ def test_sp_huge_powers_exit_2_promptly(capsys):
 
 
 def test_sp_huge_product_exits_2_promptly(capsys):
-    # each factor is within the power budget; the product would take 30 s
-    start = time.perf_counter()
-    code, out, err = run(capsys, "sp", "(x+y+z)^40*(x+y+z)^40*(x+y+z)^40", "--vars", "x,y,z")
-    assert time.perf_counter() - start < 2
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: product with term count up to 3321 and coefficients up to 126 bits exceeds the "
-        f"limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits (at offset 10)\n"
-    )
+    # the first product would take 30 s; the others multiply single terms in
+    # closed form, under the bits _check_product counts for them
+    limits = f"limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits"
+    for expr, size, offset, variables in (
+        ("(x+y+z)^40*(x+y+z)^40*(x+y+z)^40",
+         "term count up to 3321 and coefficients up to 126 bits", 10, "x,y,z"),
+        ("7*x^2*" + "9" * 310 + "*y + y^3",
+         "term count up to 1 and coefficients up to 1033 bits", 5, "x,y"),
+        ("x^2*1/" + "3" * 200 + "*2^340 + y^3",
+         "term count up to 1 and coefficients up to 1003 bits", 206, "x,y"),
+        ("2^500*x*2^501*y + y^3",
+         "term count up to 1 and coefficients up to 1001 bits", 7, "x,y"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sp", expr, "--vars", variables)
+        assert time.perf_counter() - start < 2, expr
+        assert (code, out) == (2, ""), expr
+        assert err == f"error: product with {size} exceeds the {limits} (at offset {offset})\n"
 
 
 def test_sp_huge_sum_of_powers_exits_2_promptly(capsys):

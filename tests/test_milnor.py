@@ -466,6 +466,36 @@ def test_pruned_walk_matches_box_filter():
         assert len(b) == milnor_number(f, ws)
 
 
+def random_lead_sets(seed=2323, count=400):
+    """Seeded lead sets in 1..5 variables: a pure power of every variable
+    (sometimes two), extra leads anywhere in the box, never the constant 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        powers = [rng.randint(1, 7 - n) for _ in range(n)]
+        leads = [tuple(p if j == i else 0 for j in range(n)) for i, p in enumerate(powers)]
+        leads += [
+            tuple(rng.randint(0, p) * (j == i) for j in range(n))
+            for i, p in enumerate(powers)
+            if rng.random() < 0.2
+        ]
+        for _ in range(rng.randint(0, 6)):
+            e = tuple(rng.randint(0, p) for p in powers)
+            leads.append(e if any(e) else leads[0])
+        rng.shuffle(leads)
+        yield [le for le in leads if any(le)], powers
+
+
+def test_walk_matches_brute_force_on_random_lead_sets():
+    for leads, powers in random_lead_sets():
+        want = [
+            m
+            for m in itertools.product(*(range(p) for p in powers))
+            if not any(all(a <= b for a, b in zip(le, m)) for le in leads)
+        ]
+        assert milnor._standard_monomials(leads, len(powers)) == want, leads
+
+
 # -- resource budgets ---------------------------------------------------------------
 
 

@@ -157,6 +157,31 @@ def test_overlong_integer_literals():
         sys.set_int_max_str_digits(limit)
 
 
+def test_monomial_products_match_polynomial_multiplication():
+    # a product of single-term factors is built in closed form; it must be
+    # the product Polynomial.__mul__ gives, whatever the order of the factors
+    rng = random.Random(4747)
+    names = ("x", "y", "z")
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        variables = names[:nvars]
+        texts, expected = [], Polynomial.constant(variables, 1)
+        for _ in range(rng.randint(2, 6)):
+            if rng.random() < 0.4:
+                c = Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 9))
+                texts.append(f"({c})" if c < 0 else str(c))
+                factor = Polynomial.constant(variables, c)
+            else:
+                v, k = rng.choice(variables), rng.randint(1, 3)
+                texts.append(v if k == 1 and rng.random() < 0.5 else f"{v}^{k}")
+                factor = Polynomial.variable(variables, v) ** k
+            expected = expected * factor
+        text = "*".join(texts)
+        assert parse_polynomial(text, variables) == expected, text
+    assert parse_polynomial("x*x", XY) == Polynomial(XY, {(2, 0): 1})
+    assert parse_polynomial("x*2*y*x*3/4", XY) == Polynomial(XY, {(2, 1): Fraction(3, 2)})
+
+
 def test_product_budget_boundary(monkeypatch):
     # terms: min(3 * 2, 3 * 3 box, 7 monomials of degree 2..3) = 6;
     # bits: 2 + 0 + ceil(log2 min(3, 2)) = 3 (the product has 5 terms, 2 bits)
