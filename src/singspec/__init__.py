@@ -48,7 +48,6 @@ _EXPORTS = {
         "SncComponent",
         "SncModel",
         "Stratum",
-        "component_count_cstar",
         "covering_degree",
         "euler_specialization",
         "load_model",

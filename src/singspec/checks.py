@@ -31,7 +31,6 @@ from .motivic import (
     SncModel,
     Stratum,
     VERTICAL,
-    component_count_cstar,
     covering_degree,
     euler_specialization,
     nearby_fiber_class,
@@ -361,6 +360,9 @@ _GCD_TABLE = (
 
 @_check("gcd-table")
 def check_gcd_table():
+    """``covering_degree(model, names)`` gives the degree column, and
+    ``covering_degree(model, (*names, "adj"))``, the gcd taken over the
+    adjacent component as well, gives the C*-component column."""
     for mults, adj, degree, comps in _GCD_TABLE:
         names = tuple(f"c{i}" for i in range(len(mults)))
         model = SncModel(
@@ -373,7 +375,7 @@ def check_gcd_table():
         )
         if covering_degree(model, names) != degree:
             raise CheckFailure(f"degree wrong for {mults}")
-        if component_count_cstar(model, names, "adj") != comps:
+        if covering_degree(model, (*names, "adj")) != comps:
             raise CheckFailure(f"component count wrong for {mults} + {adj}")
     return f"cover degree and C*-component count on {len(_GCD_TABLE)} tuples"
 

@@ -54,18 +54,13 @@ class Report(Record):
     """What a subcommand computed, with JSON-primitive values only.
 
     All rationals are strings "u/v" so no consumer is tempted to coerce to
-    float; to_json/from_json round-trip to an equal Report.
+    float.
     """
 
     __slots__ = ("kind", "data")
 
     def to_json(self) -> str:
         return json.dumps({"data": self.data, "kind": self.kind}, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        obj = json.loads(text)
-        return cls(kind=obj["kind"], data=obj["data"])
 
     def render_text(self) -> str:
         """The report as "key: value" lines, or the battery's PASS and FAIL

@@ -226,7 +226,7 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
     for le, tail in zip(kept_leads, kept_tails):
         # x^a | x^b implies x^b >= x^a, so an element never reduces its own tail
         tail = normal_form(tail, kept_leads, kept_tails)
-        out.append(Polynomial.from_scaled([*tail.items(), (le, Fraction(1))], 1, variables))
+        out.append(Polynomial.from_scaled([*tail.items(), (le, Fraction(1))], variables))
     # kept_leads ascend in grevlex order, so out is sorted
     return GroebnerBasis(variables, tuple(out))
 
@@ -240,7 +240,7 @@ def reduce_modulo(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         {e: c for e, c in poly.terms.items() if e != le}
         for poly, le in zip(gb.polynomials, leads)
     ]
-    return Polynomial.from_scaled(normal_form(p.terms, leads, tails).items(), 1, gb.variables)
+    return Polynomial.from_scaled(normal_form(p.terms, leads, tails).items(), gb.variables)
 
 
 def _missing_pure_power(leads, nvars: int) -> int:

@@ -213,7 +213,9 @@ def euler_specialization(c: EquivClass) -> int:
 
 def covering_degree(model: SncModel, ids) -> int:
     """Degree of the canonical cyclic cover over the stratum of the given
-    vertical components: gcd of their multiplicities."""
+    vertical components: gcd of their multiplicities.  Over a C*-fiber
+    stratum, the cover has as many connected components as the gcd taken
+    over the adjacent vertical component as well."""
     ids = tuple(ids)
     if not ids:
         raise ValueError("empty component selection")
@@ -224,13 +226,6 @@ def covering_degree(model: SncModel, ids) -> int:
             raise HorizontalComponentError(f"component {i!r} is horizontal")
         mults.append(c.multiplicity)
     return math.gcd(*mults)
-
-
-def component_count_cstar(model: SncModel, ids, adjacent: str) -> int:
-    """Number of connected components of the cover over a C*-fiber stratum:
-    the gcd extends over the adjacent vertical component as well."""
-    ids = tuple(ids) + (adjacent,)
-    return covering_degree(model, ids)
 
 
 # -- spectrum functionals -------------------------------------------------------

@@ -191,7 +191,7 @@ class _Parser:
             sign = -1 if op == "-" else 1
             pairs += [(e, sign * c) for e, c in self.term().scaled.items()]
             if self.peek()[0] not in ("+", "-"):
-                return Polynomial.from_scaled(pairs, 1, self.variables)
+                return Polynomial.from_scaled(pairs, self.variables)
             op = self.take()[0]
 
     def term(self) -> Polynomial:
@@ -204,7 +204,7 @@ class _Parser:
                 bits = sum((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
                            for c in (ca, cb))
                 _refuse("product", 1, bits, offset)
-                result = Polynomial.from_scaled([(exp_add(ea, eb), ca * cb)], 1, self.variables)
+                result = Polynomial.from_scaled([(exp_add(ea, eb), ca * cb)], self.variables)
             else:
                 _check_product(result, right, offset)
                 result = result * right
@@ -222,7 +222,7 @@ class _Parser:
             _check_power(base, k, offset)
             if len(base.terms) == 1:  # closed form: exponents times k, coefficient to the k
                 [(e, c)] = base.scaled.items()
-                return Polynomial.from_scaled([(tuple(x * k for x in e), c**k)], 1, self.variables)
+                return Polynomial.from_scaled([(tuple(x * k for x in e), c**k)], self.variables)
             return base**k
         return base
 
@@ -240,12 +240,12 @@ class _Parser:
                 if int(dt) == 0:
                     raise PolynomialSyntaxError("zero denominator", doff)
                 value /= int(dt)
-            return Polynomial.from_scaled([(self.zero, value)], 1, self.variables)
+            return Polynomial.from_scaled([(self.zero, value)], self.variables)
         if kind == "ident":
             self.take()
             if text not in self.variables:
                 raise UnknownVariableError(text, offset)
-            return Polynomial.from_scaled([(self.units[text], Fraction(1))], 1, self.variables)
+            return Polynomial.from_scaled([(self.units[text], Fraction(1))], self.variables)
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise PolynomialSyntaxError(

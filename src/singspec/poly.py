@@ -15,10 +15,7 @@ and mod-1 reduction run on ints; their public keys are still Fractions.
 One rule says which way in to take: the constructor validates what a caller
 hands in, and package code that already holds exact, checked values (stored
 keys, Fraction coefficients of a Polynomial) builds its maps with
-``from_scaled``, which validates nothing.  Besides the arithmetic below,
-``from_scaled`` builds the parser's atoms, powers and sums,
-``Polynomial.partial``, the reduced basis of ``milnor.buchberger``, the normal
-form of ``milnor.reduce_modulo`` and the result of ``spectrum.char_poly``.
+``from_scaled``, which validates nothing.
 
 ``terms`` never lets a caller change a map: ``Polynomial.terms`` is a
 read-only view of the stored dict, the others build a new dict on each read.
@@ -398,17 +395,17 @@ class Polynomial(ExactMap):
         return (0,) * len(self.variables)
 
     @classmethod
-    def from_scaled(cls, pairs, den, variables):
-        """The polynomial in ``variables`` of the stored pairs over ``den`` (always 1)."""
-        out = super().from_scaled(pairs, den)
+    def from_scaled(cls, pairs, variables):
+        """The polynomial in ``variables`` of the stored (exponent, coefficient) pairs."""
+        out = super().from_scaled(pairs)
         object.__setattr__(out, "variables", tuple(variables))
         return out
 
-    def _like(self, pairs, den=1):
-        return type(self).from_scaled(pairs, den, self.variables)
+    def _like(self, pairs, den=1):  # den is 1: a polynomial's keys have no rational part
+        return type(self).from_scaled(pairs, self.variables)
 
     def __reduce__(self):
-        return type(self).from_scaled, (tuple(self.scaled.items()), self.den, self.variables)
+        return type(self).from_scaled, (tuple(self.scaled.items()), self.variables)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial) and other.variables != self.variables:
@@ -421,11 +418,6 @@ class Polynomial(ExactMap):
         return super().__eq__(other)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, variables, value):
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, variables, name):

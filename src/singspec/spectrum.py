@@ -297,6 +297,4 @@ def char_poly(e: EigenMultiset) -> Polynomial:
     coeffs = _binomial_quotient(ups, downs)
     if coeffs is None:
         raise ConsistencyError("the product of binomials leaves a remainder")
-    return Polynomial.from_scaled(
-        (((k,), Fraction(c)) for k, c in enumerate(coeffs) if c), 1, ("T",)
-    )
+    return Polynomial.from_scaled((((k,), Fraction(c)) for k, c in enumerate(coeffs) if c), ("T",))

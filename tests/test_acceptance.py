@@ -20,7 +20,6 @@ from singspec import (
     SncModel,
     char_poly,
     check_symmetry,
-    component_count_cstar,
     covering_degree,
     eigenvalues_gamma_c,
     eigenvalues_geometric,
@@ -159,7 +158,7 @@ def test_criterion_08_gcd_covering_table():
             strata=(),
         )
         assert covering_degree(model, names) == degree
-        assert component_count_cstar(model, names, "adj") == comps
+        assert covering_degree(model, (*names, "adj")) == comps
 
 
 def test_criterion_09_spectrum_functionals_agree_on_1000_random_classes():

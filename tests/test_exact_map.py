@@ -226,7 +226,7 @@ def test_one_map_over_den_12_and_den_6():
 def test_polynomial_from_scaled_is_a_whole_polynomial():
     # stored pairs, repeated key and zero included, give the constructor's polynomial
     pairs = [((1, 0), F(1, 2)), ((0, 2), -1), ((1, 0), F(1, 2)), ((2, 2), 0)]
-    p = Polynomial.from_scaled(pairs, 1, ["x", "y"])
+    p = Polynomial.from_scaled(pairs, ["x", "y"])
     want = Polynomial(XY, {(1, 0): 1, (0, 2): -1})
     assert p == want and p.variables == XY and p.scaled == want.scaled
     assert str(p) == "-y^2 + x" and repr(p) == repr(want)
@@ -329,8 +329,8 @@ ENTRY_SLOTS = {
         [0.5, 1.0, True, None],
         [F(1, 2), "1/2", "0.5"],
     ),
-    "Polynomial.constant": (
-        lambda v: Polynomial.constant(XY, v),
+    "Polynomial constant term": (
+        lambda v: Polynomial(XY, {(0, 0): v}),
         [0.5, True],
         [3, F(3), "3"],
     ),

@@ -15,7 +15,8 @@ import singspec
 ROOT = Path(__file__).resolve().parents[1]
 CUSP = str(ROOT / "fixtures" / "cusp_resolution.json")
 
-# every public name ``singspec/__init__.py`` bound before the namespace went lazy
+# every public name of ``singspec/__init__.py``: those it bound before the
+# namespace went lazy, less ``component_count_cstar``, which was removed
 PUBLIC = (
     "ConsistencyError", "HorizontalComponentError", "InconsistentWeightsError",
     "LengthMismatchError", "MissingStratumWarning", "ModelFormatError",
@@ -26,8 +27,8 @@ PUBLIC = (
     "FracPoly", "iota",
     "GroebnerBasis", "MilnorBasis", "buchberger", "is_isolated", "milnor_basis",
     "milnor_number", "reduce_modulo",
-    "EquivClass", "SncComponent", "SncModel", "Stratum", "component_count_cstar",
-    "covering_degree", "euler_specialization", "load_model", "model_from_json",
+    "EquivClass", "SncComponent", "SncModel", "Stratum", "covering_degree",
+    "euler_specialization", "load_model", "model_from_json",
     "model_to_json", "nearby_fiber_class", "reduce_class", "sp_of_class",
     "sp_prime_of_class", "sp_prime_reduced",
     "parse_polynomial",

@@ -18,7 +18,6 @@ from singspec import (
     SncComponent,
     SncModel,
     Stratum,
-    component_count_cstar,
     covering_degree,
     euler_specialization,
     model_from_json,
@@ -286,8 +285,8 @@ def test_covering_degree():
     assert covering_degree(model, ("c0",)) == 6
     assert covering_degree(model, ("c0", "c1")) == 2
     assert covering_degree(model, ("c1", "c2")) == 1
-    assert component_count_cstar(model, ("c0",), "c1") == 2
-    assert component_count_cstar(model, ("c0",), "c2") == 3
+    assert covering_degree(model, ("c0", "c1")) == 2  # the C*-component count over c0
+    assert covering_degree(model, ("c0", "c2")) == 3
 
 
 def test_covering_degree_monotone_under_enlargement():
@@ -306,8 +305,6 @@ def test_covering_degree_rejects_horizontal():
     model = _mult_model((6, 4), kinds=[VERTICAL, HORIZONTAL])
     with pytest.raises(HorizontalComponentError):
         covering_degree(model, ("c0", "c1"))
-    with pytest.raises(HorizontalComponentError):
-        component_count_cstar(model, ("c0",), "c1")
     with pytest.raises(ValueError):
         covering_degree(model, ())
 
