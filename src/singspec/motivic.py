@@ -49,6 +49,12 @@ from .poly import ExactMap, Record, exact_int, exact_rational
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
+# limit on the bits of the lcm of a model file's angle denominators, as
+# written: every stage rescales each stored angle numerator over it, so a
+# request costs about entries x bits; the fixtures and the perfbench models
+# need at most 9 bits
+MAX_ANGLE_BITS = 1_000
+
 
 class EquivClass(ExactMap):
     """Virtual bigraded class with a finite-order action, as integer
@@ -297,9 +303,12 @@ def _parse_angle(raw, where: str) -> tuple[int, int]:
     return num, den
 
 
-def _parse_cover_class(raw, where: str) -> EquivClass:
-    """Each entry is checked once, here, and enters the class as a stored
-    key: the angle's numerator over the lcm of the entries' denominators."""
+def _parse_cover_class(raw, where: str, den: int) -> tuple[EquivClass, int]:
+    """The class and the new ``den``: each entry is checked once, here, and
+    enters the class as a stored key, the angle's numerator over ``den``,
+    the lcm of the distinct angle denominators of the file so far, as
+    written.  That lcm is refused as soon as it passes ``MAX_ANGLE_BITS``,
+    before any numerator is rescaled over it."""
     if not isinstance(raw, list):
         raise ModelFormatError("cover_class must be a list of entries", where)
     entries = []
@@ -313,11 +322,18 @@ def _parse_cover_class(raw, where: str) -> EquivClass:
             raise ModelFormatError("p and q must be integers", loc)
         if type(mult) is not int or mult == 0:
             raise ModelFormatError("multiplicity must be a nonzero integer", loc)
-        entries.append((p, q, *_parse_angle(angle, loc), mult))
-    den = math.lcm(*(d for _, _, _, d, _ in entries))
-    return EquivClass.from_scaled(
-        (((p, q, a * (den // d)), m) for p, q, a, d, m in entries), den
-    )
+        a, d = _parse_angle(angle, loc)
+        if den % d:
+            den = math.lcm(den, d)
+            if den.bit_length() > MAX_ANGLE_BITS:
+                raise ModelFormatError(
+                    "the lcm of the model's angle denominators exceeds the limit of "
+                    f"{MAX_ANGLE_BITS} bits",
+                    where,
+                )
+        entries.append((p, q, a, d, mult))
+    pairs = (((p, q, a * (den // d)), m) for p, q, a, d, m in entries)
+    return EquivClass.from_scaled(pairs, den), den
 
 
 def _located(where: str, build, *args):
@@ -332,7 +348,8 @@ def model_from_json(text: str) -> SncModel:
     """Parse and validate a model file; errors carry JSON-pointer locations.
 
     The JSON shape and the cover-class entries are checked here, each entry
-    once; the other fields are checked by the constructors of SncComponent,
+    once, and so is the lcm of the angle denominators (``MAX_ANGLE_BITS``);
+    the other fields are checked by the constructors of SncComponent,
     Stratum and SncModel."""
     try:
         data = json.loads(text)
@@ -356,7 +373,7 @@ def model_from_json(text: str) -> SncModel:
         )
     if not isinstance(data["strata"], list):
         raise ModelFormatError("strata must be a list", "/strata")
-    strata = []
+    strata, den = [], 1
     for k, item in enumerate(data["strata"]):
         loc = f"/strata/{k}"
         if not isinstance(item, dict):
@@ -365,7 +382,7 @@ def model_from_json(text: str) -> SncModel:
         ids = item["ids"]
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise ModelFormatError("ids must be a list of strings", f"{loc}/ids")
-        cover = _parse_cover_class(item["cover_class"], f"{loc}/cover_class")
+        cover, den = _parse_cover_class(item["cover_class"], f"{loc}/cover_class", den)
         strata.append(_located(loc, Stratum, tuple(ids), cover))
     return _located("", SncModel, data["n"], tuple(comps), tuple(strata))
 

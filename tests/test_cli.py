@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from singspec.checks import CheckResult
 from singspec import cli, spectrum
 from singspec.cli import Report, main
 from singspec.milnor import MAX_MU
+from singspec.motivic import MAX_ANGLE_BITS
 from singspec.parse import MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS
 from singspec.spectrum import MAX_DENSE
 
@@ -568,6 +570,42 @@ def test_huge_decimal_exponents_exit_2_promptly(capsys, tmp_path):
         assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
         assert err.startswith(head) and err.count("\n") == 1
+
+
+def test_model_past_the_angle_limit_exits_2_promptly(capsys, tmp_path):
+    # angles 1/(10^50 + i): before the limit, a stratum of 1,000 entries took 40 s,
+    # one of 2,000 entries did not finish in 120 s and 1,000 strata took 30 s
+    angles = [f"1/{10**50 + i}" for i in range(2_000)]
+    vertical = {"multiplicity": 1, "kind": "vertical"}
+    one = [{"id": "V", **vertical}]
+    # the 1,000 strata are refused at the first whose angle takes the lcm past the limit
+    lcm, first = 10**50, 0
+    while lcm.bit_length() <= MAX_ANGLE_BITS:
+        first += 1
+        lcm = math.lcm(lcm, 10**50 + first)
+    files = (
+        ({"components": one, "strata": [{"ids": ["V"], "cover_class": [
+            [0, 0, a, 1] for a in angles[:k]]}]}, "/strata/0/cover_class")
+        for k in (1_000, 2_000)
+    )
+    many = {
+        "components": [{"id": f"c{i}", **vertical} for i in range(1_000)],
+        "strata": [{"ids": [f"c{i}"], "cover_class": [[0, 0, a, 1]]} for i, a in enumerate(angles[:1_000])],
+    }
+    limit = f"the lcm of the model's angle denominators exceeds the limit of {MAX_ANGLE_BITS} bits"
+    for obj, where in (*files, (many, f"/strata/{first}/cover_class")):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"n": 1, **obj}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nearby", str(model))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: {limit} (at {where})\n"
+    # at the limit: 2^(B - 1) has exactly B bits
+    model.write_text(json.dumps({"n": 1, "components": one, "strata": [
+        {"ids": ["V"], "cover_class": [[0, 0, f"1/{2 ** (MAX_ANGLE_BITS - 1)}", 1]]}]}))
+    code, out, err = run(capsys, "nearby", str(model))
+    assert (code, err) == (0, "") and f"sp_prime: t^(1/{2 ** (MAX_ANGLE_BITS - 1)})\n" in out
 
 
 def test_deeply_nested_model_file_exits_2(capsys, tmp_path):

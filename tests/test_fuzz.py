@@ -4,7 +4,8 @@
 atoms of weighted degree 1 in up to three variables, with random
 coefficients, spellings, ``--weights`` and ``--json``.  ``nearby`` models are
 the two fixtures with their angles re-spelled, multiplicities split, entries
-shuffled and, now and then, a stratum dropped or ``n`` changed.  Each leaf
+shuffled and, now and then, a stratum dropped or ``n`` changed or a few
+hundred entries added whose angles have large, distinct denominators.  Each leaf
 (a token of the argv, a value of the model) is then mutated with probability
 ``RATE``, below 1 %, so most requests stay valid; the mutation alphabet holds
 non-ASCII digits.
@@ -129,6 +130,16 @@ def _respell(rng, model: dict) -> dict:
     return model
 
 
+def _spread(rng, model: dict) -> dict:
+    """The model with a few hundred entries added over large, distinct angle
+    denominators, whose lcm would have tens of thousands of bits."""
+    for _ in range(rng.randint(300, 500)):
+        d = rng.randrange(10**49, 10**50)
+        entry = [rng.randint(0, 2), rng.randint(0, 2), f"{rng.randrange(d)}/{d}", rng.choice((-1, 1))]
+        rng.choice(model["strata"])["cover_class"].append(entry)
+    return model
+
+
 def _mutate_leaves(rng, x):
     if isinstance(x, dict):
         return {k: _mutate_leaves(rng, v) for k, v in x.items()}
@@ -143,6 +154,8 @@ def _mutate_leaves(rng, x):
 
 def _nearby_argv(rng, fixtures, path: Path) -> list[str]:
     model = _mutate_leaves(rng, _respell(rng, json.loads(rng.choice(fixtures))))
+    if rng.random() < 0.05:  # after the mutations, so that the added entries stay valid
+        model = _spread(rng, model)
     text = json.dumps(model, ensure_ascii=False, indent=rng.choice((None, 2)))
     if rng.random() < RATE * 10:  # the file itself, not a value in it
         text = _mutate_text(rng, text)

@@ -30,7 +30,7 @@ from singspec import (
     sp_twist,
 )
 from singspec.checks import cusp_resolution_model, random_class, semistable_i2_model
-from singspec.motivic import HORIZONTAL, VERTICAL
+from singspec.motivic import HORIZONTAL, MAX_ANGLE_BITS, VERTICAL
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -645,6 +645,34 @@ def test_huge_decimal_exponent_angle_is_refused_promptly():
     assert exc.value.location == "/strata/0/cover_class/1"
     assert "decimal exponent -999999999 exceeds the limit" in exc.value.message
     assert _cover([[0, 0, "25e-2", 1]]) == EquivClass({(0, 0, F(1, 4)): 1})
+
+
+def test_angle_lcm_at_the_limit_loads_and_one_bit_more_is_refused():
+    # the denominators 2^(B - 1) and 2 have a whole-file lcm of exactly B bits
+    d = 2 ** (MAX_ANGLE_BITS - 1)
+    comps = [{"id": c, "multiplicity": 1, "kind": "vertical"} for c in ("V", "W")]
+
+    def text(*second):
+        return json.dumps({"n": 1, "components": comps, "strata": [
+            {"ids": ["V"], "cover_class": [[0, 0, f"1/{d}", 1], [1, 0, f"3/{d}", -2]]},
+            {"ids": ["W"], "cover_class": [[0, 0, angle, 1] for angle in second]},
+        ]})
+
+    model = model_from_json(text("1/2"))
+    v, w = (s.cover_class for s in model.strata)
+    assert v == EquivClass({(0, 0, F(1, d)): 1, (1, 0, F(3, d)): -2}) and v.den == d
+    assert w == EquivClass({(0, 0, F(1, 2)): 1}) and w.den == 2
+    total = nearby_fiber_class(model)
+    assert total == v + w and total.den == d
+    assert sp_prime_of_class(total) == FracPoly({F(1, d): 1, 1 + F(3, d): -2, F(1, 2): 1})
+    # 3 * 2^(B - 1) has B + 1 bits: refused at the stratum, before its later entries are read
+    for second in (("1/3",), ("1/3", "not an angle")):
+        with pytest.raises(ModelFormatError) as exc:
+            model_from_json(text(*second))
+        assert exc.value.location == "/strata/1/cover_class"
+        assert exc.value.message == (
+            f"the lcm of the model's angle denominators exceeds the limit of {MAX_ANGLE_BITS} bits"
+        )
 
 
 def test_deep_nesting_and_huge_ints_are_format_errors():
