@@ -572,40 +572,48 @@ def test_huge_decimal_exponents_exit_2_promptly(capsys, tmp_path):
         assert err.startswith(head) and err.count("\n") == 1
 
 
+def _one_vertical_model(strata) -> str:
+    """A model file of ``strata``, with one vertical component of
+    multiplicity 1 for each id they name."""
+    ids = sorted({i for s in strata for i in s["ids"]})
+    components = [{"id": i, "multiplicity": 1, "kind": "vertical"} for i in ids]
+    return json.dumps({"n": 1, "components": components, "strata": strata})
+
+
 def test_model_past_the_angle_limit_exits_2_promptly(capsys, tmp_path):
-    # angles 1/(10^50 + i): before the limit, a stratum of 1,000 entries took 40 s,
-    # one of 2,000 entries did not finish in 120 s and 1,000 strata took 30 s
+    # angles 1/(10^50 + i): read in full, each file would take from 30 s to minutes
     angles = [f"1/{10**50 + i}" for i in range(2_000)]
-    vertical = {"multiplicity": 1, "kind": "vertical"}
-    one = [{"id": "V", **vertical}]
-    # the 1,000 strata are refused at the first whose angle takes the lcm past the limit
+    # 1,000 strata are refused at the first whose angle takes the lcm past the limit
     lcm, first = 10**50, 0
     while lcm.bit_length() <= MAX_ANGLE_BITS:
         first += 1
         lcm = math.lcm(lcm, 10**50 + first)
-    files = (
-        ({"components": one, "strata": [{"ids": ["V"], "cover_class": [
-            [0, 0, a, 1] for a in angles[:k]]}]}, "/strata/0/cover_class")
+    files = [
+        (_one_vertical_model([{"ids": ["V"], "cover_class": [[0, 0, a, 1] for a in angles[:k]]}]),
+         "/strata/0/cover_class")
         for k in (1_000, 2_000)
-    )
-    many = {
-        "components": [{"id": f"c{i}", **vertical} for i in range(1_000)],
-        "strata": [{"ids": [f"c{i}"], "cover_class": [[0, 0, a, 1]]} for i, a in enumerate(angles[:1_000])],
-    }
-    limit = f"the lcm of the model's angle denominators exceeds the limit of {MAX_ANGLE_BITS} bits"
-    for obj, where in (*files, (many, f"/strata/{first}/cover_class")):
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps({"n": 1, **obj}))
+    ]
+    files.append((
+        _one_vertical_model([{"ids": [f"c{i}"], "cover_class": [[0, 0, a, 1]]}
+                             for i, a in enumerate(angles[:1_000])]),
+        f"/strata/{first}/cover_class",
+    ))
+    model = tmp_path / "model.json"
+    for text, where in files:
+        model.write_text(text)
         start = time.perf_counter()
         code, out, err = run(capsys, "nearby", str(model))
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
-        assert err == f"error: {limit} (at {where})\n"
+        assert err == (
+            "error: the lcm of the model's angle denominators exceeds the limit of "
+            f"{MAX_ANGLE_BITS} bits (at {where})\n"
+        )
     # at the limit: 2^(B - 1) has exactly B bits
-    model.write_text(json.dumps({"n": 1, "components": one, "strata": [
-        {"ids": ["V"], "cover_class": [[0, 0, f"1/{2 ** (MAX_ANGLE_BITS - 1)}", 1]]}]}))
+    d = 2 ** (MAX_ANGLE_BITS - 1)
+    model.write_text(_one_vertical_model([{"ids": ["V"], "cover_class": [[0, 0, f"1/{d}", 1]]}]))
     code, out, err = run(capsys, "nearby", str(model))
-    assert (code, err) == (0, "") and f"sp_prime: t^(1/{2 ** (MAX_ANGLE_BITS - 1)})\n" in out
+    assert (code, err) == (0, "") and f"sp_prime: t^(1/{d})\n" in out
 
 
 def test_deeply_nested_model_file_exits_2(capsys, tmp_path):

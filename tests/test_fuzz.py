@@ -4,11 +4,11 @@
 atoms of weighted degree 1 in up to three variables, with random
 coefficients, spellings, ``--weights`` and ``--json``.  ``nearby`` models are
 the two fixtures with their angles re-spelled, multiplicities split, entries
-shuffled and, now and then, a stratum dropped or ``n`` changed or a few
-hundred entries added whose angles have large, distinct denominators.  Each leaf
+shuffled and, now and then, a stratum dropped or ``n`` changed.  Each leaf
 (a token of the argv, a value of the model) is then mutated with probability
 ``RATE``, below 1 %, so most requests stay valid; the mutation alphabet holds
-non-ASCII digits.
+non-ASCII digits.  One model in twenty then gets a few hundred entries whose
+angles have large, distinct denominators.
 
 Every request must exit 0 or 2 within ``BOUND_S``, with no traceback and no
 ``internal error`` on stderr.  Warnings are errors here, as under

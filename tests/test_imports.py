@@ -15,8 +15,7 @@ import singspec
 ROOT = Path(__file__).resolve().parents[1]
 CUSP = str(ROOT / "fixtures" / "cusp_resolution.json")
 
-# every public name of ``singspec/__init__.py``: those it bound before the
-# namespace went lazy, less ``component_count_cstar``, which was removed
+# every public name of ``singspec/__init__.py``
 PUBLIC = (
     "ConsistencyError", "HorizontalComponentError", "InconsistentWeightsError",
     "LengthMismatchError", "MissingStratumWarning", "ModelFormatError",

@@ -285,7 +285,7 @@ def test_covering_degree():
     assert covering_degree(model, ("c0",)) == 6
     assert covering_degree(model, ("c0", "c1")) == 2
     assert covering_degree(model, ("c1", "c2")) == 1
-    assert covering_degree(model, ("c0", "c1")) == 2  # the C*-component count over c0
+    # with an adjacent component: the C*-component count, here over c0
     assert covering_degree(model, ("c0", "c2")) == 3
 
 
