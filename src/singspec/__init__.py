@@ -33,7 +33,7 @@ _EXPORTS = {
         "UnknownVariableError",
         "WeightOutOfRangeError",
     ),
-    "fracpoly": ("FracPoly", "iota", "sp_twist"),
+    "fracpoly": ("FracPoly", "sp_twist"),
     "milnor": (
         "GroebnerBasis",
         "MilnorBasis",
@@ -54,7 +54,6 @@ _EXPORTS = {
         "model_from_json",
         "model_to_json",
         "nearby_fiber_class",
-        "reduce_class",
         "sp_of_class",
         "sp_prime_of_class",
         "sp_prime_reduced",
@@ -71,7 +70,6 @@ _EXPORTS = {
     "spectrum": (
         "EigenMultiset",
         "char_poly",
-        "check_symmetry",
         "eigenvalues_gamma_c",
         "eigenvalues_geometric",
         "sp_from_basis",

@@ -123,14 +123,9 @@ def _parse_weights(raw: str, nvars: int):
 
 
 def _run_sp(args) -> Report:
+    from .fracpoly import sp_twist
     from .parse import parse_polynomial
-    from .spectrum import (
-        analyze,
-        char_poly,
-        check_symmetry,
-        eigenvalues_gamma_c,
-        eigenvalues_geometric,
-    )
+    from .spectrum import analyze, char_poly, eigenvalues_gamma_c, eigenvalues_geometric
 
     variables = _split_names(args.vars)
     f = parse_polynomial(args.expr, variables)
@@ -168,7 +163,7 @@ def _run_sp(args) -> Report:
             "dimension": len(variables),
             "mu": mu,
             "spectrum": str(s_basis),
-            "symmetric": check_symmetry(s_basis, len(variables)),
+            "symmetric": s_basis == sp_twist(s_basis, len(variables)),
             "eigenvalues_gamma_c": _angles(eig_c),
             "eigenvalues_geometric": _angles(eig_geo),
             "char_poly": str(char_poly(eig_c)),

@@ -4,15 +4,13 @@
 (``exact_rational``) to integer coefficients (``exact_int``: 3/2 raises
 TypeError); exponents add in a product and ints lift to constants.
 Exponent a is stored as the int a * den over the map's one denominator
-``den``; ``terms``, ``items()`` and ``support()`` give it as a Fraction.
+``den``; ``terms`` and ``items()`` give it as a Fraction.
 
 The canonical rendering (ascending exponents, sign-aware joining, coefficient
 1 omitted, integer exponents without a denominator, every other exponent
 parenthesized) is consumed verbatim by the command line and pinned by golden
 tests; change it nowhere.
 """
-
-from fractions import Fraction
 
 from .poly import ExactMap, exact_int, ratio
 
@@ -26,9 +24,6 @@ class FracPoly(ExactMap):
 
     def coefficient_sum(self) -> int:
         return sum(self.scaled.values())
-
-    def support(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(k, self.den) for k in sorted(self.scaled))
 
     # -- canonical rendering -------------------------------------------------
 
@@ -49,12 +44,7 @@ class FracPoly(ExactMap):
         return f"FracPoly({str(self)!r})"
 
 
-def iota(s: FracPoly) -> FracPoly:
-    """Exponent negation t^a -> t^(-a); an involution."""
-    return FracPoly.from_scaled(((-k, c) for k, c in s.scaled.items()), s.den)
-
-
 def sp_twist(s: FracPoly, n: int) -> FracPoly:
-    """t^n * iota(s): exponent a -> n - a."""
+    """t^n times s with its exponents negated: exponent a -> n - a."""
     top = n * s.den
     return FracPoly.from_scaled(((top - k, c) for k, c in s.scaled.items()), s.den)

@@ -63,7 +63,6 @@ class EquivClass(ExactMap):
     __slots__ = ()
     _scalars = (int,)
     _unit = (0, 0, 0)
-    _noun = "class"
     _value = staticmethod(exact_int)
     _num = operator.itemgetter(2)
 
@@ -88,11 +87,6 @@ class EquivClass(ExactMap):
     @property
     def entries(self) -> dict:
         return self.terms
-
-    @classmethod
-    def unit(cls):
-        """Class of a point with trivial action."""
-        return cls({(0, 0, 0): 1})
 
     @classmethod
     def lefschetz(cls):
@@ -255,15 +249,12 @@ def sp_of_class(c: EquivClass, n: int) -> FracPoly:
     )
 
 
-def reduce_class(c: EquivClass) -> EquivClass:
-    """Subtract the unit class (degree-0 cohomology of a connected fiber)."""
-    return c - EquivClass.unit()
-
-
 def sp_prime_reduced(c: EquivClass, n: int) -> FracPoly:
     """Spectrum of the reduced class with the alternating-sign normalization
-    for ambient dimension n: (-1)^(n-1) times the raw functional."""
-    s = sp_prime_of_class(reduce_class(c))
+    for ambient dimension n: (-1)^(n-1) times the raw functional.  The
+    reduced class is c - 1, c less the class of a point (the degree-0
+    cohomology of a connected fiber)."""
+    s = sp_prime_of_class(c - 1)
     return s if (n - 1) % 2 == 0 else -s
 
 

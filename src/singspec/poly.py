@@ -122,9 +122,8 @@ class ExactMap:
     ``*`` hand them over) add the values of repeated keys and pass the sums
     through ``_finish``, which drops zeros.  ``from_scaled`` checks nothing:
     it takes only values already checked (see the module docstring).
-    Subclasses set ``_value``, ``_scalars`` (types that lift to constants)
-    and ``_noun`` (for the power error), and override where the default does
-    not fit: ``_key``, ``_joiner`` (the join of two stored keys over
+    Subclasses set ``_value`` and ``_scalars`` (types that lift to
+    constants), and override where the default does not fit: ``_key``, ``_joiner`` (the join of two stored keys over
     ``den``), ``_unit`` (the key of the constant term), ``_num`` and
     ``_with`` (read and replace a stored key's numerator), ``_public`` (the
     public key of a stored key over ``den``), and ``from_scaled`` and
@@ -134,7 +133,6 @@ class ExactMap:
     __slots__ = ("scaled", "den")
     _scalars: tuple = ()
     _unit = 0
-    _noun = "map"
     _num = int  # by default a stored key is its numerator
     _public = Fraction
 
@@ -259,7 +257,7 @@ class ExactMap:
 
     def __pow__(self, n):
         if type(n) is not int or n < 0:  # a bool is no exponent
-            raise ValueError(f"{self._noun} powers must be non-negative integers")
+            raise ValueError(f"{type(self).__name__} powers must be non-negative integers")
         out, base = self._like([(self._unit, self._value(1))]), self
         while n:
             if n & 1:
@@ -369,7 +367,6 @@ class Polynomial(ExactMap):
 
     __slots__ = ("variables",)
     _scalars = (int, Fraction)
-    _noun = "polynomial"
     _value = staticmethod(exact_rational)
     _public = None  # no rational key part: terms is a read-only view of scaled
 

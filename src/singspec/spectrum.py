@@ -17,8 +17,8 @@ Each route builds its own ``FracPoly`` straight from integer exponents over
 its own m; an exponent never becomes a Fraction on the way.
 
 For an isolated weighted-homogeneous singularity the two must agree exactly,
-the spectrum is symmetric under s |-> t^n iota(s), and the coefficient sum is
-the Milnor number.
+the spectrum is a fixed point of ``sp_twist(s, n)`` (exponent a -> n - a), and
+the coefficient sum is the Milnor number.
 
 ``analyze`` gathers what ``singspec sp`` and the check battery both need in
 one ``Analysis`` record: the polynomial, its Milnor basis from a single
@@ -54,7 +54,7 @@ from .errors import (
     NotGaloisStableError,
     ResourceLimitError,
 )
-from .fracpoly import FracPoly, sp_twist
+from .fracpoly import FracPoly
 from .milnor import MilnorBasis, _closed_mu, milnor_basis
 from .poly import (
     ExactMap,
@@ -163,11 +163,6 @@ def analyze(f: Polynomial, weights=None) -> Analysis:
     return Analysis(f, basis, _closed_mu(ws), sp_from_basis(basis), sp_product_formula(ws))
 
 
-def check_symmetry(s: FracPoly, n: int) -> bool:
-    """True when s equals its own twist by n."""
-    return s == sp_twist(s, n)
-
-
 # -- eigenvalue multisets ------------------------------------------------------
 
 
@@ -200,9 +195,6 @@ class EigenMultiset(ExactMap):
     @staticmethod
     def _joiner(den):
         return lambda a, b: (a + b) % den
-
-    def total(self) -> int:
-        return sum(self.scaled.values())
 
     def __repr__(self):
         inner = ", ".join(f"{r}: {m}" for r, m in self.items())

@@ -212,7 +212,7 @@ def test_one_map_over_den_12_and_den_6():
         assert str(m) == str(over_6) == "t^(1/6) - 2*t^(5/6) + 3*t^(3/2)"
         assert repr(m) == repr(over_6)
     assert over_12.terms == public.terms == {F(1, 6): 1, F(5, 6): -2, F(3, 2): 3}
-    assert over_12.support() == (F(1, 6), F(5, 6), F(3, 2))
+    assert tuple(k for k, _ in over_12.items()) == (F(1, 6), F(5, 6), F(3, 2))
     # integer exponents only: the denominator drops to 1
     whole = FracPoly.from_scaled([(12, 1), (-24, 1), (0, 4)], 12)
     assert whole.den == 1 and str(whole) == "t^(-2) + 4 + t"
@@ -295,12 +295,12 @@ def test_foreign_operands_are_refused(value):
     assert value != "x"
 
 
-def test_power_errors_keep_their_messages():
-    with pytest.raises(ValueError, match="polynomial powers"):
+def test_power_errors_name_their_type():
+    with pytest.raises(ValueError, match="Polynomial powers"):
         Polynomial.variable(XY, "x") ** -1
-    with pytest.raises(ValueError, match="class powers"):
-        EquivClass.unit() ** 1.5
-    with pytest.raises(ValueError, match="polynomial powers"):
+    with pytest.raises(ValueError, match="EquivClass powers"):
+        EquivClass({(0, 0, 0): 1}) ** 1.5
+    with pytest.raises(ValueError, match="Polynomial powers"):
         Polynomial.variable(XY, "x") ** True
 
 

@@ -23,17 +23,17 @@ PUBLIC = (
     "NotGaloisStableError", "NotWeightedHomogeneousError", "PolynomialSyntaxError",
     "ResourceLimitError", "SingspecError", "UnderdeterminedWeightsError",
     "UnknownVariableError", "WeightOutOfRangeError",
-    "FracPoly", "iota",
+    "FracPoly",
     "GroebnerBasis", "MilnorBasis", "buchberger", "is_isolated", "milnor_basis",
     "milnor_number", "reduce_modulo",
     "EquivClass", "SncComponent", "SncModel", "Stratum", "covering_degree",
     "euler_specialization", "load_model", "model_from_json",
-    "model_to_json", "nearby_fiber_class", "reduce_class", "sp_of_class",
+    "model_to_json", "nearby_fiber_class", "sp_of_class",
     "sp_prime_of_class", "sp_prime_reduced",
     "parse_polynomial",
     "Polynomial", "as_weights", "infer_weights", "is_weighted_homogeneous",
     "jacobian_generators", "weighted_degree",
-    "EigenMultiset", "char_poly", "check_symmetry", "eigenvalues_gamma_c",
+    "EigenMultiset", "char_poly", "eigenvalues_gamma_c",
     "eigenvalues_geometric", "sp_from_basis", "sp_product_formula", "sp_twist",
     "spectral_residues",
 )

@@ -23,7 +23,6 @@ from singspec import (
     model_from_json,
     model_to_json,
     nearby_fiber_class,
-    reduce_class,
     sp_of_class,
     sp_prime_of_class,
     sp_prime_reduced,
@@ -35,7 +34,7 @@ from singspec.motivic import HORIZONTAL, MAX_ANGLE_BITS, VERTICAL
 F = Fraction
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 L = EquivClass.lefschetz()
-ONE = EquivClass.unit()
+ONE = EquivClass({(0, 0, 0): 1})
 
 
 # -- ring structure ------------------------------------------------------------
@@ -335,10 +334,10 @@ def test_sp_of_class_is_twisted_functional():
         assert sp_of_class(c, n) == sp_twist(sp_prime_of_class(c), n)
 
 
-def test_reduce_class():
-    assert reduce_class(ONE) == EquivClass()
-    assert reduce_class(L) == L - ONE
-    assert reduce_class(EquivClass()) == -ONE
+def test_reduced_class_subtracts_the_int_one():
+    assert ONE - 1 == EquivClass()
+    assert L - 1 == L - ONE
+    assert EquivClass() - 1 == -ONE
 
 
 def test_sp_prime_reduced_signs():

@@ -131,7 +131,7 @@ def test_defaults_and_derived_members():
     assert gb.lead_exponents == ((2,),)
     assert len(_BASIS) == 2
     # the constructors still canonicalize what they are given
-    assert Stratum(("W", "V"), EquivClass.unit()).ids == ("V", "W")
+    assert Stratum(("W", "V"), EquivClass({(0, 0, 0): 1})).ids == ("V", "W")
     w = SncComponent("W", 3, VERTICAL)
     assert SncModel(1, (w, _V), ()).components == (_V, w)
 
