@@ -38,6 +38,7 @@ from .poly import (
     grevlex_key,
     is_weighted_homogeneous,
     jacobian_generators,
+    shown,
 )
 
 # budget on the closed-form Milnor number, i.e. on the number of standard
@@ -323,7 +324,7 @@ def milnor_basis(f: Polynomial, weights) -> MilnorBasis:
     mu = _closed_mu(ws)
     if mu > MAX_MU:
         raise ResourceLimitError(
-            f"Milnor number {mu} from the weights exceeds the limit of {MAX_MU}"
+            f"Milnor number {shown(mu)} from the weights exceeds the limit of {MAX_MU}"
         )
     leads = _jacobian_leads(f)
     if not leads:

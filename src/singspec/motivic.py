@@ -44,16 +44,18 @@ from .errors import (
     ModelFormatError,
 )
 from .fracpoly import FracPoly
-from .poly import ExactMap, Record, exact_int, exact_rational
+from .poly import MAX_DIMENSION, ExactMap, Record, exact_int, exact_rational
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
-# limit on the bits of the lcm of a model file's angle denominators, as
-# written: every stage rescales each stored angle numerator over it, so a
-# request costs about entries x bits; the fixtures and the perfbench models
-# need at most 9 bits
-MAX_ANGLE_BITS = 1_000
+# limit on the bits of a model file's integers: p, q and the multiplicity of
+# a cover-class entry, and the lcm of the angle denominators, as written.
+# Every stage rescales each stored angle numerator over that lcm, so a
+# request costs about entries x bits, and no printed number nears the
+# interpreter's limit on the digits of an int; the fixtures and the
+# perfbench models need at most 9 bits
+MAX_MODEL_BITS = 1_000
 
 
 class EquivClass(ExactMap):
@@ -131,6 +133,9 @@ class SncModel(Record):
     """Degeneration model: components, occurring strata, ambient fiber dimension n.
 
     Canonicalized on construction: components sorted by id, strata by id-set.
+    n is at most ``MAX_DIMENSION``, and a stratum has at most n + 1 members:
+    at a point of the (n + 1)-dimensional total space, an SNC divisor meets
+    at most that many components.
     """
 
     __slots__ = ("n", "components", "strata")
@@ -138,6 +143,8 @@ class SncModel(Record):
     def __init__(self, n: int, components: tuple[SncComponent, ...], strata: tuple[Stratum, ...]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ModelFormatError("n must be a non-negative integer", "/n")
+        if n > MAX_DIMENSION:
+            raise ModelFormatError(f"n exceeds the limit of {MAX_DIMENSION}", "/n")
         comps = tuple(sorted(components, key=lambda c: c.id))
         ids = [c.id for c in comps]
         if len(set(ids)) != len(ids):
@@ -151,6 +158,11 @@ class SncModel(Record):
             if s.ids in seen:
                 raise ModelFormatError(f"duplicate stratum {s.ids}", "/strata")
             seen.add(s.ids)
+            if len(s.ids) > n + 1:
+                raise ModelFormatError(
+                    f"a stratum of {len(s.ids)} members exceeds the limit of n + 1 = {n + 1}",
+                    "/strata",
+                )
             for i in s.ids:
                 if i not in known:
                     raise ModelFormatError(f"stratum references unknown component {i!r}", "/strata")
@@ -298,8 +310,9 @@ def _parse_cover_class(raw, where: str, den: int) -> tuple[EquivClass, int]:
     """The class and the new ``den``: each entry is checked once, here, and
     enters the class as a stored key, the angle's numerator over ``den``,
     the lcm of the distinct angle denominators of the file so far, as
-    written.  That lcm is refused as soon as it passes ``MAX_ANGLE_BITS``,
-    before any numerator is rescaled over it."""
+    written.  That lcm is refused as soon as it passes ``MAX_MODEL_BITS``,
+    before any numerator is rescaled over it, and so are p, q and a
+    multiplicity past that many bits."""
     if not isinstance(raw, list):
         raise ModelFormatError("cover_class must be a list of entries", where)
     entries = []
@@ -313,13 +326,17 @@ def _parse_cover_class(raw, where: str, den: int) -> tuple[EquivClass, int]:
             raise ModelFormatError("p and q must be integers", loc)
         if type(mult) is not int or mult == 0:
             raise ModelFormatError("multiplicity must be a nonzero integer", loc)
+        if max(abs(p), abs(q), abs(mult)).bit_length() > MAX_MODEL_BITS:
+            raise ModelFormatError(
+                f"p, q and the multiplicity must have at most {MAX_MODEL_BITS} bits", loc
+            )
         a, d = _parse_angle(angle, loc)
         if den % d:
             den = math.lcm(den, d)
-            if den.bit_length() > MAX_ANGLE_BITS:
+            if den.bit_length() > MAX_MODEL_BITS:
                 raise ModelFormatError(
                     "the lcm of the model's angle denominators exceeds the limit of "
-                    f"{MAX_ANGLE_BITS} bits",
+                    f"{MAX_MODEL_BITS} bits",
                     where,
                 )
         entries.append((p, q, a, d, mult))
@@ -339,9 +356,9 @@ def model_from_json(text: str) -> SncModel:
     """Parse and validate a model file; errors carry JSON-pointer locations.
 
     The JSON shape and the cover-class entries are checked here, each entry
-    once, and so is the lcm of the angle denominators (``MAX_ANGLE_BITS``);
-    the other fields are checked by the constructors of SncComponent,
-    Stratum and SncModel."""
+    once, with their integers and the lcm of the angle denominators held to
+    ``MAX_MODEL_BITS``; the other fields are checked by the constructors of
+    SncComponent, Stratum and SncModel."""
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit

@@ -12,7 +12,8 @@ tighter than ``+``/``-``)::
 literals).  Identifiers must appear in the caller's variable list.  Errors
 carry the byte offset of the offending token; the grammar is pure ASCII, so
 byte and character offsets agree at every reachable error position.
-Parentheses nest at most ``MAX_NESTING`` deep, so that no input exhausts the
+A polynomial has at most ``poly.MAX_DIMENSION`` variables.  Parentheses
+nest at most ``MAX_NESTING`` deep, so that no input exhausts the
 interpreter's recursion limit; an integer literal has at most the digits of
 ``poly._digit_limit``; and a power ``base^k`` or a product ``a*b`` is expanded
 only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
@@ -29,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .errors import PolynomialSyntaxError, ResourceLimitError, UnknownVariableError
-from .poly import Polynomial, _digit_limit, exp_add
+from .poly import MAX_DIMENSION, Polynomial, _digit_limit, exp_add, shown
 
 _OPS = set("+-*/^()")
 
@@ -43,8 +44,9 @@ MAX_POWER_BITS = 1_000
 def _refuse(what: str, terms: int, bits: int, offset: int) -> None:
     if terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
         raise ResourceLimitError(
-            f"{what} with term count up to {terms} and coefficients up to {bits} bits exceeds "
-            f"the limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits (at offset {offset})"
+            f"{what} with term count up to {shown(terms)} and coefficients up to {shown(bits)} "
+            f"bits exceeds the limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits "
+            f"(at offset {offset})"
         )
 
 
@@ -263,7 +265,13 @@ class _Parser:
 
 
 def parse_polynomial(text: str, variables) -> Polynomial:
-    """Parse ``text`` into a Polynomial over the given ordered variables."""
+    """Parse ``text`` into a Polynomial over the given ordered variables.
+
+    More than ``MAX_DIMENSION`` variables raise ResourceLimitError before
+    anything is built for them."""
+    variables = tuple(variables)
+    if len(variables) > MAX_DIMENSION:
+        raise ResourceLimitError(f"{len(variables)} variables exceed the limit of {MAX_DIMENSION}")
     p = _Parser(text, variables)
     result = p.expr()
     if p.peek()[0] != "end":

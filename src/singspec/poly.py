@@ -78,6 +78,14 @@ def exact_rational(x) -> Fraction:
     raise TypeError(f"{x!r} is not an exact rational")
 
 
+# limit on the variables of a parsed polynomial and on a model file's n: the
+# Gröbner run grows steeply with the dimension (a dense quadratic form takes
+# about 0.3 s in 32 variables and 1.3-2.4 s in 48-64, Python 3.11 on a 2-core
+# Xeon), and the parser builds an n-tuple per variable; the fixtures, the
+# tests and the perfbench inputs need at most 5
+MAX_DIMENSION = 32
+
+
 def _digit_limit() -> int:
     """The interpreter's limit on the digits of an int read from a string,
     or its default, 4300, where none is set (limit 0, or Python < 3.10.7)."""
@@ -96,6 +104,16 @@ def _check_exponent(s: str) -> None:
     limit = _digit_limit()
     if abs(exp) > limit:
         raise ValueError(f"decimal exponent {exp} exceeds the limit of {limit}")
+
+
+def shown(x) -> str:
+    """``str(x)`` of an int or a Fraction, or, past ``_digit_limit()``,
+    where ``str`` refuses, the bits of its larger part: a message about a
+    huge number still prints."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{max(abs(x.numerator), x.denominator).bit_length()}-bit number>"
 
 
 def ratio(num: int, den: int) -> str:
@@ -123,11 +141,12 @@ class ExactMap:
     through ``_finish``, which drops zeros.  ``from_scaled`` checks nothing:
     it takes only values already checked (see the module docstring).
     Subclasses set ``_value`` and ``_scalars`` (types that lift to
-    constants), and override where the default does not fit: ``_key``, ``_joiner`` (the join of two stored keys over
-    ``den``), ``_unit`` (the key of the constant term), ``_num`` and
-    ``_with`` (read and replace a stored key's numerator), ``_public`` (the
-    public key of a stored key over ``den``), and ``from_scaled`` and
-    ``_like`` for maps with more state.
+    constants), and override where the default does not fit: ``_key``,
+    ``_joiner`` (the join of two stored keys over ``den``), ``_unit`` (the
+    key of the constant term), ``_num`` and ``_with`` (read and replace a
+    stored key's numerator), ``_public`` (the public key of a stored key
+    over ``den``), and ``from_scaled`` and ``_like`` for maps with more
+    state.  The power error names the type.
     """
 
     __slots__ = ("scaled", "den")
@@ -462,7 +481,7 @@ def as_weights(values, nvars: int | None = None) -> tuple[Fraction, ...]:
     ws = tuple(map(exact_rational, values))
     for w in ws:
         if not (0 < w < 1):
-            raise WeightOutOfRangeError(f"weight {w} outside the open interval (0, 1)")
+            raise WeightOutOfRangeError(f"weight {shown(w)} outside the open interval (0, 1)")
     if nvars is not None and len(ws) != nvars:
         raise LengthMismatchError(f"{len(ws)} weights for {nvars} variables")
     return ws

@@ -65,6 +65,7 @@ from .poly import (
     exact_rational,
     infer_weights,
     ratio,
+    shown,
 )
 
 # budget on n * m + 1, which bounds the length of every coefficient list the
@@ -114,7 +115,7 @@ def sp_product_formula(weights) -> FracPoly:
     m = math.lcm(*(w.denominator for w in ws)) if ws else 1
     if len(ws) * m + 1 > MAX_DENSE:
         raise ResourceLimitError(
-            f"dense length {len(ws) * m + 1} of the weight product exceeds "
+            f"dense length {shown(len(ws) * m + 1)} of the weight product exceeds "
             f"the limit of {MAX_DENSE}"
         )
     cs = [w.numerator * (m // w.denominator) for w in ws]

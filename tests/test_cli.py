@@ -15,8 +15,9 @@ from singspec.checks import CheckResult
 from singspec import cli, spectrum
 from singspec.cli import Report, main
 from singspec.milnor import MAX_MU
-from singspec.motivic import MAX_ANGLE_BITS
+from singspec.motivic import MAX_MODEL_BITS
 from singspec.parse import MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS
+from singspec.poly import MAX_DIMENSION
 from singspec.spectrum import MAX_DENSE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -160,10 +161,11 @@ def test_sp_huge_product_exits_2_promptly(capsys):
 
 
 def test_sp_huge_sum_of_powers_exits_2_promptly(capsys):
-    # 300 summands in one merge, and a box bound that stops once past comb(301, 2)
+    # 300 summands in one merge, and a box bound that stops once past comb(301, 2);
+    # the 30 variables each take ten exponents of 4,001 digits
     n = "9" * 4000
-    names = [f"x{i}" for i in range(300)]
-    expr = "(" + "+".join(f"{v}^{n}" for v in names) + ")^2"
+    names = [f"x{i}" for i in range(30)]
+    expr = "(" + "+".join(f"{v}^{n}{d}" for v in names for d in range(10)) + ")^2"
     start = time.perf_counter()
     code, out, err = run(capsys, "sp", expr, "--vars", ",".join(names))
     assert time.perf_counter() - start < 2
@@ -572,12 +574,12 @@ def test_huge_decimal_exponents_exit_2_promptly(capsys, tmp_path):
         assert err.startswith(head) and err.count("\n") == 1
 
 
-def _one_vertical_model(strata) -> str:
-    """A model file of ``strata``, with one vertical component of
-    multiplicity 1 for each id they name."""
+def _one_vertical_model(strata, n=1) -> str:
+    """A model file in dimension n of ``strata``, with one vertical component
+    of multiplicity 1 for each id they name."""
     ids = sorted({i for s in strata for i in s["ids"]})
     components = [{"id": i, "multiplicity": 1, "kind": "vertical"} for i in ids]
-    return json.dumps({"n": 1, "components": components, "strata": strata})
+    return json.dumps({"n": n, "components": components, "strata": strata})
 
 
 def test_model_past_the_angle_limit_exits_2_promptly(capsys, tmp_path):
@@ -585,7 +587,7 @@ def test_model_past_the_angle_limit_exits_2_promptly(capsys, tmp_path):
     angles = [f"1/{10**50 + i}" for i in range(2_000)]
     # 1,000 strata are refused at the first whose angle takes the lcm past the limit
     lcm, first = 10**50, 0
-    while lcm.bit_length() <= MAX_ANGLE_BITS:
+    while lcm.bit_length() <= MAX_MODEL_BITS:
         first += 1
         lcm = math.lcm(lcm, 10**50 + first)
     files = [
@@ -607,13 +609,106 @@ def test_model_past_the_angle_limit_exits_2_promptly(capsys, tmp_path):
         assert code == 2 and out == ""
         assert err == (
             "error: the lcm of the model's angle denominators exceeds the limit of "
-            f"{MAX_ANGLE_BITS} bits (at {where})\n"
+            f"{MAX_MODEL_BITS} bits (at {where})\n"
         )
     # at the limit: 2^(B - 1) has exactly B bits
-    d = 2 ** (MAX_ANGLE_BITS - 1)
+    d = 2 ** (MAX_MODEL_BITS - 1)
     model.write_text(_one_vertical_model([{"ids": ["V"], "cover_class": [[0, 0, f"1/{d}", 1]]}]))
     code, out, err = run(capsys, "nearby", str(model))
     assert (code, err) == (0, "") and f"sp_prime: t^(1/{d})\n" in out
+
+
+def _squares(n: int) -> tuple[str, str]:
+    """The sum of squares in n variables, and its --vars list."""
+    names = [f"x{i}" for i in range(n)]
+    return "+".join(f"{v}^2" for v in names), ",".join(names)
+
+
+def _quick_refusal(capsys, argv) -> str:
+    """The one ``error:`` line of a request that must exit 2 within 1 s."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1, argv[:2]
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+NINES = "9" * 4299  # str refuses an int of 4,301 or more digits
+
+
+def test_sp_past_the_dimension_limit_exits_2_promptly(capsys):
+    assert MAX_DIMENSION == 32
+    # 800 variables ran a Gröbner basis for 92 s, and 30,000 names would build
+    # 30,000 tuples of 30,000 ints each in the parser
+    for n in (33, 800, 30_000):
+        expr, names = _squares(n)
+        err = _quick_refusal(capsys, ("sp", expr, "--vars", names))
+        assert err == f"error: {n} variables exceed the limit of 32\n"
+    expr, names = _squares(32)
+    code, out, err = run(capsys, "sp", expr, "--vars", names)
+    assert (code, err) == (0, "") and "mu: 1\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv, head, tail",
+    [
+        (("sp", f"(x+y+z)^{NINES}", "--vars", "x,y,z"), "error: power with term count up to <",
+         f"bits exceeds the limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits "
+         "(at offset 8)\n"),
+        (("sp", f"x^{NINES}+y^{NINES}", "--vars", "x,y"), "error: Milnor number <",
+         f"-bit number> from the weights exceeds the limit of {MAX_MU}\n"),
+        (("sp", "x*y+z^2", "--vars", "x,y,z", "--weights",
+          f"1/{NINES}9,{NINES}8/{NINES}9,1/2"), "error: dense length <",
+         f"-bit number> of the weight product exceeds the limit of {MAX_DENSE}\n"),
+        # inferred weights -1/d and (N - 1)/d, d = N^2 - N - 1
+        (("sp", f"x^{NINES}*y^{int(NINES) + 1}+x*y^{NINES}", "--vars", "x,y"), "error: weight <",
+         "-bit number> outside the open interval (0, 1)\n"),
+        (("sp", "x^2+y^3", "--vars", "x,y", "--weights", "1e4300,1/3"), "error: weight <",
+         "-bit number> outside the open interval (0, 1)\n"),
+    ],
+    ids=["power", "milnor-number", "dense-length", "inferred-weight", "decimal-weight"],
+)
+def test_sp_numbers_past_the_digit_limit_exit_2(capsys, argv, head, tail):
+    err = _quick_refusal(capsys, argv)
+    assert err.startswith(head) and err.endswith(tail), err[:200]
+
+
+def _stratum(*entries, ids=("V",)) -> dict:
+    return {"ids": list(ids), "cover_class": [list(e) for e in entries]}
+
+
+def test_model_past_its_size_limits_exits_2_promptly(capsys, tmp_path):
+    assert MAX_DIMENSION == 32
+    angle, big = f"1/{10**60 + 7}", int(NINES)
+    bits = f"p, q and the multiplicity must have at most {MAX_MODEL_BITS} bits"
+    wide = [f"V{i:05}" for i in range(15_000)]
+    model = tmp_path / "model.json"
+    for strata, n, message in (
+        ([_stratum((0, 0, angle, 1))], int(NINES[:4290]), "n exceeds the limit of 32 (at /n)"),
+        ([_stratum((0, 0, "0", 1))], 33, "n exceeds the limit of 32 (at /n)"),
+        ([_stratum((big, 0, angle, 1))], 1, f"{bits} (at /strata/0/cover_class/0)"),
+        ([_stratum((0, -(2**MAX_MODEL_BITS), "0", 1))], 1, f"{bits} (at /strata/0/cover_class/0)"),
+        ([_stratum((0, 0, "0", big), ids=[f"V{i}"]) for i in range(20)], 1,
+         f"{bits} (at /strata/0/cover_class/0)"),
+        # all 15,000 components in one stratum: (1 - L)^14999 took 40 s
+        ([_stratum((0, 0, "0", 1), ids=wide)], 32,
+         "a stratum of 15000 members exceeds the limit of n + 1 = 33 (at /strata)"),
+        ([_stratum((0, 0, "0", 1), ids="UVW")], 1,
+         "a stratum of 3 members exceeds the limit of n + 1 = 2 (at /strata)"),
+    ):
+        model.write_text(_one_vertical_model(strata, n))
+        assert _quick_refusal(capsys, ("nearby", str(model))) == f"error: {message}\n"
+    # at the limits: n = 32, 33 members, integers of MAX_MODEL_BITS bits
+    top = 2**MAX_MODEL_BITS - 1
+    model.write_text(_one_vertical_model([_stratum((0, 0, "0", -top), ids=wide[:33])], 32))
+    code, out, err = run(capsys, "nearby", str(model), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["data"]["class"] == [
+        [j, j, "0", top * (-1) ** (j + 1) * math.comb(32, j)] for j in range(33)
+    ]
+    model.write_text(_one_vertical_model([_stratum((top, 0, "0", 1))]))
+    code, out, err = run(capsys, "nearby", str(model))
+    assert (code, err) == (0, "") and f"sp_prime: t^{top}\n" in out
 
 
 def test_deeply_nested_model_file_exits_2(capsys, tmp_path):

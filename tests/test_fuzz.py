@@ -8,7 +8,9 @@ shuffled and, now and then, a stratum dropped or ``n`` changed.  Each leaf
 (a token of the argv, a value of the model) is then mutated with probability
 ``RATE``, below 1 %, so most requests stay valid; the mutation alphabet holds
 non-ASCII digits.  One model in twenty then gets a few hundred entries whose
-angles have large, distinct denominators.
+angles have large, distinct denominators.  One request in fifty is oversized:
+``sp`` over hundreds of variables or with exponents of thousands of digits,
+or ``nearby`` with a multiplicity of 4,300 digits.
 
 Every request must exit 0 or 2 within ``BOUND_S``, with no traceback and no
 ``internal error`` on stderr.  Warnings are errors here, as under
@@ -64,7 +66,20 @@ def _monomial(rng, names, e) -> list[str]:
     return parts
 
 
+def _oversized_sp_argv(rng) -> list[str]:
+    """A sum of squares in 250 to 300 variables (its Gröbner run took 4 to 7 s
+    before the limit on the dimension), or two pure powers whose exponents
+    have 4,299 digits (their Milnor number has more digits than str converts)."""
+    if rng.random() < 0.5:
+        names = [f"x{i}" for i in range(rng.randint(250, 300))]
+        return ["sp", "+".join(f"{v}^2" for v in names), "--vars", ",".join(names)]
+    a, b = ("".join(rng.choices("123456789", k=4299)) for _ in range(2))
+    return ["sp", f"x^{a}+y^{b}", "--vars", "x,y"]
+
+
 def _sp_argv(rng) -> list[str]:
+    if rng.random() < 0.02:
+        return _oversized_sp_argv(rng)
     n = rng.randint(1, 3)
     names = rng.sample(("x", "y", "z", "u", "v1", "w_2"), n)
     exps = [rng.randint(2, 7) for _ in range(n)]
@@ -140,6 +155,14 @@ def _spread(rng, model: dict) -> dict:
     return model
 
 
+def _oversize(rng, model: dict) -> dict:
+    """The model with two entries of multiplicity 10^4300 - 1 at one key of a
+    one-member stratum: their sum has more digits than str converts."""
+    entry = [0, 0, "0", 10**4300 - 1]
+    rng.choice([s for s in model["strata"] if len(s["ids"]) == 1])["cover_class"] += [entry] * 2
+    return model
+
+
 def _mutate_leaves(rng, x):
     if isinstance(x, dict):
         return {k: _mutate_leaves(rng, v) for k, v in x.items()}
@@ -156,6 +179,8 @@ def _nearby_argv(rng, fixtures, path: Path) -> list[str]:
     model = _mutate_leaves(rng, _respell(rng, json.loads(rng.choice(fixtures))))
     if rng.random() < 0.05:  # after the mutations, so that the added entries stay valid
         model = _spread(rng, model)
+    if rng.random() < 0.02:
+        model = _oversize(rng, model)
     text = json.dumps(model, ensure_ascii=False, indent=rng.choice((None, 2)))
     if rng.random() < RATE * 10:  # the file itself, not a value in it
         text = _mutate_text(rng, text)

@@ -29,7 +29,8 @@ from singspec import (
     sp_twist,
 )
 from singspec.checks import cusp_resolution_model, random_class, semistable_i2_model
-from singspec.motivic import HORIZONTAL, MAX_ANGLE_BITS, VERTICAL
+from singspec.motivic import HORIZONTAL, MAX_MODEL_BITS, VERTICAL
+from singspec.poly import MAX_DIMENSION
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -532,7 +533,7 @@ def test_model_semantic_errors():
 
 
 def test_constructors_check_fields_and_locate_errors():
-    v = SncComponent("V", 1, VERTICAL)
+    v, w = SncComponent("V", 1, VERTICAL), SncComponent("W", 1, VERTICAL)
     for build, where in (
         (lambda: SncComponent("V", True, VERTICAL), "/multiplicity"),
         (lambda: SncComponent("V", 0, VERTICAL), "/multiplicity"),
@@ -542,6 +543,8 @@ def test_constructors_check_fields_and_locate_errors():
         (lambda: SncModel(n=True, components=(v,), strata=()), "/n"),
         (lambda: SncModel(n=1, components=(v, v), strata=()), "/components"),
         (lambda: SncModel(n=1, components=(v,), strata=(Stratum(("W",), ONE),)), "/strata"),
+        (lambda: SncModel(n=MAX_DIMENSION + 1, components=(v,), strata=()), "/n"),
+        (lambda: SncModel(n=0, components=(v, w), strata=(Stratum(("V", "W"), ONE),)), "/strata"),
     ):
         with pytest.raises(ModelFormatError) as exc:
             build()
@@ -648,7 +651,7 @@ def test_huge_decimal_exponent_angle_is_refused_promptly():
 
 def test_angle_lcm_at_the_limit_loads_and_one_bit_more_is_refused():
     # the denominators 2^(B - 1) and 2 have a whole-file lcm of exactly B bits
-    d = 2 ** (MAX_ANGLE_BITS - 1)
+    d = 2 ** (MAX_MODEL_BITS - 1)
     comps = [{"id": c, "multiplicity": 1, "kind": "vertical"} for c in ("V", "W")]
 
     def text(*second):
@@ -670,7 +673,7 @@ def test_angle_lcm_at_the_limit_loads_and_one_bit_more_is_refused():
             model_from_json(text(*second))
         assert exc.value.location == "/strata/1/cover_class"
         assert exc.value.message == (
-            f"the lcm of the model's angle denominators exceeds the limit of {MAX_ANGLE_BITS} bits"
+            f"the lcm of the model's angle denominators exceeds the limit of {MAX_MODEL_BITS} bits"
         )
 
 

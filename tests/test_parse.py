@@ -13,7 +13,7 @@ from singspec import (
 )
 from singspec import parse
 from singspec.parse import MAX_NESTING
-from singspec.poly import exact_rational
+from singspec.poly import MAX_DIMENSION, exact_rational
 
 XY = ("x", "y")
 
@@ -115,6 +115,17 @@ def test_nesting_limit():
     with pytest.raises(PolynomialSyntaxError) as exc:
         parse_polynomial(text, XY)
     assert exc.value.offset == len("x + ") + MAX_NESTING
+
+
+def test_dimension_limit():
+    names = tuple(f"x{i}" for i in range(MAX_DIMENSION + 1))
+    squares = "+".join(f"{v}^2" for v in names[:-1])
+    assert len(parse_polynomial(squares, names[:-1]).terms) == MAX_DIMENSION
+    # refused before the text is read
+    for text in (squares, "not a polynomial"):
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_polynomial(text, names)
+        assert str(exc.value) == f"{MAX_DIMENSION + 1} variables exceed the limit of {MAX_DIMENSION}"
 
 
 def test_power_budget_boundary(monkeypatch):

@@ -18,6 +18,7 @@ from singspec import (
     parse_polynomial,
     weighted_degree,
 )
+from singspec.poly import shown
 
 XY = ("x", "y")
 
@@ -153,6 +154,16 @@ def test_weight_range_enforced():
         as_weights((Fraction(1, 2), Fraction(1)))
     with pytest.raises(WeightOutOfRangeError):
         as_weights((Fraction(0), Fraction(1, 2)))
+    # 10^4300 has 4,301 digits, past what str converts: the message gives its bits
+    with pytest.raises(WeightOutOfRangeError, match=r"^weight <14285-bit number> outside"):
+        as_weights((10**4300,))
+
+
+def test_shown_prints_what_str_prints_and_else_the_bits():
+    assert [shown(x) for x in (0, -7, Fraction(-3, 4))] == ["0", "-7", "-3/4"]
+    assert shown(10**4299) == str(10**4299)  # 4,300 digits: str still converts
+    assert shown(-(10**4300)) == "<14285-bit number>"
+    assert shown(Fraction(1, 10**4300 + 1)) == "<14285-bit number>"
 
 
 def test_infer_weights_unique_solutions():
