@@ -80,9 +80,9 @@ def exact_rational(x) -> Fraction:
 
 # limit on the variables of a parsed polynomial and on a model file's n: the
 # Gröbner run grows steeply with the dimension (a dense quadratic form takes
-# about 0.3 s in 32 variables and 1.3-2.4 s in 48-64, Python 3.11 on a 2-core
-# Xeon), and the parser builds an n-tuple per variable; the fixtures, the
-# tests and the perfbench inputs need at most 5
+# 0.25 s in 32 variables, 1.0 s in 48 and 2.5 s in 64, Python 3.11 on a
+# 2-core Xeon), and the parser builds an n-tuple per variable; the fixtures,
+# the tests and the perfbench inputs need at most 5
 MAX_DIMENSION = 32
 
 

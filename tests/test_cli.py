@@ -31,6 +31,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _quick_refusal(capsys, argv) -> str:
+    """The one ``error:`` line of a request that must exit 2 within 1 s."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1, argv[:2]
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+NINES = "9" * 4299  # str refuses an int of 4,301 or more digits
+
+
 def test_sp_leading_minus_after_double_dash(capsys):
     code, out, err = run(capsys, "sp", "--vars", "x,y", "--", "-x^2+y^3")
     assert (code, err) == (0, "")
@@ -103,25 +115,30 @@ def test_sp_deep_nesting_exits_2(capsys):
 
 
 def test_sp_huge_milnor_number_exits_2_promptly(capsys):
-    # mu = 99999999998 standard monomials: refused from the weights alone
-    start = time.perf_counter()
-    code, out, err = run(capsys, "sp", "x^99999999999 + y^2", "--vars", "x,y")
-    assert time.perf_counter() - start < 2
-    assert code == 2
-    assert out == ""
-    assert err == f"error: Milnor number 99999999998 from the weights exceeds the limit of {MAX_MU}\n"
+    # mu = 99999999998 standard monomials: refused from the weights alone;
+    # (N - 1)^2 has more digits than str converts, so its size is printed
+    n = int(NINES)
+    for expr, mu in (
+        ("x^99999999999 + y^2", "99999999998"),
+        (f"x^{n}+y^{n}", f"<{((n - 1) ** 2).bit_length()}-bit number>"),
+    ):
+        err = _quick_refusal(capsys, ("sp", expr, "--vars", "x,y"))
+        assert err == f"error: Milnor number {mu} from the weights exceeds the limit of {MAX_MU}\n"
 
 
 def test_sp_huge_dense_length_exits_2_promptly(capsys):
-    # mu = 1, but the product formula would expand 2 * 10^7 + 1 coefficients
-    start = time.perf_counter()
-    code, out, err = run(
-        capsys, "sp", "x*y", "--vars", "x,y", "--weights", "4999999/10000000,5000001/10000000"
-    )
-    assert time.perf_counter() - start < 2
-    assert code == 2
-    assert out == ""
-    assert err == f"error: dense length 20000001 of the weight product exceeds the limit of {MAX_DENSE}\n"
+    # mu = 1, but the product formula would expand 2 * 10^7 + 1 coefficients;
+    # with B = 10^4300 - 1 it would expand 6B + 1, too many digits to print
+    b = int(NINES + "9")
+    for argv, length in (
+        (("x*y", "--vars", "x,y", "--weights", "4999999/10000000,5000001/10000000"), "20000001"),
+        (("x*y+z^2", "--vars", "x,y,z", "--weights", f"1/{b},{b - 1}/{b},1/2"),
+         f"<{(6 * b + 1).bit_length()}-bit number>"),
+    ):
+        err = _quick_refusal(capsys, ("sp", *argv))
+        assert err == (
+            f"error: dense length {length} of the weight product exceeds the limit of {MAX_DENSE}\n"
+        )
 
 
 def test_sp_huge_powers_exit_2_promptly(capsys):
@@ -130,12 +147,12 @@ def test_sp_huge_powers_exit_2_promptly(capsys):
     for expr, size, offset in (
         ("(x+y)^3000", "term count up to 3001 and coefficients up to 3000 bits", 6),
         ("3^20000000*x^2+y^3", "term count up to 1 and coefficients up to 40000000 bits", 2),
+        # comb(N + 2, 2) terms: more digits than str converts
+        (f"(x+y+1)^{NINES}",
+         f"term count up to <{math.comb(int(NINES) + 2, 2).bit_length()}-bit number> and "
+         f"coefficients up to {2 * int(NINES)} bits", 8),
     ):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "sp", expr, "--vars", "x,y")
-        assert time.perf_counter() - start < 2, expr
-        assert code == 2, expr
-        assert out == ""
+        err = _quick_refusal(capsys, ("sp", expr, "--vars", "x,y"))
         assert err == f"error: power with {size} exceeds the {limits} (at offset {offset})\n"
 
 
@@ -624,18 +641,6 @@ def _squares(n: int) -> tuple[str, str]:
     return "+".join(f"{v}^2" for v in names), ",".join(names)
 
 
-def _quick_refusal(capsys, argv) -> str:
-    """The one ``error:`` line of a request that must exit 2 within 1 s."""
-    start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 1, argv[:2]
-    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-    return err
-
-
-NINES = "9" * 4299  # str refuses an int of 4,301 or more digits
-
-
 def test_sp_past_the_dimension_limit_exits_2_promptly(capsys):
     assert MAX_DIMENSION == 32
     # 800 variables ran a Gröbner basis for 92 s, and 30,000 names would build
@@ -649,28 +654,15 @@ def test_sp_past_the_dimension_limit_exits_2_promptly(capsys):
     assert (code, err) == (0, "") and "mu: 1\n" in out
 
 
-@pytest.mark.parametrize(
-    "argv, head, tail",
-    [
-        (("sp", f"(x+y+z)^{NINES}", "--vars", "x,y,z"), "error: power with term count up to <",
-         f"bits exceeds the limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits "
-         "(at offset 8)\n"),
-        (("sp", f"x^{NINES}+y^{NINES}", "--vars", "x,y"), "error: Milnor number <",
-         f"-bit number> from the weights exceeds the limit of {MAX_MU}\n"),
-        (("sp", "x*y+z^2", "--vars", "x,y,z", "--weights",
-          f"1/{NINES}9,{NINES}8/{NINES}9,1/2"), "error: dense length <",
-         f"-bit number> of the weight product exceeds the limit of {MAX_DENSE}\n"),
-        # inferred weights -1/d and (N - 1)/d, d = N^2 - N - 1
-        (("sp", f"x^{NINES}*y^{int(NINES) + 1}+x*y^{NINES}", "--vars", "x,y"), "error: weight <",
-         "-bit number> outside the open interval (0, 1)\n"),
-        (("sp", "x^2+y^3", "--vars", "x,y", "--weights", "1e4300,1/3"), "error: weight <",
-         "-bit number> outside the open interval (0, 1)\n"),
-    ],
-    ids=["power", "milnor-number", "dense-length", "inferred-weight", "decimal-weight"],
-)
-def test_sp_numbers_past_the_digit_limit_exit_2(capsys, argv, head, tail):
-    err = _quick_refusal(capsys, argv)
-    assert err.startswith(head) and err.endswith(tail), err[:200]
+def test_sp_weights_past_the_digit_limit_exit_2(capsys):
+    n = int(NINES)
+    for argv, bits in (
+        # inferred weights -1/d and (n - 1)/d, d = n^2 - n - 1
+        ((f"x^{n}*y^{n + 1}+x*y^{n}", "--vars", "x,y"), (n * n - n - 1).bit_length()),
+        (("x^2+y^3", "--vars", "x,y", "--weights", "1e4300,1/3"), (10**4300).bit_length()),
+    ):
+        err = _quick_refusal(capsys, ("sp", *argv))
+        assert err == f"error: weight <{bits}-bit number> outside the open interval (0, 1)\n"
 
 
 def _stratum(*entries, ids=("V",)) -> dict:
@@ -690,7 +682,7 @@ def test_model_past_its_size_limits_exits_2_promptly(capsys, tmp_path):
         ([_stratum((0, -(2**MAX_MODEL_BITS), "0", 1))], 1, f"{bits} (at /strata/0/cover_class/0)"),
         ([_stratum((0, 0, "0", big), ids=[f"V{i}"]) for i in range(20)], 1,
          f"{bits} (at /strata/0/cover_class/0)"),
-        # all 15,000 components in one stratum: (1 - L)^14999 took 40 s
+        # all 15,000 components in one stratum: (1 - L)^14999 took 31 s, then exit 3
         ([_stratum((0, 0, "0", 1), ids=wide)], 32,
          "a stratum of 15000 members exceeds the limit of n + 1 = 33 (at /strata)"),
         ([_stratum((0, 0, "0", 1), ids="UVW")], 1,
