@@ -11,12 +11,17 @@ the leads filtered coordinate by coordinate, ``_standard_monomials``), and
 their count must agree with the closed-form product of (1/w_i - 1) over the
 weights.  Disagreement is an internal error, never a user error.
 ``milnor_basis`` checks that closed form against ``MAX_MU`` before it computes
-a Gröbner basis or enumerates a monomial, and tests isolation on the leading
-terms of its own single Gröbner run; ``spectrum.analyze`` builds on it, so
-``singspec sp`` runs ``buchberger`` once per request and ``singspec check``
-once per corpus case, building its corpus once per run.  ``is_isolated`` and
-``milnor_number`` each run it again; they stay as public entry points and as
-oracles for ``analyze``.
+a Gröbner basis or enumerates a monomial.
+
+A Gröbner run has two layers: the core ``_minimal_basis`` runs the pair loop
+and returns the leads and monic tails of a minimal basis, and ``buchberger``
+inter-reduces them into the reduced ``GroebnerBasis``.  Inter-reduction
+rewrites only tails, so ``milnor_basis`` and ``is_isolated`` read the core's
+leads (``_jacobian_leads``) and build no reduced basis.  ``singspec sp`` runs
+the core once per request (``spectrum.analyze``) and ``singspec check`` once
+per corpus case, building its corpus once per run; ``is_isolated`` and
+``milnor_number`` each run it again, as public entry points and as oracles
+for ``analyze``.
 """
 
 import heapq
@@ -147,11 +152,13 @@ class MilnorBasis(Record):
         return len(self.monomials)
 
 
-def buchberger(generators, variables=None) -> GroebnerBasis:
-    """Reduced Gröbner basis of the ideal the generators span.
+def _minimal_basis(gens) -> tuple[list[tuple], list[dict]]:
+    """Leads and monic tails of a minimal Gröbner basis of the ideal the
+    nonzero polynomials ``gens`` span, in ascending grevlex order of the leads.
 
-    Elements are (lead, tail) pairs, a leading exponent and the monic other
-    terms; a remainder's lead is its first key (``normal_form``'s order).
+    The leads are those of the reduced basis (inter-reduction rewrites only
+    tails), so callers that need the leading ideal alone stop here.  A
+    remainder's lead is its first key (``normal_form``'s order).
 
     Deterministic: generators are pre-sorted, the pair with the grevlex-least
     lcm is processed first (normal selection), and both classical discards
@@ -165,16 +172,6 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
     exactly the order of ``min(pending, key=...)``.  ``pending`` mirrors the
     heap for the chain criterion; a pair leaves it when it is popped.
     """
-    gens = [g for g in generators if g]
-    if variables is None:
-        if not gens:
-            raise ValueError("cannot infer variables from an empty generator list")
-        variables = gens[0].variables
-    variables = tuple(variables)
-    for g in gens:
-        if g.variables != variables:
-            raise ValueError("generators must share one variable tuple")
-
     leads: list[tuple] = []
     tails: list[dict] = []
     pending: set[tuple[int, int]] = set()
@@ -221,14 +218,29 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
         if not any(exp_divides(k, leads[i]) for k in kept_leads):
             kept_leads.append(leads[i])
             kept_tails.append(tails[i])
+    return kept_leads, kept_tails
 
-    # reduced basis: every tail in normal form against the kept elements
+
+def buchberger(generators, variables=None) -> GroebnerBasis:
+    """Reduced Gröbner basis of the ideal the generators span: the minimal
+    basis of ``_minimal_basis`` with every tail in normal form against it."""
+    gens = [g for g in generators if g]
+    if variables is None:
+        if not gens:
+            raise ValueError("cannot infer variables from an empty generator list")
+        variables = gens[0].variables
+    variables = tuple(variables)
+    for g in gens:
+        if g.variables != variables:
+            raise ValueError("generators must share one variable tuple")
+
+    leads, tails = _minimal_basis(gens)
     out = []
-    for le, tail in zip(kept_leads, kept_tails):
+    for le, tail in zip(leads, tails):
         # x^a | x^b implies x^b >= x^a, so an element never reduces its own tail
-        tail = normal_form(tail, kept_leads, kept_tails)
+        tail = normal_form(tail, leads, tails)
         out.append(Polynomial.from_scaled([*tail.items(), (le, Fraction(1))], variables))
-    # kept_leads ascend in grevlex order, so out is sorted
+    # the leads ascend in grevlex order, so out is sorted
     return GroebnerBasis(variables, tuple(out))
 
 
@@ -292,8 +304,9 @@ def _standard_monomials(leads, nvars: int) -> list[tuple[int, ...]]:
 
 
 def _jacobian_leads(f: Polynomial) -> tuple[tuple[int, ...], ...]:
-    """Leading exponents of a Gröbner basis of the Jacobian ideal (none if it is zero)."""
-    return buchberger(jacobian_generators(f), f.variables).lead_exponents
+    """Leading exponents of the reduced Gröbner basis of the Jacobian ideal
+    (none if it is zero), from the minimal basis alone."""
+    return tuple(_minimal_basis([g for g in jacobian_generators(f) if g])[0])
 
 
 def is_isolated(f: Polynomial) -> bool:

@@ -19,10 +19,13 @@ interpreter's recursion limit; an integer literal has at most the digits of
 only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
 ``_check_power`` and ``_check_product``).
 
-The tokenizer, the variable check and those budgets are the parser's
-validation, so atoms (a Fraction constant or a variable's unit exponent),
-closed-form powers and products of single terms (refused under the bits
-``_check_product`` counts for them) and the final sum are built with
+A single nonzero term travels through ``atom``, ``factor`` and ``term`` as an
+(exponent, coefficient) pair, so no one-term Polynomial is built for a
+number, a variable, or a power or product of single terms.  The zero literal
+is the zero polynomial, and every multi-term operand a Polynomial; the
+budgets read both kinds through ``_pairs``, one formula for either.  The
+tokenizer, the variable check and those budgets are the parser's validation,
+so multi-term operands and the final sum are built with
 ``Polynomial.from_scaled``, not re-checked by the public constructor.
 """
 
@@ -35,6 +38,8 @@ from .poly import MAX_DIMENSION, Polynomial, _digit_limit, exp_add, shown
 _OPS = set("+-*/^()")
 
 MAX_NESTING = 100
+
+_ONE = Fraction(1)
 
 # budgets on base^k and a*b, checked before expanding them; (x+y+z)^20 needs 231 terms, 40 bits
 MAX_POWER_TERMS = 1_000
@@ -61,32 +66,44 @@ def _capped_prod(factors, cap: int) -> int:
     return out
 
 
-def _integral(p: Polynomial) -> tuple[list, int]:
-    """(numerators P_i, denominator D) with p = sum P_i x^e_i / D, D the lcm
-    of the coefficient denominators."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return [c.numerator * (den // c.denominator) for c in p.terms.values()], den
+def _pairs(v) -> list:
+    """The stored (exponent, coefficient) pairs of an operand as the parser
+    carries it: a single term's pair, or a Polynomial."""
+    return [v] if type(v) is tuple else list(v.scaled.items())
 
 
-def _check_power(base: Polynomial, k: int, offset: int) -> None:
-    """Raise ResourceLimitError when base^k may exceed the power budgets.
+def _integral(pairs) -> tuple[list, int]:
+    """(numerators P_i, denominator D) with p = sum P_i x^e_i / D for the
+    stored (exponent, coefficient) pairs of p, D the lcm of the coefficient
+    denominators."""
+    den = math.lcm(*[c.denominator for _, c in pairs])
+    return [c.numerator * (den // c.denominator) for _, c in pairs], den
+
+
+def _check_power(base, k: int, offset: int) -> None:
+    """Raise ResourceLimitError when base^k may exceed the power budgets;
+    ``base`` is a pair or a Polynomial, read through ``_pairs``.
 
     A t-term base has at most comb(t - 1 + k, k) terms in its k-th power, and
     at most prod(k * e_i + 1), e_i the largest exponent of variable i (that
     product stops once it passes the first bound).  For base = P / D, P
     integral and D the lcm of the denominators, a coefficient has numerator
     at most |P|_1^k and denominator at most D^k."""
-    if not base.terms:
+    base = _pairs(base)
+    if not base:
         return
-    terms = math.comb(len(base.terms) - 1 + k, k)
-    terms = min(terms, _capped_prod((k * max(col) + 1 for col in zip(*base.terms)), terms))
+    terms = math.comb(len(base) - 1 + k, k)
+    if terms > 1:  # each factor of the product is at least 1
+        dense = _capped_prod((k * max(col) + 1 for col in zip(*(e for e, _ in base))), terms)
+        terms = min(terms, dense)
     nums, den = _integral(base)
     norm = sum(abs(x) for x in nums)
     _refuse("power", terms, k * ((norm - 1).bit_length() + (den - 1).bit_length()), offset)
 
 
-def _check_product(a: Polynomial, b: Polynomial, offset: int) -> None:
-    """Raise ResourceLimitError when a * b may exceed the power budgets.
+def _check_product(a, b, offset: int) -> None:
+    """Raise ResourceLimitError when a * b may exceed the power budgets;
+    ``a`` and ``b`` are pairs or Polynomials, read through ``_pairs``.
 
     With T the term counts, a * b has at most T_a * T_b terms; when that is
     over budget, also at most prod(e_a,i + e_b,i + 1), e_i the largest
@@ -99,21 +116,21 @@ def _check_product(a: Polynomial, b: Polynomial, offset: int) -> None:
     coefficient sums at most min(T_a, T_b) products, so it needs at most
     bits_a + bits_b + ceil(log2 min(T_a, T_b)) bits, with
     bits = ceil(log2 max |P_i|) + ceil(log2 D) for P / D as in ``_integral``."""
-    if not a.terms or not b.terms:
+    a, b = _pairs(a), _pairs(b)
+    if not a or not b:
         return
-    terms = len(a.terms) * len(b.terms)
+    terms = len(a) * len(b)
     if terms > MAX_POWER_TERMS:
-        n = len(a.variables)
-        dense = _capped_prod(
-            (max(x) + max(y) + 1 for x, y in zip(zip(*a.terms), zip(*b.terms))), terms
-        )
-        da, db = [sum(e) for e in a.terms], [sum(e) for e in b.terms]
+        ea, eb = [e for e, _ in a], [e for e, _ in b]
+        n = len(ea[0])
+        dense = _capped_prod((max(x) + max(y) + 1 for x, y in zip(zip(*ea), zip(*eb))), terms)
+        da, db = [sum(e) for e in ea], [sum(e) for e in eb]
         lo, hi = min(da) + min(db), max(da) + max(db)
         # in two or more variables the slab holds over hi monomials of degree hi
         if n == 1 or hi < terms:
             terms = min(terms, math.comb(hi + n, n) - (math.comb(lo - 1 + n, n) if lo else 0))
         terms = min(terms, dense)
-    bits = (min(len(a.terms), len(b.terms)) - 1).bit_length()
+    bits = (min(len(a), len(b)) - 1).bit_length()
     for p in (a, b):
         nums, den = _integral(p)
         bits += (max(map(abs, nums)) - 1).bit_length() + (den - 1).bit_length()
@@ -185,34 +202,37 @@ class _Parser:
         what = "end of input" if kind == "end" else repr(text)
         raise PolynomialSyntaxError(f"expected {expected}, found {what}", offset)
 
-    def expr(self) -> Polynomial:
-        """The signed terms of every summand go into one ``from_scaled`` call."""
+    def polynomial(self, v) -> Polynomial:
+        """An operand as a Polynomial: a pair becomes its one-term polynomial."""
+        return Polynomial.from_scaled([v], self.variables) if type(v) is tuple else v
+
+    def expr(self):
+        """The signed terms of every summand go into one ``from_scaled``
+        call, unless the sum is a single term, which stays a pair."""
         pairs = []
         op = self.take()[0] if self.peek()[0] in ("+", "-") else "+"
         while True:
-            sign = -1 if op == "-" else 1
-            pairs += [(e, sign * c) for e, c in self.term().scaled.items()]
+            summand = _pairs(self.term())
+            pairs += [(e, -c) for e, c in summand] if op == "-" else summand
             if self.peek()[0] not in ("+", "-"):
+                if len(pairs) == 1:
+                    return pairs[0]
                 return Polynomial.from_scaled(pairs, self.variables)
             op = self.take()[0]
 
-    def term(self) -> Polynomial:
+    def term(self):
         result = self.factor()
         while self.peek()[0] == "*":
             offset = self.take()[2]
             right = self.factor()
-            if len(result.scaled) == len(right.scaled) == 1:
-                [(ea, ca)], [(eb, cb)] = result.scaled.items(), right.scaled.items()
-                bits = sum((abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
-                           for c in (ca, cb))
-                _refuse("product", 1, bits, offset)
-                result = Polynomial.from_scaled([(exp_add(ea, eb), ca * cb)], self.variables)
+            _check_product(result, right, offset)
+            if type(result) is tuple and type(right) is tuple:
+                result = (exp_add(result[0], right[0]), result[1] * right[1])
             else:
-                _check_product(result, right, offset)
-                result = result * right
+                result = self.polynomial(result) * self.polynomial(right)
         return result
 
-    def factor(self) -> Polynomial:
+    def factor(self):
         base = self.atom()
         if self.peek()[0] == "^":
             self.take()
@@ -222,13 +242,16 @@ class _Parser:
             self.take()
             k = int(text)
             _check_power(base, k, offset)
-            if len(base.terms) == 1:  # closed form: exponents times k, coefficient to the k
-                [(e, c)] = base.scaled.items()
-                return Polynomial.from_scaled([(tuple(x * k for x in e), c**k)], self.variables)
+            if type(base) is tuple:  # closed form: exponents times k, coefficient to the k
+                e, c = base
+                return tuple(x * k for x in e), c**k
             return base**k
         return base
 
-    def atom(self) -> Polynomial:
+    def atom(self):
+        """A nonzero number or a variable as a pair (exponent, coefficient);
+        the zero literal as the zero polynomial; a parenthesized sum as
+        ``expr`` returns it, a one-term polynomial turned into its pair."""
         kind, text, offset = self.peek()
         if kind == "int":
             self.take()
@@ -242,12 +265,14 @@ class _Parser:
                 if int(dt) == 0:
                     raise PolynomialSyntaxError("zero denominator", doff)
                 value /= int(dt)
-            return Polynomial.from_scaled([(self.zero, value)], self.variables)
+            if value:
+                return self.zero, value
+            return Polynomial.from_scaled((), self.variables)
         if kind == "ident":
             self.take()
             if text not in self.variables:
                 raise UnknownVariableError(text, offset)
-            return Polynomial.from_scaled([(self.units[text], Fraction(1))], self.variables)
+            return self.units[text], _ONE
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise PolynomialSyntaxError(
@@ -260,6 +285,8 @@ class _Parser:
             if self.peek()[0] != ")":
                 self.fail("')'")
             self.take()
+            if type(inner) is not tuple and len(inner.scaled) == 1:
+                [inner] = inner.scaled.items()
             return inner
         self.fail("a number, variable, or '('")
 
@@ -276,4 +303,4 @@ def parse_polynomial(text: str, variables) -> Polynomial:
     result = p.expr()
     if p.peek()[0] != "end":
         p.fail("end of input")
-    return result
+    return p.polynomial(result)

@@ -106,14 +106,17 @@ def _check_exponent(s: str) -> None:
         raise ValueError(f"decimal exponent {exp} exceeds the limit of {limit}")
 
 
+# past this many bits in its larger part (about 60 digits) a number in a
+# message prints as its size; any digit limit of ``str`` is far above it
+_SHOWN_BITS = 200
+
+
 def shown(x) -> str:
-    """``str(x)`` of an int or a Fraction, or, past ``_digit_limit()``,
-    where ``str`` refuses, the bits of its larger part: a message about a
-    huge number still prints."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"<{max(abs(x.numerator), x.denominator).bit_length()}-bit number>"
+    """``str(x)`` of an int or a Fraction, or, past ``_SHOWN_BITS`` bits,
+    the bits of its larger part: a message about a huge number prints, and
+    stays short, without converting the number."""
+    bits = max(abs(x.numerator), x.denominator).bit_length()
+    return str(x) if bits <= _SHOWN_BITS else f"<{bits}-bit number>"
 
 
 def ratio(num: int, den: int) -> str:

@@ -153,10 +153,11 @@ def analyze(f: Polynomial, weights=None) -> Analysis:
 
     The weights come first: the given ones, or ``infer_weights(f)`` when
     ``weights`` is None.  ``milnor_basis`` then checks homogeneity, checks
-    MAX_MU from the closed form, runs ``buchberger`` once, tests isolation
-    on the leading terms of that run and enumerates the standard monomials;
-    so a weight error outranks non-isolation, and no Gröbner work is done
-    for weights that fail.  Raises what those steps and
+    MAX_MU from the closed form, runs the Gröbner core once and reads only
+    the leads of its minimal basis (no reduced basis is built), tests
+    isolation on those leads and enumerates the standard monomials; so a
+    weight error outranks non-isolation, and no Gröbner work is done for
+    weights that fail.  Raises what those steps and
     ``sp_product_formula`` raise; the routes are not compared here.
     """
     basis = milnor_basis(f, infer_weights(f) if weights is None else weights)

@@ -150,10 +150,18 @@ def test_sp_huge_powers_exit_2_promptly(capsys):
         # comb(N + 2, 2) terms: more digits than str converts
         (f"(x+y+1)^{NINES}",
          f"term count up to <{math.comb(int(NINES) + 2, 2).bit_length()}-bit number> and "
-         f"coefficients up to {2 * int(NINES)} bits", 8),
+         f"coefficients up to <{(2 * int(NINES)).bit_length()}-bit number> bits", 8),
     ):
         err = _quick_refusal(capsys, ("sp", expr, "--vars", "x,y"))
         assert err == f"error: power with {size} exceeds the {limits} (at offset {offset})\n"
+
+
+def test_refusal_lines_stay_short(capsys):
+    # (x+y+z)^N: both its term count and its bit count 2N are huge; each
+    # prints as its size, so the one error line stays short
+    err = _quick_refusal(capsys, ("sp", f"(x+y+z)^{NINES}", "--vars", "x,y,z"))
+    assert len(err.encode()) < 200, err
+    assert f"coefficients up to <{(2 * int(NINES)).bit_length()}-bit number> bits" in err
 
 
 def test_sp_huge_product_exits_2_promptly(capsys):
@@ -207,17 +215,19 @@ def test_sp_huge_monomial_power_exits_2_promptly(capsys):
 
 @pytest.fixture
 def buchberger_calls(monkeypatch):
-    """The argument lists of every ``buchberger`` call made through ``milnor``."""
+    """The argument lists of every Gröbner run made through ``milnor``: calls
+    of its core, ``_minimal_basis``, which ``buchberger`` and the leads-only
+    path of ``milnor_basis`` share."""
     import singspec.milnor
 
     calls = []
-    real = singspec.milnor.buchberger
+    real = singspec.milnor._minimal_basis
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(singspec.milnor, "buchberger", counted)
+    monkeypatch.setattr(singspec.milnor, "_minimal_basis", counted)
     return calls
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -288,3 +289,117 @@ def test_product_budgets_bound_the_expansion(monkeypatch):
         monkeypatch.setattr(parse, "MAX_POWER_BITS", bits - 1)
         with pytest.raises(ResourceLimitError):
             parse._check_product(a, b, 0)
+
+
+# -- single terms as pairs, against public Polynomial arithmetic ---------------------
+
+_LITERAL = re.compile(r"\^(\d+)|(\d+)/(\d+)|(\d+)")
+_UNARY_PLUS = re.compile(r"(^|\()\+")
+
+
+def _evaluated(text, variables):
+    """``text`` evaluated with public arithmetic: ``Polynomial.variable``,
+    ``+``, ``*`` and ``**``, literals as Fractions (``a/b`` as one literal)."""
+
+    def literal(m):
+        k, num, den, n = m.groups()
+        return f"**{k}" if k else f"F({num}, {den})" if num else f"F({n})"
+
+    names = {v: Polynomial.variable(variables, v) for v in variables}
+    python = _UNARY_PLUS.sub(r"\1", _LITERAL.sub(literal, text))  # Polynomial has no unary +
+    value = eval(python, {"F": Fraction, **names})
+    return Polynomial(variables) + value  # a number lifts to a constant
+
+
+def _random_text(rng, variables, depth=0):
+    """A random expression of the grammar, mostly single terms."""
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.15:
+            return str(rng.randint(0, 9))
+        if roll < 0.3:
+            return f"{rng.randint(0, 9)}/{rng.randint(1, 6)}"
+        if roll < 0.8 or depth >= 2:
+            return rng.choice(variables)
+        return f"({_random_text(rng, variables, depth + 1)})"
+
+    def factor():
+        base = atom()
+        return f"{base}^{rng.randint(0, 3)}" if rng.random() < 0.4 else base
+
+    def term():
+        return "*".join(factor() for _ in range(rng.randint(1, 3)))
+
+    text = rng.choice(("", "-", "+")) + term()
+    for _ in range(rng.randint(0, 2)):
+        text += rng.choice((" + ", " - ")) + term()
+    return text
+
+
+SINGLE_TERM_SEEDS = (
+    "3/4", "0", "0/5", "-0", "0^0", "(0)^0", "(0)^3", "0*x", "x*0", "x^2*(0)",
+    "(0/5)*(x + y)", "x", "(x)", "((x))", "+x", "-(x)", "(3/4)", "(3/4)^2",
+    "(-x)^3", "-3/4*x^2*y", "(2*x*y^2)^3", "x*y*x", "1/3*x*3", "x^0",
+    "(x*y)^0", "(x + y)^0", "(x + y)^0*x", "x*(x + y)^0", "(x + y - y)^3",
+    "(x + x)*y", "2*(x + y)*3/4", "(x^2*y)*(x + y)", "(x + y)*(2*x)",
+    "-(x + y)^2*(1/2*y)", "x - x", "(x - x)^2", "(x - x)*y", "-x - y",
+    "x^2 + x^2 - 2*x^2 + y",
+)
+
+
+def test_single_terms_match_polynomial_arithmetic():
+    # a single term is carried as a pair through atom, factor and term; the
+    # parse must be the Polynomial that public arithmetic builds
+    cases = [(text, XY) for text in SINGLE_TERM_SEEDS]
+    rng = random.Random(6262)
+    names = ("x", "y", "z")
+    for _ in range(400):
+        variables = names[: rng.randint(1, 3)]
+        cases.append((_random_text(rng, variables), variables))
+    for text, variables in cases:
+        got, want = parse_polynomial(text, variables), _evaluated(text, variables)
+        assert type(got) is Polynomial, text
+        assert got == want, text
+        assert got.scaled == want.scaled, text
+        assert got.variables == want.variables, text
+
+
+def test_single_term_budgets_refuse_as_polynomials_do(monkeypatch):
+    # a pair meets the budgets by the formula a one-term Polynomial meets, so
+    # it is refused with the same text, at its exponent or its '*'
+    limits = f"limits of {parse.MAX_POWER_TERMS} terms and {parse.MAX_POWER_BITS} bits"
+    two_x = Polynomial(XY, {(1, 0): 2})
+    for text, what, bits, offset, operands in (
+        ("2^1001*x", "power", 1001, 2, (Polynomial(XY, {(0, 0): 2}), 1001)),
+        ("(2)^1001", "power", 1001, 4, (Polynomial(XY, {(0, 0): 2}), 1001)),
+        ("(2*x)^1001", "power", 1001, 6, (two_x, 1001)),
+        ("(x + x)^1001", "power", 1001, 8, (two_x, 1001)),
+        ("-(2*x)^1001 + y", "power", 1001, 7, (two_x, 1001)),
+        ("(2^500)*(2^501)", "product", 1001, 7, None),
+        ("2^500*x*2^501*y", "product", 1001, 7, None),
+        ("(2*x)^500*(2*y)^501", "product", 1001, 9, None),
+    ):
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_polynomial(text, XY)
+        message = (f"{what} with term count up to 1 and coefficients up to {bits} bits "
+                   f"exceeds the {limits} (at offset {offset})")
+        assert str(exc.value) == message, text
+        if operands is not None:
+            with pytest.raises(ResourceLimitError) as old:
+                parse._check_power(*operands, offset)
+            assert str(old.value) == message, text
+    # one bit below each of those limits, the same shapes pass
+    for text in ("2^1000*x", "(2*x)^1000", "(x + x)^1000", "(2^500)*(2^500)", "2^500*x*2^500*y"):
+        assert parse_polynomial(text, XY) == _evaluated(text, XY), text
+    # with no term budget, every single-term power and product refuses at its
+    # operator, and the zero literal still passes
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 0)
+    for text, what, offset in (("x^2", "power", 2), ("3/4*y", "product", 3),
+                               ("(x)*(y)", "product", 3)):
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_polynomial(text, XY)
+        assert str(exc.value).startswith(f"{what} with term count up to 1 "), text
+        assert str(exc.value).endswith(f"(at offset {offset})"), text
+    assert parse_polynomial("0^0", XY) == Polynomial(XY, {(0, 0): 1})
+    assert parse_polynomial("(0)^5*0", XY) == Polynomial(XY)

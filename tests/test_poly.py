@@ -161,7 +161,12 @@ def test_weight_range_enforced():
 
 def test_shown_prints_what_str_prints_and_else_the_bits():
     assert [shown(x) for x in (0, -7, Fraction(-3, 4))] == ["0", "-7", "-3/4"]
-    assert shown(10**4299) == str(10**4299)  # 4,300 digits: str still converts
+    # up to 200 bits (about 60 digits) the number itself, past them its size
+    assert shown(2**200 - 1) == str(2**200 - 1)
+    assert shown(Fraction(-(2**200 - 1), 2**200 - 3)) == str(Fraction(-(2**200 - 1), 2**200 - 3))
+    assert shown(2**200) == "<201-bit number>"
+    assert shown(Fraction(1, 2**200)) == "<201-bit number>"
+    assert shown(10**4299) == "<14281-bit number>"  # 4,300 digits: str would convert it
     assert shown(-(10**4300)) == "<14285-bit number>"
     assert shown(Fraction(1, 10**4300 + 1)) == "<14285-bit number>"
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_milnor import random_polynomial
+from test_milnor import random_polynomial, seeded_atoms
 
 from singspec import (
     NonIsolatedSingularityError,
@@ -29,6 +29,8 @@ from singspec import (
     sp_product_formula,
 )
 from singspec.checks import build_corpus
+from singspec.milnor import _jacobian_leads, exp_divides
+from singspec.poly import grevlex_key
 from singspec.spectrum import analyze
 
 NAMES = ("x", "y", "z", "w")
@@ -105,6 +107,28 @@ def test_analyze_matches_the_public_functions():
         assert a.s_basis == sp_from_basis(basis)
         assert a.s_formula == sp_product_formula(ws)
     assert isolated >= 50 + 129
+
+
+def test_leads_only_run_matches_the_reduced_basis():
+    """``_jacobian_leads`` reads the minimal basis of the Gröbner core and
+    skips inter-reduction: its leads must be the reduced basis's, ascending,
+    none dividing another, and ``is_isolated`` must read them as it read the
+    reduced basis's leads.  On every random draw (isolated or not), every
+    corpus case and every chain and loop atom of ``test_milnor``."""
+    polys = [f for f, _ in random_cases()]
+    polys += [c.f for c in build_corpus()]
+    polys += list(seeded_atoms())
+    assert len(polys) == 100 + 129 + 24
+    isolated = 0
+    for f in polys:
+        leads = _jacobian_leads(f)
+        assert leads == buchberger(jacobian_generators(f), f.variables).lead_exponents, str(f)
+        assert list(leads) == sorted(leads, key=grevlex_key), str(f)
+        assert not any(exp_divides(a, b) for a, b in itertools.permutations(leads, 2)), str(f)
+        pure = all(any(sum(le) == le[i] for le in leads) for i in range(len(f.variables)))
+        assert is_isolated(f) == (bool(leads) and pure), str(f)
+        isolated += is_isolated(f)
+    assert 50 + 129 + 24 <= isolated < 100 + 129 + 24
 
 
 def thom_sebastiani_sum(f, g):
