@@ -184,17 +184,23 @@ def cusp_resolution_model() -> SncModel:
 
 # every angle of a random class is k/d with d <= 12
 _ANGLE_DEN = math.lcm(*range(1, 13))
+_MULTIPLICITIES = tuple(m for m in range(-5, 6) if m)
 
 
 def random_class(rng: random.Random) -> EquivClass:
+    """1 to 6 entries, each with p and q in [-3, 4], an angle k/d with
+    0 <= k < d <= 12 and a nonzero multiplicity in [-5, 5].
+
+    Each draw is one ``randrange`` or ``choice`` call; ``randrange(hi - lo
+    + 1) + lo`` consumes the generator exactly as ``randint(lo, hi)`` does,
+    in fewer calls."""
     entries = []
-    for _ in range(rng.randint(1, 6)):
-        p = rng.randint(-3, 4)
-        q = rng.randint(-3, 4)
-        d = rng.randint(1, 12)
-        k = rng.randrange(0, d) * (_ANGLE_DEN // d)
-        m = rng.choice([m for m in range(-5, 6) if m])
-        entries.append(((p, q, k), m))
+    for _ in range(rng.randrange(6) + 1):
+        p = rng.randrange(8) - 3
+        q = rng.randrange(8) - 3
+        d = rng.randrange(12) + 1
+        k = rng.randrange(d) * (_ANGLE_DEN // d)
+        entries.append(((p, q, k), rng.choice(_MULTIPLICITIES)))
     return EquivClass.from_scaled(entries, _ANGLE_DEN)
 
 
@@ -385,7 +391,7 @@ def check_class_functionals():
     trials = 1000
     for _ in range(trials):
         c = random_class(rng)
-        n = rng.randint(0, 4)
+        n = rng.randrange(5)
         if sp_twist(sp_prime_of_class(c), n) != sp_of_class(c, n):
             raise CheckFailure(f"functionals disagree on {c!r} with n={n}")
     return f"twisted functional == interval functional on {trials} random classes"

@@ -317,8 +317,15 @@ def is_isolated(f: Polynomial) -> bool:
 
 def _closed_mu(ws) -> Fraction:
     """prod(1/w_i - 1): the Milnor number when the weights are those of an
-    isolated weighted-homogeneous singularity."""
-    return math.prod((1 / w - 1 for w in ws), start=Fraction(1))
+    isolated weighted-homogeneous singularity (Milnor-Orlik, Topology 9,
+    1970).
+
+    With w_i = n_i/d_i each factor is (d_i - n_i)/n_i, so the product is one
+    Fraction of two integer products (no lcm of the denominators)."""
+    return Fraction(
+        math.prod(w.denominator - w.numerator for w in ws),
+        math.prod(w.numerator for w in ws),
+    )
 
 
 def milnor_basis(f: Polynomial, weights) -> MilnorBasis:

@@ -491,12 +491,18 @@ def as_weights(values, nvars: int | None = None) -> tuple[Fraction, ...]:
 
 
 def weighted_degree(exponents, weights) -> Fraction:
-    """Sum of w_i * m_i over the coordinates."""
+    """Sum of w_i * m_i over the coordinates, as a Fraction.
+
+    Each weight is read by ``exact_rational`` and each exponent by
+    ``exact_int`` (a float, a bool or a non-integral Fraction raises
+    TypeError), but only the nonzero exponents enter the sum."""
     if len(exponents) != len(weights):
         raise LengthMismatchError(
             f"exponent vector of length {len(exponents)} against {len(weights)} weights"
         )
-    return sum((exact_rational(w) * m for m, w in zip(exponents, weights)), Fraction(0))
+    ws = map(exact_rational, weights)
+    terms = [w * m for m, w in zip(map(exact_int, exponents), ws) if m]
+    return sum(terms[1:], terms[0]) if terms else Fraction(0)
 
 
 def is_weighted_homogeneous(f: Polynomial, weights) -> bool:

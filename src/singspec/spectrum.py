@@ -10,8 +10,9 @@ Routes:
   division linear in the list length (every division exact and the quotient
   non-negative);
 * basis route: one term t^{l(g) + sum(w)} per standard monomial g of the
-  Milnor algebra, l = weighted degree, counted on the integer degrees
-  m * (l(g) + sum(w)).
+  Milnor algebra, l = weighted degree; the integer degrees
+  m * (l(g) + sum(w)) are counted with a ``Counter``, so the map is built
+  from one pair per distinct degree.
 
 Each route builds its own ``FracPoly`` straight from integer exponents over
 its own m; an exponent never becomes a Fraction on the way.
@@ -44,6 +45,8 @@ over one denominator per multiset.
 """
 
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -136,8 +139,8 @@ def sp_from_basis(basis: MilnorBasis) -> FracPoly:
     m = math.lcm(*(w.denominator for w in basis.weights))
     c = [w.numerator * (m // w.denominator) for w in basis.weights]
     shift = sum(c)
-    degrees = (sum(ci * ei for ci, ei in zip(c, g)) + shift for g in basis.monomials)
-    return FracPoly.from_scaled(((d, 1) for d in degrees), m)
+    counts = Counter(sum(map(operator.mul, c, g)) + shift for g in basis.monomials)
+    return FracPoly.from_scaled(counts.items(), m)
 
 
 class Analysis(Record):
@@ -260,7 +263,8 @@ def char_poly(e: EigenMultiset) -> Polynomial:
     (T^d - 1)^e_d with e_d = sum over multiples v of d of mu(v/d) * c_v
     (mu the Möbius function): the positive powers are multiplied in first,
     then the negative ones divided out exactly.  A stored angle k over den
-    reads u/v with v = den / gcd(k, den).
+    reads u/v with v = den / gcd(k, den).  The coefficients are Fractions,
+    one per distinct integer value, shared by the terms that carry it.
     """
     groups: dict[int, dict[int, int]] = {}
     den = e.den
@@ -291,4 +295,5 @@ def char_poly(e: EigenMultiset) -> Polynomial:
     coeffs = _binomial_quotient(ups, downs)
     if coeffs is None:
         raise ConsistencyError("the product of binomials leaves a remainder")
-    return Polynomial.from_scaled((((k,), Fraction(c)) for k, c in enumerate(coeffs) if c), ("T",))
+    values = {c: Fraction(c) for c in set(coeffs) if c}
+    return Polynomial.from_scaled((((k,), values[c]) for k, c in enumerate(coeffs) if c), ("T",))

@@ -4,11 +4,12 @@ handed over by argument (a tampered corpus) or by monkeypatching a name in
 the comparisons in the battery from going vacuous."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from singspec import checks, cli
+from singspec import EquivClass, checks, cli
 from singspec.fracpoly import FracPoly
 from singspec.milnor import MilnorBasis
 from singspec.spectrum import Analysis, EigenMultiset
@@ -252,3 +253,33 @@ def test_an_unexpected_exception_in_a_check_still_propagates(monkeypatch, corpus
 def test_checks_keep_their_names_and_docstrings():
     assert checks.check_bp_basis_box.__name__ == "check_bp_basis_box"
     assert checks.check_bp_basis_box.__doc__.startswith("Independent oracle for the grid")
+
+
+# -- the class sampler ------------------------------------------------------------
+
+
+def randint_class(rng):
+    """``random_class`` as it drew before: ``randint``, ``randrange(0, d)``
+    and ``choice`` on a fresh list."""
+    entries = []
+    for _ in range(rng.randint(1, 6)):
+        p = rng.randint(-3, 4)
+        q = rng.randint(-3, 4)
+        d = rng.randint(1, 12)
+        k = rng.randrange(0, d) * (checks._ANGLE_DEN // d)
+        m = rng.choice([m for m in range(-5, 6) if m])
+        entries.append(((p, q, k), m))
+    return EquivClass.from_scaled(entries, checks._ANGLE_DEN)
+
+
+@pytest.mark.parametrize("seed", [90577, 118, 63, 7117, 424243])
+def test_sampler_draws_what_the_randint_sampler_drew(seed):
+    """The (class, n) sequence of ``check_class_functionals`` for its seed
+    and for the seeds of the tests that draw random classes, and the
+    generator state after it."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(1000):
+        c, n = checks.random_class(ours), ours.randrange(5)
+        c0, n0 = randint_class(theirs), theirs.randint(0, 4)
+        assert (list(c.scaled.items()), n) == (list(c0.scaled.items()), n0)
+    assert ours.getstate() == theirs.getstate()

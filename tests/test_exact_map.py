@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from singspec import EigenMultiset, EquivClass, FracPoly, NegativeMultiplicityError, Polynomial
-from singspec.poly import as_weights, exact_rational
+from singspec.poly import as_weights, exact_rational, weighted_degree
 
 F = Fraction
 XY = ("x", "y")
@@ -377,6 +377,18 @@ ENTRY_SLOTS = {
     "as_weights": (
         lambda v: as_weights([v, F(1, 3)]),
         [0.5, 1 / 3, True],
+        [F(1, 2), "1/2", "0.5"],
+    ),
+    # the degree in a 1-tuple, whose entries the test requires to be Fractions
+    "weighted_degree exponent": (
+        lambda v: (weighted_degree((v, 1), (F(1, 2), F(1, 3))),),
+        [1.5, 1.0, True, F(3, 2), "2", None],
+        [2, F(2), F(4, 2)],
+    ),
+    # a weight is read even where its exponent is 0
+    "weighted_degree weight": (
+        lambda v: (weighted_degree((0, 1), (v, F(1, 3))),),
+        [0.5, True, None],
         [F(1, 2), "1/2", "0.5"],
     ),
 }

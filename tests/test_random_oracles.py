@@ -29,11 +29,11 @@ from singspec import (
     sp_product_formula,
 )
 from singspec.checks import build_corpus
-from singspec.milnor import _jacobian_leads, exp_divides
-from singspec.poly import grevlex_key
+from singspec.milnor import _closed_mu, _jacobian_leads, exp_divides
+from singspec.poly import grevlex_key, is_weighted_homogeneous, weighted_degree
 from singspec.spectrum import analyze
 
-NAMES = ("x", "y", "z", "w")
+NAMES = ("x", "y", "z", "w", "v", "u")
 
 
 def random_weights(rng, n):
@@ -284,3 +284,76 @@ def test_internal_builders_return_canonical_polynomials():
         assert_canonical(reduce_modulo(f, gb))
     for c in build_corpus():
         assert_canonical(char_poly(eigenvalues_gamma_c(c.s_basis)))
+
+
+# -- weighted degrees and the closed-form mu against full Fraction sums ----------
+
+
+def fraction_degree(exponents, weights):
+    """The weighted degree as a Fraction sum over every coordinate."""
+    return sum((Fraction(w) * m for m, w in zip(exponents, weights)), Fraction(0))
+
+
+def fraction_homogeneous(f, weights):
+    return all(fraction_degree(e, weights) == 1 for e in f.terms)
+
+
+def fraction_mu(ws):
+    """prod(1/w_i - 1), one Fraction operation at a time."""
+    return math.prod((1 / w - 1 for w in ws), start=Fraction(1))
+
+
+def oracle_weight_vectors(seed=6161, count=300):
+    """Reciprocal, chain and loop weights (``random_weights``) and weights
+    with random numerators, in 1 to 6 variables."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.25:
+            dens = [rng.randint(2, 40) for _ in range(n)]
+            yield tuple(Fraction(rng.randint(1, d - 1), d) for d in dens)
+        else:
+            yield random_weights(rng, n)
+
+
+def test_weighted_degree_and_mu_match_fraction_sums():
+    rng = random.Random(6262)
+    vectors = list(oracle_weight_vectors())
+    assert {len(ws) for ws in vectors} == set(range(1, 7))
+    assert any(w.numerator > 1 for ws in vectors for w in ws)
+    for ws in vectors:
+        mu = _closed_mu(ws)
+        assert type(mu) is Fraction and mu == fraction_mu(ws), ws
+        for _ in range(10):
+            e = tuple(rng.choice((0, 0, 1, rng.randint(2, 40))) for _ in ws)
+            d = weighted_degree(e, ws)
+            assert type(d) is Fraction and d == fraction_degree(e, ws), (e, ws)
+        names = NAMES[: len(ws)]
+        terms = {tuple(rng.randint(0, 3) for _ in ws): 1 for _ in range(rng.randint(1, 4))}
+        f = Polynomial(names, terms)
+        assert is_weighted_homogeneous(f, ws) == fraction_homogeneous(f, ws), (str(f), ws)
+
+
+def test_homogeneity_and_mu_match_fraction_sums_on_cases():
+    """The random draws (weighted-homogeneous by construction, and again
+    with one term of another degree added) and the 129 corpus cases, with
+    every term, standard monomial and closed-form mu compared."""
+    rng = random.Random(6363)
+    corpus = build_corpus()
+    cases = [(f, ws, True) for f, ws in random_cases()]
+    cases += [(c.f, c.basis.weights, True) for c in corpus]
+    for f, ws, _ in cases[:100]:
+        e = tuple(rng.randint(0, 4) for _ in ws)
+        if fraction_degree(e, ws) != 1:
+            cases.append((f + Polynomial(f.variables, {e: 1}), ws, False))
+    assert len(cases) > 100 + 129 + 50
+    for f, ws, homogeneous in cases:
+        assert is_weighted_homogeneous(f, ws) == fraction_homogeneous(f, ws) == homogeneous
+        for e in f.terms:
+            assert weighted_degree(e, ws) == fraction_degree(e, ws), (e, ws)
+        assert _closed_mu(ws) == fraction_mu(ws), ws
+    for c in corpus:
+        ws = c.basis.weights
+        assert c.mu_closed == fraction_mu(ws) == len(c.basis)
+        for g in c.basis.monomials:
+            assert weighted_degree(g, ws) == fraction_degree(g, ws), (g, ws)

@@ -24,9 +24,8 @@ from singspec import (
     spectral_residues,
 )
 from singspec import spectrum
-from singspec.checks import _EXTRA_CASES, _bp_polynomial, brieskorn_pham_exponents
+from singspec.checks import build_corpus
 from singspec.errors import ConsistencyError
-from singspec.poly import weighted_degree
 
 F = Fraction
 XY = ("x", "y")
@@ -425,17 +424,14 @@ def test_streamed_formula_matches_dense_construction():
 # -- integer weighted degrees --------------------------------------------------
 
 
-def _degree_cases():
-    for text, variables, ws in _EXTRA_CASES:
-        yield milnor_basis(parse_polynomial(text, variables), ws)
-    grid = list(brieskorn_pham_exponents())
-    for exps in random.Random(3301).sample(grid, 20):
-        yield milnor_basis(_bp_polynomial(exps), tuple(F(1, a) for a in exps))
-
-
 def test_sp_from_basis_matches_rational_degrees():
-    for b in _degree_cases():
+    """On the whole corpus, against one Fraction term per standard monomial."""
+    corpus = build_corpus()
+    assert len(corpus) == 129
+    for b in (c.basis for c in corpus):
         shift = sum(b.weights)
-        expected = FracPoly((weighted_degree(g, b.weights) + shift, 1) for g in b.monomials)
+        expected = FracPoly(
+            (sum(w * e for w, e in zip(b.weights, g)) + shift, 1) for g in b.monomials
+        )
         assert sp_from_basis(b) == expected
         assert all(isinstance(a, Fraction) for a in sp_from_basis(b).terms)
