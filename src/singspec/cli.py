@@ -22,7 +22,11 @@ the isolation test reports the weight error: no Gröbner run is made for it.
 ``check`` takes no input, so it never exits 2 on its own corpus: a library
 error raised inside a check is that check's FAIL line (exit 1), and every
 check still reports.  Identical inputs produce byte-identical ``--json``
-output.
+output.  The package writes that JSON itself (``_json``), byte-identical to
+``json.dumps(report, sort_keys=True, indent=2)``, since any indent sends
+``json`` to its pure-Python encoder.  ``sp`` writes both eigenvalue
+conventions from one walk over the sorted angles (``_angles``), not through
+``spectrum.eigenvalues_geometric``.
 
 The argparse parser is built on the first ``main`` call and reused by every
 later call in the same process; importing the module does not build it.
@@ -36,10 +40,11 @@ every module but ``kernel``.
 
 import argparse
 import functools
-import json
+import math
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii as _esc
 
 from .errors import (
     ConsistencyError,
@@ -60,7 +65,7 @@ class Report(Record):
     __slots__ = ("kind", "data")
 
     def to_json(self) -> str:
-        return json.dumps({"data": self.data, "kind": self.kind}, sort_keys=True, indent=2) + "\n"
+        return _json({"data": self.data, "kind": self.kind}, "") + "\n"
 
     def render_text(self) -> str:
         """The report as "key: value" lines, or the battery's PASS and FAIL
@@ -94,10 +99,61 @@ class Report(Record):
         return "\n".join(lines) + "\n"
 
 
-def _angles(e) -> dict:
-    """An eigenvalue multiset as {"u/v": multiplicity}, in ascending order of
-    angle: int numerators over one denominator sort as the angles do."""
-    return {ratio(k, e.den): e.scaled[k] for k in sorted(e.scaled)}
+def _json(v, pad: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it, nested
+    at indent ``pad``, for the values a report holds: dicts with str keys,
+    lists, str, int, bool and None.  ``json`` gives up its C encoder for any
+    indent; this writer keeps the escaping in C and writes the str and int
+    leaves of a container inline."""
+    t = type(v)
+    if t is dict or t is list:
+        if not v:
+            return "{}" if t is dict else "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if t is dict:
+            body = sep.join(
+                _esc(k) + ": " + (
+                    _esc(x) if type(x) is str else int.__repr__(x) if type(x) is int
+                    else _json(x, inner)
+                )
+                for k, x in sorted(v.items())
+            )
+            return "{\n" + inner + body + "\n" + pad + "}"
+        body = sep.join(
+            _esc(x) if type(x) is str else int.__repr__(x) if type(x) is int else _json(x, inner)
+            for x in v
+        )
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if t is str:
+        return _esc(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None or t is bool:
+        return "null" if v is None else "true" if v else "false"
+    raise TypeError(f"a report holds no {t.__name__}")
+
+
+def _angles(e) -> tuple[dict, dict]:
+    """An eigenvalue multiset and its negation (``eigenvalues_geometric``) as
+    {"u/v": multiplicity}, each in ascending order of angle, from one walk
+    over the sorted stored keys: int numerators over one denominator sort as
+    the angles do, and a nonzero angle u/v negates to (v - u)/v, so the
+    negated dict holds angle 0 first, then the nonzero angles in reverse."""
+    den, scaled = e.den, e.scaled
+    angles, negated = {}, []
+    for k in sorted(scaled):
+        m = scaled[k]
+        if k:
+            g = math.gcd(k, den)
+            u, v = k // g, den // g
+            angles[f"{u}/{v}"] = m
+            negated.append((f"{v - u}/{v}", m))
+        else:
+            angles["0"] = m
+    geometric = {"0": scaled[0]} if 0 in scaled else {}
+    geometric.update(reversed(negated))
+    return angles, geometric
 
 
 def _split_names(raw: str) -> tuple[str, ...]:
@@ -125,7 +181,7 @@ def _parse_weights(raw: str, nvars: int):
 def _run_sp(args) -> Report:
     from .fracpoly import sp_twist
     from .parse import parse_polynomial
-    from .spectrum import analyze, char_poly, eigenvalues_gamma_c, eigenvalues_geometric
+    from .spectrum import analyze, char_poly, eigenvalues_gamma_c
 
     variables = _split_names(args.vars)
     f = parse_polynomial(args.expr, variables)
@@ -151,7 +207,7 @@ def _run_sp(args) -> Report:
             f"spectrum routes disagree: basis gave {s_basis}, formula gave {a.s_formula}"
         )
     eig_c = eigenvalues_gamma_c(s_basis)
-    eig_geo = eigenvalues_geometric(eig_c)
+    gamma_c, geometric = _angles(eig_c)
     # both conventions give the same char poly: Galois stability is closed
     # under angle negation
     return Report(
@@ -164,8 +220,8 @@ def _run_sp(args) -> Report:
             "mu": mu,
             "spectrum": str(s_basis),
             "symmetric": s_basis == sp_twist(s_basis, len(variables)),
-            "eigenvalues_gamma_c": _angles(eig_c),
-            "eigenvalues_geometric": _angles(eig_geo),
+            "eigenvalues_gamma_c": gamma_c,
+            "eigenvalues_geometric": geometric,
             "char_poly": str(char_poly(eig_c)),
         },
     )

@@ -22,11 +22,15 @@ only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
 A single nonzero term travels through ``atom``, ``factor`` and ``term`` as an
 (exponent, coefficient) pair, so no one-term Polynomial is built for a
 number, a variable, or a power or product of single terms.  The zero literal
-is the zero polynomial, and every multi-term operand a Polynomial; the
-budgets read both kinds through ``_pairs``, one formula for either.  The
-tokenizer, the variable check and those budgets are the parser's validation,
-so multi-term operands and the final sum are built with
-``Polynomial.from_scaled``, not re-checked by the public constructor.
+is the zero polynomial, and every multi-term operand a Polynomial.  A
+product with a Polynomial factor is held unexpanded (``_Product``) until the
+whole product has passed the budgets, which read closed-form bounds on each
+factor and on each partial product (``_power_bounds``), so no factor of a
+refused product is ever expanded.  A pair meets the budgets by the same
+formulas for one term (``_bits``).  The tokenizer, the variable check and
+those budgets are the parser's validation, so multi-term operands and the
+final sum are built with ``Polynomial.from_scaled``, not re-checked by the
+public constructor.
 """
 
 import math
@@ -72,6 +76,12 @@ def _pairs(v) -> list:
     return [v] if type(v) is tuple else list(v.scaled.items())
 
 
+def _bits(c) -> int:
+    """ceil(log2 |numerator|) + ceil(log2 denominator) of a nonzero Fraction:
+    the coefficient bits of ``_power_bounds`` for a single term."""
+    return (abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
+
+
 def _integral(pairs) -> tuple[list, int]:
     """(numerators P_i, denominator D) with p = sum P_i x^e_i / D for the
     stored (exponent, coefficient) pairs of p, D the lcm of the coefficient
@@ -80,61 +90,80 @@ def _integral(pairs) -> tuple[list, int]:
     return [c.numerator * (den // c.denominator) for _, c in pairs], den
 
 
-def _check_power(base, k: int, offset: int) -> None:
-    """Raise ResourceLimitError when base^k may exceed the power budgets;
-    ``base`` is a pair or a Polynomial, read through ``_pairs``.
+def _power_bounds(base, k: int):
+    """Closed-form bounds on base^k, ``base`` a pair or a Polynomial read
+    through ``_pairs``: (T, E, lo, hi, bits), with T the term count, E the
+    largest exponent of each variable, lo and hi the least and largest
+    degree, and bits = ceil(log2 max |P_i|) + ceil(log2 D) for the power
+    written as P / D, P integral; None for the zero polynomial.
 
     A t-term base has at most comb(t - 1 + k, k) terms in its k-th power, and
-    at most prod(k * e_i + 1), e_i the largest exponent of variable i (that
-    product stops once it passes the first bound).  For base = P / D, P
-    integral and D the lcm of the denominators, a coefficient has numerator
-    at most |P|_1^k and denominator at most D^k."""
+    at most prod(E_i + 1) (that product stops once it passes the first
+    bound).  For base = P / D as in ``_integral``, a coefficient of the k-th
+    power has numerator at most |P|_1^k (at most max |P_i| for k = 1) and
+    denominator at most D^k."""
     base = _pairs(base)
     if not base:
-        return
+        return None
+    exps = [e for e, _ in base]
+    top = tuple(k * max(col) for col in zip(*exps))
+    degrees = [sum(e) for e in exps]
     terms = math.comb(len(base) - 1 + k, k)
     if terms > 1:  # each factor of the product is at least 1
-        dense = _capped_prod((k * max(col) + 1 for col in zip(*(e for e, _ in base))), terms)
-        terms = min(terms, dense)
+        terms = min(terms, _capped_prod((x + 1 for x in top), terms))
     nums, den = _integral(base)
-    norm = sum(abs(x) for x in nums)
-    _refuse("power", terms, k * ((norm - 1).bit_length() + (den - 1).bit_length()), offset)
+    num = max(map(abs, nums)) if k == 1 else sum(map(abs, nums))
+    bits = k * ((num - 1).bit_length() + (den - 1).bit_length())
+    return terms, top, k * min(degrees), k * max(degrees), bits
 
 
-def _check_product(a, b, offset: int) -> None:
-    """Raise ResourceLimitError when a * b may exceed the power budgets;
-    ``a`` and ``b`` are pairs or Polynomials, read through ``_pairs``.
+def _check_power(base, k: int, offset: int):
+    """Raise ResourceLimitError when base^k may exceed the power budgets by
+    its ``_power_bounds``; else return those bounds."""
+    bounds = _power_bounds(base, k)
+    if bounds is not None:
+        _refuse("power", bounds[0], bounds[4], offset)
+    return bounds
 
-    With T the term counts, a * b has at most T_a * T_b terms; when that is
-    over budget, also at most prod(e_a,i + e_b,i + 1), e_i the largest
-    exponent of variable i, and at most the number of monomials of degree
-    between the sums of the operands' least and largest degrees.  With huge
-    exponents these are huge numbers, so they are computed only then, the
-    product stops once it passes T_a * T_b, and the monomial count is skipped
-    when it cannot be smaller (in n >= 2 variables it exceeds the largest
-    degree).  A
+
+def _check_product(a, b, offset: int):
+    """Raise ResourceLimitError when a * b may exceed the power budgets; else
+    return bounds on a * b.  ``a`` and ``b`` are bounds as ``_power_bounds``
+    gives them (None for zero), so neither operand need be expanded.
+
+    a * b has at most T_a * T_b terms; when that is over budget, also at most
+    prod(E_i + 1), E = E_a + E_b, and at most the number of monomials of
+    degree between lo_a + lo_b and hi_a + hi_b.  With huge exponents these
+    are huge numbers, so they are computed only then, the product stops once
+    it passes T_a * T_b, and the monomial count is skipped when it cannot be
+    smaller (in n >= 2 variables it exceeds the largest degree).  A
     coefficient sums at most min(T_a, T_b) products, so it needs at most
-    bits_a + bits_b + ceil(log2 min(T_a, T_b)) bits, with
-    bits = ceil(log2 max |P_i|) + ceil(log2 D) for P / D as in ``_integral``."""
-    a, b = _pairs(a), _pairs(b)
-    if not a or not b:
-        return
-    terms = len(a) * len(b)
+    bits_a + bits_b + ceil(log2 min(T_a, T_b)) bits."""
+    if a is None or b is None:
+        return None
+    (ta, ea, loa, hia, bitsa), (tb, eb, lob, hib, bitsb) = a, b
+    terms, top, lo, hi = ta * tb, exp_add(ea, eb), loa + lob, hia + hib
     if terms > MAX_POWER_TERMS:
-        ea, eb = [e for e, _ in a], [e for e, _ in b]
-        n = len(ea[0])
-        dense = _capped_prod((max(x) + max(y) + 1 for x, y in zip(zip(*ea), zip(*eb))), terms)
-        da, db = [sum(e) for e in ea], [sum(e) for e in eb]
-        lo, hi = min(da) + min(db), max(da) + max(db)
+        n = len(top)
+        dense = _capped_prod((x + 1 for x in top), terms)
         # in two or more variables the slab holds over hi monomials of degree hi
         if n == 1 or hi < terms:
             terms = min(terms, math.comb(hi + n, n) - (math.comb(lo - 1 + n, n) if lo else 0))
         terms = min(terms, dense)
-    bits = (min(len(a), len(b)) - 1).bit_length()
-    for p in (a, b):
-        nums, den = _integral(p)
-        bits += (max(map(abs, nums)) - 1).bit_length() + (den - 1).bit_length()
+    bits = (min(ta, tb) - 1).bit_length() + bitsa + bitsb
     _refuse("product", terms, bits, offset)
+    return terms, top, lo, hi, bits
+
+
+class _Product:
+    """Factors of a product, not yet multiplied out: (base, k) for base^k,
+    ``base`` a pair or a Polynomial; ``bounds`` are closed-form bounds on the
+    whole product, as ``_power_bounds`` gives them (None: the product is zero)."""
+
+    __slots__ = ("factors", "bounds")
+
+    def __init__(self, factors, bounds):
+        self.factors, self.bounds = factors, bounds
 
 
 def _tokenize(text: str):
@@ -221,32 +250,53 @@ class _Parser:
             op = self.take()[0]
 
     def term(self):
+        """A product.  Single terms multiply in closed form, as pairs.  Once
+        a factor is a power of a Polynomial, the factors are kept as a
+        ``_Product``: each '*' checks the product so far from closed-form
+        bounds (``_check_product``), and the factors are expanded only once
+        the whole product has passed, so an oversized product is refused
+        before any of its factors is expanded."""
         result = self.factor()
         while self.peek()[0] == "*":
             offset = self.take()[2]
             right = self.factor()
-            _check_product(result, right, offset)
             if type(result) is tuple and type(right) is tuple:
+                _refuse("product", 1, _bits(result[1]) + _bits(right[1]), offset)
                 result = (exp_add(result[0], right[0]), result[1] * right[1])
             else:
-                result = self.polynomial(result) * self.polynomial(right)
-        return result
+                a, b = (
+                    v if type(v) is _Product else _Product([(v, 1)], _power_bounds(v, 1))
+                    for v in (result, right)
+                )
+                result = _Product(a.factors + b.factors, _check_product(a.bounds, b.bounds, offset))
+        if type(result) is tuple:
+            return result
+        if result.bounds is None:
+            return Polynomial.from_scaled((), self.variables)
+        out = None
+        for base, k in result.factors:  # within the budgets: expand, left to right
+            p = self.polynomial(base) if k == 1 else base**k
+            out = p if out is None else out * p
+        return out
 
     def factor(self):
+        """A single term, a power of one in closed form, or a zeroth power as
+        a pair; any other operand as a one-factor ``_Product``."""
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            kind, text, offset = self.peek()
-            if kind != "int":
-                self.fail("integer exponent")
-            self.take()
-            k = int(text)
-            _check_power(base, k, offset)
-            if type(base) is tuple:  # closed form: exponents times k, coefficient to the k
-                e, c = base
-                return tuple(x * k for x in e), c**k
-            return base**k
-        return base
+        if self.peek()[0] != "^":
+            return base if type(base) is tuple else _Product([(base, 1)], _power_bounds(base, 1))
+        self.take()
+        kind, text, offset = self.peek()
+        if kind != "int":
+            self.fail("integer exponent")
+        self.take()
+        k = int(text)
+        if type(base) is tuple:  # closed form: exponents times k, coefficient to the k
+            e, c = base
+            _refuse("power", 1, k * _bits(c), offset)
+            return tuple(x * k for x in e), c**k
+        bounds = _check_power(base, k, offset)
+        return (self.zero, _ONE) if k == 0 else _Product([(base, k)], bounds)
 
     def atom(self):
         """A nonzero number or a variable as a pair (exponent, coefficient);

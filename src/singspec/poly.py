@@ -30,7 +30,9 @@ variable tuple; coefficients are ``fractions.Fraction`` (exact, lowest terms,
 positive denominator).  The monomial order is graded reverse lexicographic
 with respect to the tuple order, x_0 > x_1 > ... > x_{n-1}, defined by
 ``grevlex_key`` alone: every comparison, leading term and sort in the
-package goes through that key.
+package goes through that key, with one exception.  ``Polynomial.__str__``
+sorts the exponent tuples of a one-variable polynomial as they are, since
+in one variable grevlex is the exponent order.
 
 Weight vectors are tuples of Fractions in the open interval (0, 1); a
 polynomial is weighted-homogeneous when every term has weighted degree
@@ -467,9 +469,13 @@ class Polynomial(ExactMap):
         return "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, e) if k)
 
     def __str__(self):
-        return self._render(
-            sorted(self.terms, key=grevlex_key, reverse=True), self._monomial
-        )
+        if len(self.variables) == 1:  # in one variable grevlex is the exponent order
+            [v] = self.variables
+            return self._render(
+                sorted(self.scaled, reverse=True),
+                lambda e: "" if not e[0] else v if e[0] == 1 else f"{v}^{e[0]}",
+            )
+        return self._render(sorted(self.scaled, key=grevlex_key, reverse=True), self._monomial)
 
     def __repr__(self):
         return f"Polynomial({str(self)!r}, vars={self.variables})"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -165,12 +166,14 @@ def test_refusal_lines_stay_short(capsys):
 
 
 def test_sp_huge_product_exits_2_promptly(capsys):
-    # the first product would take 30 s; the others multiply single terms in
-    # closed form, under the bits _check_product counts for them
+    # the first product is refused from closed-form bounds on its factors,
+    # before either power is expanded: 3321 monomials of degree 80, and
+    # 10 + 2 * 80 bits (40 * ceil(log2 3) for each power); the others multiply
+    # single terms in closed form, under the bits _bits counts for them
     limits = f"limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits"
     for expr, size, offset, variables in (
         ("(x+y+z)^40*(x+y+z)^40*(x+y+z)^40",
-         "term count up to 3321 and coefficients up to 126 bits", 10, "x,y,z"),
+         "term count up to 3321 and coefficients up to 170 bits", 10, "x,y,z"),
         ("7*x^2*" + "9" * 310 + "*y + y^3",
          "term count up to 1 and coefficients up to 1033 bits", 5, "x,y"),
         ("x^2*1/" + "3" * 200 + "*2^340 + y^3",
@@ -507,6 +510,49 @@ def test_report_round_trip(capsys):
     report = Report(kind=obj["kind"], data=obj["data"])
     assert json.loads(report.to_json()) == {"kind": report.kind, "data": report.data}
     assert report.to_json() == out
+
+
+def _random_json(rng, depth=0):
+    """A nested value of the kinds a report holds, with hostile strings."""
+    pieces = ("a", "u/v", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "∂", "𝔽",
+              "\u2028", "\udce9", "\ud800", " ", "")
+
+    def text():
+        return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 4)))
+
+    roll = rng.random()
+    if depth < 3 and roll < 0.2:
+        return {text(): _random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+    if depth < 3 and roll < 0.4:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return rng.choice((
+        text(), text(), 0, -rng.randint(1, 10**6), rng.randint(1, 10**6),
+        rng.choice((-1, 1)) * (10**299 + rng.randint(0, 10**299)), True, False, None,
+    ))
+
+
+def test_report_writer_matches_json_dumps():
+    # the writer against json.dumps(sort_keys=True, indent=2) on nested
+    # values: escapes, control characters, non-ASCII text, lone surrogates,
+    # 300-digit ints, bools, None, empty and nested containers
+    rng = random.Random(2828)
+    for _ in range(500):
+        kind = rng.choice(("sp", "nearby", "check", "é\udce9"))
+        data = {f"k{i}": _random_json(rng) for i in range(rng.randint(0, 5))}
+        if rng.random() < 0.2:
+            data = _random_json(rng)
+        want = json.dumps({"data": data, "kind": kind}, sort_keys=True, indent=2) + "\n"
+        assert Report(kind, data).to_json() == want, repr(data)
+
+
+def test_nearby_json_names_a_non_ascii_model_path(capsys, tmp_path):
+    # the model path is the one user string that reaches --json as typed
+    model = tmp_path / "cúsp.json"
+    model.write_bytes(Path(CUSP).read_bytes())
+    code, out, _ = run(capsys, "nearby", str(model), "--json")
+    assert code == 0
+    assert json.loads(out)["data"]["model"] == str(model)
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_module_entry_point():

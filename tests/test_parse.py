@@ -257,8 +257,9 @@ def test_power_budgets_bound_the_expansion(monkeypatch):
 
 
 def test_product_budgets_bound_the_expansion(monkeypatch):
-    # with either limit one below the true size of a * b, the closed-form
-    # bound must refuse the product
+    # the bounds _check_product chains over a product of powers, none of them
+    # expanded, hold for the expanded product: every exponent, degree and
+    # size, and with either limit one below its true size the last '*' refuses
     rng = random.Random(5581)
     names = ("x", "y", "z")
 
@@ -269,26 +270,57 @@ def test_product_budgets_bound_the_expansion(monkeypatch):
                 tuple(rng.randint(0, 4) for _ in range(nvars)): Fraction(
                     rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 6)
                 )
-                for _ in range(rng.randint(1, 6))
+                for _ in range(rng.randint(1, 5))
             },
         )
 
     for _ in range(100):
         nvars = rng.randint(1, 3)
-        a, b = draw(nvars), draw(nvars)
-        product = a * b
+        factors = [(draw(nvars), rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+        product = factors[0][0] ** factors[0][1]
+        for base, k in factors[1:]:
+            product = product * base**k
         if not product:
             continue
         terms = len(product.terms)
         bits = max(_size_bits(c) for c in product.terms.values())
+        monkeypatch.setattr(parse, "MAX_POWER_TERMS", 10**9)
         monkeypatch.setattr(parse, "MAX_POWER_BITS", 10**9)
+        bounds = parse._power_bounds(*factors[0])
+        for f in factors[1:-1]:
+            bounds = parse._check_product(bounds, parse._power_bounds(*f), 0)
+        last = parse._power_bounds(*factors[-1])
+        _, top, lo, hi, _ = parse._check_product(bounds, last, 0)
+        exps = list(product.terms)
+        assert all(t >= max(col) for t, col in zip(top, zip(*exps)))
+        assert lo <= min(map(sum, exps)) and hi >= max(map(sum, exps))
         monkeypatch.setattr(parse, "MAX_POWER_TERMS", terms - 1)
         with pytest.raises(ResourceLimitError):
-            parse._check_product(a, b, 0)
+            parse._check_product(bounds, last, 0)
         monkeypatch.setattr(parse, "MAX_POWER_TERMS", 10**9)
         monkeypatch.setattr(parse, "MAX_POWER_BITS", bits - 1)
         with pytest.raises(ResourceLimitError):
-            parse._check_product(a, b, 0)
+            parse._check_product(bounds, last, 0)
+
+
+def test_refused_product_expands_no_factor(monkeypatch):
+    # each power below is within the power budget, their product is not: it
+    # is refused at its first '*' from closed-form bounds, with no Polynomial
+    # power or product ever computed
+    def refuse(*args):
+        raise AssertionError("a factor was expanded")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    for text, offset in (
+        ("(x+y+z)^40*(x+y+z)^40*(x+y+z)^40", 10),
+        ("x^2 + 3*(x - y)^400*(x + y)^400*(x - 2*y)", 19),
+        ("(x+y+z)^30*x*(x+y+z)^30", 12),
+    ):
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_polynomial(text, ("x", "y", "z"))
+        assert str(exc.value).startswith("product with "), text
+        assert str(exc.value).endswith(f"(at offset {offset})"), text
 
 
 # -- single terms as pairs, against public Polynomial arithmetic ---------------------

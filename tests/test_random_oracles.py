@@ -4,13 +4,14 @@ characteristic polynomial of the monodromy against the weights alone."""
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from test_milnor import random_polynomial, seeded_atoms
+from test_milnor import atom, random_polynomial, seeded_atoms
 
 from singspec import (
     NonIsolatedSingularityError,
@@ -18,6 +19,7 @@ from singspec import (
     buchberger,
     char_poly,
     eigenvalues_gamma_c,
+    eigenvalues_geometric,
     infer_weights,
     is_isolated,
     jacobian_generators,
@@ -28,6 +30,7 @@ from singspec import (
     sp_from_basis,
     sp_product_formula,
 )
+from singspec import cli
 from singspec.checks import build_corpus
 from singspec.milnor import _closed_mu, _jacobian_leads, exp_divides
 from singspec.poly import grevlex_key, is_weighted_homogeneous, weighted_degree
@@ -357,3 +360,53 @@ def test_homogeneity_and_mu_match_fraction_sums_on_cases():
         assert c.mu_closed == fraction_mu(ws) == len(c.basis)
         for g in c.basis.monomials:
             assert weighted_degree(g, ws) == fraction_degree(g, ws), (g, ws)
+
+
+def _old_render(p):
+    """``Polynomial.__str__`` as it sorts for any number of variables."""
+    return p._render(sorted(p.terms, key=grevlex_key, reverse=True), p._monomial)
+
+
+def test_sp_report_matches_the_library_on_atoms(capsys):
+    """The ``sp --json`` report half against the library composition: both
+    angle dicts in ascending angle order (contents and key order) and the
+    characteristic polynomial as the grevlex sort renders it, on seeded
+    Fermat, chain and loop atoms."""
+    rng = random.Random(4242)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        kind = rng.choice(("fermat", "chain", "loop"))
+        exps = [rng.randint(2, 5) for _ in range(n)]
+        if kind == "fermat":
+            f = Polynomial(NAMES[:n], {
+                tuple(a if j == i else 0 for j in range(n)): rng.randint(1, 9)
+                for i, a in enumerate(exps)
+            })
+        else:
+            f = atom(kind, exps, rng)
+        argv = ["sp", str(f), "--vars", ",".join(f.variables)]
+        assert cli.main([*argv, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert cli.main(argv) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        eig_c = eigenvalues_gamma_c(analyze(f).s_basis)
+        for field, e in (("eigenvalues_gamma_c", eig_c),
+                         ("eigenvalues_geometric", eigenvalues_geometric(eig_c))):
+            # --json sorts keys as strings; the text report keeps the built order
+            angles = [(str(a), m) for a, m in e.items()]
+            assert data[field] == dict(angles), str(f)
+            assert lines[field] == ", ".join(f"{a}:{m}" for a, m in angles), str(f)
+        assert data["char_poly"] == lines["char_poly"] == _old_render(char_poly(eig_c)), str(f)
+
+
+def test_one_variable_str_matches_the_grevlex_sort():
+    rng = random.Random(5353)
+    for _ in range(300):
+        terms = {
+            (rng.choice((0, 1, rng.randint(2, 40))),): Fraction(
+                rng.choice((-1, 1)) * rng.randint(0, 12), rng.choice((1, 1, 2, 3, 7))
+            )
+            for _ in range(rng.randint(0, 6))
+        }
+        p = Polynomial((rng.choice(("T", "x", "t0")),), terms)
+        assert str(p) == _old_render(p), p.terms
