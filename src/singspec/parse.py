@@ -19,18 +19,15 @@ interpreter's recursion limit; an integer literal has at most the digits of
 only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
 ``_check_power`` and ``_check_product``).
 
-A single nonzero term travels through ``atom``, ``factor`` and ``term`` as an
-(exponent, coefficient) pair, so no one-term Polynomial is built for a
-number, a variable, or a power or product of single terms.  The zero literal
-is the zero polynomial, and every multi-term operand a Polynomial.  A
-product with a Polynomial factor is held unexpanded (``_Product``) until the
-whole product has passed the budgets, which read closed-form bounds on each
-factor and on each partial product (``_power_bounds``), so no factor of a
-refused product is ever expanded.  A pair meets the budgets by the same
-formulas for one term (``_bits``).  The tokenizer, the variable check and
-those budgets are the parser's validation, so multi-term operands and the
-final sum are built with ``Polynomial.from_scaled``, not re-checked by the
-public constructor.
+Every operand of ``atom``, ``factor`` and ``term`` is a term list: the
+stored (exponent, coefficient) pairs of a polynomial, ``[]`` for zero.  One
+closed form bounds every power, single terms included (``_power_bounds``),
+and ``_check_product`` combines those bounds at each '*', so nothing of a
+refused power or product is expanded.  Single terms are never expanded: a
+power or product of them is the exponent its bounds carry times a product
+of coefficients.  The tokenizer, the variable check and the budgets are the
+parser's validation, so expansions and sums are built with
+``Polynomial.from_scaled``, not re-checked by the public constructor.
 """
 
 import math
@@ -70,39 +67,22 @@ def _capped_prod(factors, cap: int) -> int:
     return out
 
 
-def _pairs(v) -> list:
-    """The stored (exponent, coefficient) pairs of an operand as the parser
-    carries it: a single term's pair, or a Polynomial."""
-    return [v] if type(v) is tuple else list(v.scaled.items())
-
-
-def _bits(c) -> int:
-    """ceil(log2 |numerator|) + ceil(log2 denominator) of a nonzero Fraction:
-    the coefficient bits of ``_power_bounds`` for a single term."""
-    return (abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
-
-
-def _integral(pairs) -> tuple[list, int]:
-    """(numerators P_i, denominator D) with p = sum P_i x^e_i / D for the
-    stored (exponent, coefficient) pairs of p, D the lcm of the coefficient
-    denominators."""
-    den = math.lcm(*[c.denominator for _, c in pairs])
-    return [c.numerator * (den // c.denominator) for _, c in pairs], den
-
-
 def _power_bounds(base, k: int):
-    """Closed-form bounds on base^k, ``base`` a pair or a Polynomial read
-    through ``_pairs``: (T, E, lo, hi, bits), with T the term count, E the
-    largest exponent of each variable, lo and hi the least and largest
-    degree, and bits = ceil(log2 max |P_i|) + ceil(log2 D) for the power
-    written as P / D, P integral; None for the zero polynomial.
-
-    A t-term base has at most comb(t - 1 + k, k) terms in its k-th power, and
-    at most prod(E_i + 1) (that product stops once it passes the first
-    bound).  For base = P / D as in ``_integral``, a coefficient of the k-th
-    power has numerator at most |P|_1^k (at most max |P_i| for k = 1) and
-    denominator at most D^k."""
-    base = _pairs(base)
+    """Closed-form bounds (T, E, lo, hi, bits) on base^k, ``base`` a term
+    list: T terms, E the largest exponent of each variable, degrees lo to hi,
+    and coefficients of ceil(log2 max |P_i|) + ceil(log2 D) bits for the power
+    written as P / D, P integral; None for zero.  A t-term base has at most
+    comb(t - 1 + k, k) terms in its k-th power, and at most prod(E_i + 1)
+    (that product stops once it passes the first bound).  For base = Q / d, Q
+    integral, |P_i| is at most |Q|_1^k (max |Q_i| for k = 1) and D at most
+    d^k.  One term c*x^e has the exact bounds 1, k*e and k*|e|, and k times
+    the bits of c."""
+    if len(base) == 1:
+        [(e, c)] = base
+        e = tuple([x * k for x in e]) if k != 1 else e
+        d = sum(e)
+        bits = (abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
+        return 1, e, d, d, k * bits
     if not base:
         return None
     exps = [e for e, _ in base]
@@ -111,40 +91,38 @@ def _power_bounds(base, k: int):
     terms = math.comb(len(base) - 1 + k, k)
     if terms > 1:  # each factor of the product is at least 1
         terms = min(terms, _capped_prod((x + 1 for x in top), terms))
-    nums, den = _integral(base)
-    num = max(map(abs, nums)) if k == 1 else sum(map(abs, nums))
+    den = math.lcm(*[c.denominator for _, c in base])
+    nums = [abs(c.numerator) * (den // c.denominator) for _, c in base]
+    num = max(nums) if k == 1 else sum(nums)
     bits = k * ((num - 1).bit_length() + (den - 1).bit_length())
     return terms, top, k * min(degrees), k * max(degrees), bits
 
 
 def _check_power(base, k: int, offset: int):
-    """Raise ResourceLimitError when base^k may exceed the power budgets by
-    its ``_power_bounds``; else return those bounds."""
+    """Refuse base^k, ``base`` a nonzero term list, when its ``_power_bounds``
+    exceed the budgets; else return them."""
     bounds = _power_bounds(base, k)
-    if bounds is not None:
-        _refuse("power", bounds[0], bounds[4], offset)
+    _refuse("power", bounds[0], bounds[4], offset)
     return bounds
 
 
 def _check_product(a, b, offset: int):
     """Raise ResourceLimitError when a * b may exceed the power budgets; else
-    return bounds on a * b.  ``a`` and ``b`` are bounds as ``_power_bounds``
-    gives them (None for zero), so neither operand need be expanded.
-
-    a * b has at most T_a * T_b terms; when that is over budget, also at most
-    prod(E_i + 1), E = E_a + E_b, and at most the number of monomials of
-    degree between lo_a + lo_b and hi_a + hi_b.  With huge exponents these
-    are huge numbers, so they are computed only then, the product stops once
-    it passes T_a * T_b, and the monomial count is skipped when it cannot be
-    smaller (in n >= 2 variables it exceeds the largest degree).  A
-    coefficient sums at most min(T_a, T_b) products, so it needs at most
-    bits_a + bits_b + ceil(log2 min(T_a, T_b)) bits."""
+    return its bounds, from those of a and b as ``_power_bounds`` gives them
+    (None for zero), so neither need be expanded.  a * b has at most T_a * T_b
+    terms; when that is over budget, also at most prod(E_i + 1), E = E_a +
+    E_b, and at most the monomials of degree lo_a + lo_b to hi_a + hi_b in the
+    n variables with E_i > 0.  These can be huge, so they are computed only
+    then: the product stops once past T_a * T_b, and the monomial count is
+    skipped when it cannot be smaller (in n >= 2 variables it exceeds the
+    largest degree).  A coefficient sums at most min(T_a, T_b) products, so
+    it needs at most bits_a + bits_b + ceil(log2 min(T_a, T_b)) bits."""
     if a is None or b is None:
         return None
     (ta, ea, loa, hia, bitsa), (tb, eb, lob, hib, bitsb) = a, b
     terms, top, lo, hi = ta * tb, exp_add(ea, eb), loa + lob, hia + hib
     if terms > MAX_POWER_TERMS:
-        n = len(top)
+        n = len(top) - top.count(0)
         dense = _capped_prod((x + 1 for x in top), terms)
         # in two or more variables the slab holds over hi monomials of degree hi
         if n == 1 or hi < terms:
@@ -153,17 +131,6 @@ def _check_product(a, b, offset: int):
     bits = (min(ta, tb) - 1).bit_length() + bitsa + bitsb
     _refuse("product", terms, bits, offset)
     return terms, top, lo, hi, bits
-
-
-class _Product:
-    """Factors of a product, not yet multiplied out: (base, k) for base^k,
-    ``base`` a pair or a Polynomial; ``bounds`` are closed-form bounds on the
-    whole product, as ``_power_bounds`` gives them (None: the product is zero)."""
-
-    __slots__ = ("factors", "bounds")
-
-    def __init__(self, factors, bounds):
-        self.factors, self.bounds = factors, bounds
 
 
 def _tokenize(text: str):
@@ -231,77 +198,69 @@ class _Parser:
         what = "end of input" if kind == "end" else repr(text)
         raise PolynomialSyntaxError(f"expected {expected}, found {what}", offset)
 
-    def polynomial(self, v) -> Polynomial:
-        """An operand as a Polynomial: a pair becomes its one-term polynomial."""
-        return Polynomial.from_scaled([v], self.variables) if type(v) is tuple else v
-
-    def expr(self):
-        """The signed terms of every summand go into one ``from_scaled``
-        call, unless the sum is a single term, which stays a pair."""
+    def expr(self) -> Polynomial:
+        """The sum: the signed terms of every summand merge in one
+        ``from_scaled`` call."""
         pairs = []
         op = self.take()[0] if self.peek()[0] in ("+", "-") else "+"
         while True:
-            summand = _pairs(self.term())
+            summand = self.term()
             pairs += [(e, -c) for e, c in summand] if op == "-" else summand
             if self.peek()[0] not in ("+", "-"):
-                if len(pairs) == 1:
-                    return pairs[0]
                 return Polynomial.from_scaled(pairs, self.variables)
             op = self.take()[0]
 
     def term(self):
-        """A product.  Single terms multiply in closed form, as pairs.  Once
-        a factor is a power of a Polynomial, the factors are kept as a
-        ``_Product``: each '*' checks the product so far from closed-form
-        bounds (``_check_product``), and the factors are expanded only once
-        the whole product has passed, so an oversized product is refused
-        before any of its factors is expanded."""
-        result = self.factor()
+        """A product, as a term list.  Each '*' checks the product so far by
+        ``_check_product`` on the factors' bounds, and the factors are expanded
+        only once all of it has passed.  Bounds of one term mean single-term
+        factors (a longer factor leaves a longer product): the product is the
+        bounds' exponent times the coefficients."""
+        base, k, bounds = self.factor()
+        factors = [(base, k)]
         while self.peek()[0] == "*":
             offset = self.take()[2]
-            right = self.factor()
-            if type(result) is tuple and type(right) is tuple:
-                _refuse("product", 1, _bits(result[1]) + _bits(right[1]), offset)
-                result = (exp_add(result[0], right[0]), result[1] * right[1])
-            else:
-                a, b = (
-                    v if type(v) is _Product else _Product([(v, 1)], _power_bounds(v, 1))
-                    for v in (result, right)
-                )
-                result = _Product(a.factors + b.factors, _check_product(a.bounds, b.bounds, offset))
-        if type(result) is tuple:
-            return result
-        if result.bounds is None:
-            return Polynomial.from_scaled((), self.variables)
-        out = None
-        for base, k in result.factors:  # within the budgets: expand, left to right
-            p = self.polynomial(base) if k == 1 else base**k
-            out = p if out is None else out * p
-        return out
+            base, k, right = self.factor()
+            factors.append((base, k))
+            bounds = _check_product(bounds, right, offset)
+        if bounds is None:
+            return []
+        if len(factors) == 1 and k == 1:
+            return base
+        if bounds[0] == 1:
+            c = _ONE
+            for [(_, a)], _ in factors:
+                if a is not _ONE:  # a variable's coefficient: nothing to multiply
+                    c = a if c is _ONE else c * a
+            return [(bounds[1], c)]
+        # within the budgets: expand, left to right
+        p = math.prod(Polynomial.from_scaled(f, self.variables) ** j for f, j in factors)
+        return list(p.scaled.items())
 
     def factor(self):
-        """A single term, a power of one in closed form, or a zeroth power as
-        a pair; any other operand as a one-factor ``_Product``."""
+        """base^k as (base, k, bounds), ``base`` a term list and ``bounds``
+        its ``_power_bounds``; a power is refused at its exponent.  A power of
+        one term is folded to its closed-form term, with k = 1."""
         base = self.atom()
         if self.peek()[0] != "^":
-            return base if type(base) is tuple else _Product([(base, 1)], _power_bounds(base, 1))
+            return base, 1, _power_bounds(base, 1)
         self.take()
         kind, text, offset = self.peek()
         if kind != "int":
             self.fail("integer exponent")
         self.take()
         k = int(text)
-        if type(base) is tuple:  # closed form: exponents times k, coefficient to the k
-            e, c = base
-            _refuse("power", 1, k * _bits(c), offset)
-            return tuple(x * k for x in e), c**k
+        if not base:  # zero, never refused: 0^0 is 1, any other power 0
+            one = [(self.zero, _ONE)]
+            return (one, 1, _power_bounds(one, 1)) if k == 0 else (base, 1, None)
         bounds = _check_power(base, k, offset)
-        return (self.zero, _ONE) if k == 0 else _Product([(base, k)], bounds)
+        if bounds[0] == 1:  # one term (or a zeroth power): exponent from the bounds
+            c = base[0][1]
+            return [(bounds[1], c if c is _ONE else c**k)], 1, bounds
+        return base, k, bounds
 
     def atom(self):
-        """A nonzero number or a variable as a pair (exponent, coefficient);
-        the zero literal as the zero polynomial; a parenthesized sum as
-        ``expr`` returns it, a one-term polynomial turned into its pair."""
+        """A number, a variable or a parenthesized sum, as a term list."""
         kind, text, offset = self.peek()
         if kind == "int":
             self.take()
@@ -315,14 +274,12 @@ class _Parser:
                 if int(dt) == 0:
                     raise PolynomialSyntaxError("zero denominator", doff)
                 value /= int(dt)
-            if value:
-                return self.zero, value
-            return Polynomial.from_scaled((), self.variables)
+            return [(self.zero, value)] if value else []
         if kind == "ident":
             self.take()
             if text not in self.variables:
                 raise UnknownVariableError(text, offset)
-            return self.units[text], _ONE
+            return [(self.units[text], _ONE)]
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise PolynomialSyntaxError(
@@ -335,9 +292,7 @@ class _Parser:
             if self.peek()[0] != ")":
                 self.fail("')'")
             self.take()
-            if type(inner) is not tuple and len(inner.scaled) == 1:
-                [inner] = inner.scaled.items()
-            return inner
+            return list(inner.scaled.items())
         self.fail("a number, variable, or '('")
 
 
@@ -353,4 +308,4 @@ def parse_polynomial(text: str, variables) -> Polynomial:
     result = p.expr()
     if p.peek()[0] != "end":
         p.fail("end of input")
-    return p.polynomial(result)
+    return result

@@ -219,6 +219,12 @@ def test_product_budget_boundary(monkeypatch):
     monkeypatch.setattr(parse, "MAX_POWER_TERMS", 4)
     with pytest.raises(ResourceLimitError, match="product with term count up to 5 "):
         parse_polynomial(square, XY)
+    # the slab counts the monomials in the variables the factors contain, so
+    # a variable no factor contains does not change the bound
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 5)
+    for variables in (XY, ("x", "y", "z")):
+        expected = parse_polynomial("x^4 + 4*x^3*y + 6*x^2*y^2 + 4*x*y^3 + y^4", variables)
+        assert parse_polynomial("(x+y)^2*(x+y)^2", variables) == expected
 
 
 def _size_bits(c):
@@ -249,11 +255,11 @@ def test_power_budgets_bound_the_expansion(monkeypatch):
         monkeypatch.setattr(parse, "MAX_POWER_BITS", 10**9)
         monkeypatch.setattr(parse, "MAX_POWER_TERMS", terms - 1)
         with pytest.raises(ResourceLimitError):
-            parse._check_power(base, k, 0)
+            parse._check_power(list(base.scaled.items()), k, 0)
         monkeypatch.setattr(parse, "MAX_POWER_TERMS", 10**9)
         monkeypatch.setattr(parse, "MAX_POWER_BITS", bits - 1)
         with pytest.raises(ResourceLimitError):
-            parse._check_power(base, k, 0)
+            parse._check_power(list(base.scaled.items()), k, 0)
 
 
 def test_product_budgets_bound_the_expansion(monkeypatch):
@@ -286,10 +292,9 @@ def test_product_budgets_bound_the_expansion(monkeypatch):
         bits = max(_size_bits(c) for c in product.terms.values())
         monkeypatch.setattr(parse, "MAX_POWER_TERMS", 10**9)
         monkeypatch.setattr(parse, "MAX_POWER_BITS", 10**9)
-        bounds = parse._power_bounds(*factors[0])
-        for f in factors[1:-1]:
-            bounds = parse._check_product(bounds, parse._power_bounds(*f), 0)
-        last = parse._power_bounds(*factors[-1])
+        bounds, *middle, last = [parse._power_bounds(list(b.scaled.items()), k) for b, k in factors]
+        for right in middle:
+            bounds = parse._check_product(bounds, right, 0)
         _, top, lo, hi, _ = parse._check_product(bounds, last, 0)
         exps = list(product.terms)
         assert all(t >= max(col) for t, col in zip(top, zip(*exps)))
@@ -314,7 +319,7 @@ def test_refused_product_expands_no_factor(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", refuse)
     for text, offset in (
         ("(x+y+z)^40*(x+y+z)^40*(x+y+z)^40", 10),
-        ("x^2 + 3*(x - y)^400*(x + y)^400*(x - 2*y)", 19),
+        ("x^2 + 3*(x - y)^400*(x + z)^400*(x - 2*y)", 19),
         ("(x+y+z)^30*x*(x+y+z)^30", 12),
     ):
         with pytest.raises(ResourceLimitError) as exc:
@@ -323,7 +328,7 @@ def test_refused_product_expands_no_factor(monkeypatch):
         assert str(exc.value).endswith(f"(at offset {offset})"), text
 
 
-# -- single terms as pairs, against public Polynomial arithmetic ---------------------
+# -- term lists, against public Polynomial arithmetic -------------------------------
 
 _LITERAL = re.compile(r"\^(\d+)|(\d+)/(\d+)|(\d+)")
 _UNARY_PLUS = re.compile(r"(^|\()\+")
@@ -343,18 +348,22 @@ def _evaluated(text, variables):
     return Polynomial(variables) + value  # a number lifts to a constant
 
 
-def _random_text(rng, variables, depth=0):
-    """A random expression of the grammar, mostly single terms."""
+def _random_text(rng, variables, depth=0, summands=1):
+    """A random expression of the grammar with at least ``summands`` terms.
+    At the top level a third of the atoms are parenthesized sums of two or
+    more terms, so products mix single terms with multi-term factors and
+    their powers, as in ``2*x*(x - y)^2*3/4*y``; the atoms of those sums are
+    single terms, so every expansion stays within the budgets."""
 
     def atom():
+        if depth == 0 and rng.random() < 1 / 3:
+            return f"({_random_text(rng, variables, 1, 2)})"
         roll = rng.random()
-        if roll < 0.15:
+        if roll < 0.2:
             return str(rng.randint(0, 9))
-        if roll < 0.3:
+        if roll < 0.4:
             return f"{rng.randint(0, 9)}/{rng.randint(1, 6)}"
-        if roll < 0.8 or depth >= 2:
-            return rng.choice(variables)
-        return f"({_random_text(rng, variables, depth + 1)})"
+        return rng.choice(variables)
 
     def factor():
         base = atom()
@@ -364,7 +373,7 @@ def _random_text(rng, variables, depth=0):
         return "*".join(factor() for _ in range(rng.randint(1, 3)))
 
     text = rng.choice(("", "-", "+")) + term()
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(rng.randint(summands - 1, 2)):
         text += rng.choice((" + ", " - ")) + term()
     return text
 
@@ -377,12 +386,16 @@ SINGLE_TERM_SEEDS = (
     "(x + x)*y", "2*(x + y)*3/4", "(x^2*y)*(x + y)", "(x + y)*(2*x)",
     "-(x + y)^2*(1/2*y)", "x - x", "(x - x)^2", "(x - x)*y", "-x - y",
     "x^2 + x^2 - 2*x^2 + y",
+    # mixed products: single terms around multi-term factors and their powers
+    "2*x*(x - y)^2*3/4*y", "(x - y)*(x + y)", "3*(x + 1/2)^3*y^2*2/3",
+    "-(x - y)^2*5*(x + 2*y)*x", "(2*x + 3*y)^2*0*(x - y)", "x*(x + y)*y*(x - y)^0*7",
+    "((x + y)^2 - x^2)*(1/3*x - y)^2", "1/2*(x + y) - (x + y)*1/2 + (x - y)^2*y",
 )
 
 
 def test_single_terms_match_polynomial_arithmetic():
-    # a single term is carried as a pair through atom, factor and term; the
-    # parse must be the Polynomial that public arithmetic builds
+    # every operand is a term list, single terms included; the parse must be
+    # the Polynomial that public arithmetic builds
     cases = [(text, XY) for text in SINGLE_TERM_SEEDS]
     rng = random.Random(6262)
     names = ("x", "y", "z")
@@ -398,8 +411,8 @@ def test_single_terms_match_polynomial_arithmetic():
 
 
 def test_single_term_budgets_refuse_as_polynomials_do(monkeypatch):
-    # a pair meets the budgets by the formula a one-term Polynomial meets, so
-    # it is refused with the same text, at its exponent or its '*'
+    # a single term meets the budgets by the closed form of any term list, so
+    # it is refused with the text _check_power gives, at its exponent or its '*'
     limits = f"limits of {parse.MAX_POWER_TERMS} terms and {parse.MAX_POWER_BITS} bits"
     two_x = Polynomial(XY, {(1, 0): 2})
     for text, what, bits, offset, operands in (
@@ -418,8 +431,9 @@ def test_single_term_budgets_refuse_as_polynomials_do(monkeypatch):
                    f"exceeds the {limits} (at offset {offset})")
         assert str(exc.value) == message, text
         if operands is not None:
+            base, k = operands
             with pytest.raises(ResourceLimitError) as old:
-                parse._check_power(*operands, offset)
+                parse._check_power(list(base.scaled.items()), k, offset)
             assert str(old.value) == message, text
     # one bit below each of those limits, the same shapes pass
     for text in ("2^1000*x", "(2*x)^1000", "(x + x)^1000", "(2^500)*(2^500)", "2^500*x*2^500*y"):
