@@ -10,10 +10,10 @@ and hands it to each check that reads the corpus, so a caller builds it once
 per run.  A FAIL line names a case by its polynomial.  All randomness is
 seeded; output is deterministic.
 
-Each check has one failure path (``_check``): a library error raised inside
-it, such as ``NotGaloisStableError``, is its FAIL line like a failed
-comparison, and the other checks still run; so ``singspec check`` exits 1 on
-a broken corpus, never 2.
+Each check has one failure path (``_check``): a failed comparison raises
+``ConsistencyError``, and a library error raised inside it, such as
+``NotGaloisStableError``, is its FAIL line the same way; the other checks
+still run, so ``singspec check`` exits 1 on a broken corpus, never 2.
 """
 
 import functools
@@ -207,14 +207,10 @@ def random_class(rng: random.Random) -> EquivClass:
 # -- the checks ----------------------------------------------------------------
 
 
-class CheckFailure(Exception):
-    """A check's comparison came out wrong; the message is its FAIL detail."""
-
-
 def _check(name: str):
     """Turn a body that returns its PASS detail or raises into the check
     ``name``; the only place in the module that builds a ``CheckResult``.
-    A ``CheckFailure``, ``SingspecError`` or ``ConsistencyError`` from the
+    A ``ConsistencyError`` (a failed comparison) or ``SingspecError`` from the
     body is a FAIL with the exception's message; any other exception
     propagates, as a bug rather than a failed comparison."""
 
@@ -223,7 +219,7 @@ def _check(name: str):
         def check(*args) -> CheckResult:
             try:
                 passed, detail = True, body(*args)
-            except (CheckFailure, SingspecError, ConsistencyError) as exc:
+            except (ConsistencyError, SingspecError) as exc:
                 passed, detail = False, str(exc)
             return CheckResult(name, passed, detail)
 
@@ -236,7 +232,7 @@ def _check(name: str):
 def check_bp_dual_route(corpus):
     bad = [str(c.f) for c in corpus if c.s_basis != c.s_formula]
     if bad:
-        raise CheckFailure(f"routes disagree: {bad[:5]}")
+        raise ConsistencyError(f"routes disagree: {bad[:5]}")
     count = bp_case_count()
     return f"basis route == product formula on {count} grid cases + {len(_EXTRA_CASES)} mixed"
 
@@ -250,15 +246,15 @@ def check_bp_basis_box(corpus):
     mixed ones."""
     count = bp_case_count()
     if len(corpus) != count + len(_EXTRA_CASES):
-        raise CheckFailure(
+        raise ConsistencyError(
             f"corpus holds {len(corpus)} cases, expected {count} grid + {len(_EXTRA_CASES)} mixed"
         )
     for case, exps in zip(corpus, brieskorn_pham_exponents()):
         if case.f != _bp_polynomial(exps):
-            raise CheckFailure(f"corpus case {case.f} is not the grid case {exps}")
+            raise ConsistencyError(f"corpus case {case.f} is not the grid case {exps}")
         box = set(itertools.product(*(range(a - 1) for a in exps)))
         if set(case.basis.monomials) != box or len(case.basis) != math.prod(a - 1 for a in exps):
-            raise CheckFailure(f"box mismatch at {exps}")
+            raise ConsistencyError(f"box mismatch at {exps}")
     return f"standard monomials match the closed-form box on {count} cases"
 
 
@@ -274,7 +270,7 @@ def check_cusp_benchmark():
         and sp_product_formula(ws) == expected
         and str(expected) == "t^(5/6) + t^(7/6)"
     ):
-        raise CheckFailure("cusp values drifted")
+        raise ConsistencyError("cusp values drifted")
     return "x^2 + y^3: basis {1, y}, both routes give t^(5/6) + t^(7/6)"
 
 
@@ -282,7 +278,7 @@ def check_cusp_benchmark():
 def check_symmetry_all(corpus):
     bad = [str(c.f) for c in corpus if c.s_basis != sp_twist(c.s_basis, len(c.f.variables))]
     if bad:
-        raise CheckFailure(f"not symmetric: {bad[:5]}")
+        raise ConsistencyError(f"not symmetric: {bad[:5]}")
     return f"s == t^n iota(s) on all {len(corpus)} corpus cases"
 
 
@@ -290,12 +286,12 @@ def check_symmetry_all(corpus):
 def check_mu_counts(corpus):
     for c in corpus:
         if c.mu_closed.denominator != 1:
-            raise CheckFailure(f"{c.f}: weight product not integral")
+            raise ConsistencyError(f"{c.f}: weight product not integral")
         mu = c.mu_closed.numerator
         if c.s_basis.coefficient_sum() != mu or len(c.basis) != mu:
-            raise CheckFailure(f"{c.f}: counts disagree")
+            raise ConsistencyError(f"{c.f}: counts disagree")
         if c.s_formula.coefficient_sum() != mu:
-            raise CheckFailure(f"{c.f}: formula sum disagrees")
+            raise ConsistencyError(f"{c.f}: formula sum disagrees")
     return "coefficient sum == weight product == standard monomial count on every case"
 
 
@@ -306,11 +302,11 @@ def check_monodromy_conventions(corpus):
         eig = eigenvalues_gamma_c(c.s_basis)
         geo = eigenvalues_geometric(eig)
         if geo != spectral_residues(c.s_basis):
-            raise CheckFailure(f"{c.f}: convention triangle broken")
+            raise ConsistencyError(f"{c.f}: convention triangle broken")
         if eigenvalues_geometric(geo) != eig:
-            raise CheckFailure(f"{c.f}: negation not involutive")
+            raise ConsistencyError(f"{c.f}: negation not involutive")
         if char_poly(eig).total_degree() != c.mu_closed.numerator:
-            raise CheckFailure(f"{c.f}: char poly degree != mu")
+            raise ConsistencyError(f"{c.f}: char poly degree != mu")
     return "angle negation closes the convention triangle; char polys integral of degree mu"
 
 
@@ -323,7 +319,7 @@ def check_semistable_fixture():
         and euler_specialization(total) == 0
         and nearby_fiber_class(model, "open") == EquivClass()
     ):
-        raise CheckFailure("nonzero class")
+        raise ConsistencyError("nonzero class")
     return "two-line cycle: nearby class 0, Euler number 0"
 
 
@@ -344,7 +340,7 @@ def check_cusp_fixture():
         and euler == -1
         and euler == 2 + 3 - 6
     ):
-        raise CheckFailure("cusp model evaluation drifted")
+        raise ConsistencyError("cusp model evaluation drifted")
     return "resolution model gives t^(5/6) + t^(7/6) and Euler -1 = 2 + 3 - 6"
 
 
@@ -379,9 +375,9 @@ def check_gcd_table():
             strata=(),
         )
         if covering_degree(model, names) != degree:
-            raise CheckFailure(f"degree wrong for {mults}")
+            raise ConsistencyError(f"degree wrong for {mults}")
         if covering_degree(model, (*names, "adj")) != comps:
-            raise CheckFailure(f"component count wrong for {mults} + {adj}")
+            raise ConsistencyError(f"component count wrong for {mults} + {adj}")
     return f"cover degree and C*-component count on {len(_GCD_TABLE)} tuples"
 
 
@@ -393,7 +389,7 @@ def check_class_functionals():
         c = random_class(rng)
         n = rng.randrange(5)
         if sp_twist(sp_prime_of_class(c), n) != sp_of_class(c, n):
-            raise CheckFailure(f"functionals disagree on {c!r} with n={n}")
+            raise ConsistencyError(f"functionals disagree on {c!r} with n={n}")
     return f"twisted functional == interval functional on {trials} random classes"
 
 

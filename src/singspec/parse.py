@@ -17,16 +17,17 @@ nest at most ``MAX_NESTING`` deep, so that no input exhausts the
 interpreter's recursion limit; an integer literal has at most the digits of
 ``poly._digit_limit``; and a power ``base^k`` or a product ``a*b`` is expanded
 only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
-``_check_power`` and ``_check_product``).
+``_power_bounds``, ``_refuse`` and ``_check_product``).
 
 Every operand of ``atom``, ``factor`` and ``term`` is a term list: the
 stored (exponent, coefficient) pairs of a polynomial, ``[]`` for zero.  One
-closed form bounds every power, single terms included (``_power_bounds``),
-and ``_check_product`` combines those bounds at each '*', so nothing of a
-refused power or product is expanded.  Single terms are never expanded: a
-power or product of them is the exponent its bounds carry times a product
-of coefficients.  The tokenizer, the variable check and the budgets are the
-parser's validation, so expansions and sums are built with
+closed form bounds every power, single terms included (``_power_bounds``);
+a power is refused by those of base^k, but an operand carries the bounds of
+the list it holds (a folded power of one term, those of c^k*x^(k*e)), and
+``_check_product`` combines them at each '*'.  Single terms are never
+expanded: a power or product of them is the exponent its bounds carry times
+a product of coefficients.  The tokenizer, the variable check and the
+budgets are the parser's validation, so expansions and sums are built with
 ``Polynomial.from_scaled``, not re-checked by the public constructor.
 """
 
@@ -96,14 +97,6 @@ def _power_bounds(base, k: int):
     num = max(nums) if k == 1 else sum(nums)
     bits = k * ((num - 1).bit_length() + (den - 1).bit_length())
     return terms, top, k * min(degrees), k * max(degrees), bits
-
-
-def _check_power(base, k: int, offset: int):
-    """Refuse base^k, ``base`` a nonzero term list, when its ``_power_bounds``
-    exceed the budgets; else return them."""
-    bounds = _power_bounds(base, k)
-    _refuse("power", bounds[0], bounds[4], offset)
-    return bounds
 
 
 def _check_product(a, b, offset: int):
@@ -238,9 +231,8 @@ class _Parser:
         return list(p.scaled.items())
 
     def factor(self):
-        """base^k as (base, k, bounds), ``base`` a term list and ``bounds``
-        its ``_power_bounds``; a power is refused at its exponent.  A power of
-        one term is folded to its closed-form term, with k = 1."""
+        """base^k as (base, k, _power_bounds(base, k)); a power is refused at its
+        exponent.  A power of one term is folded to its closed-form term, k = 1."""
         base = self.atom()
         if self.peek()[0] != "^":
             return base, 1, _power_bounds(base, 1)
@@ -253,10 +245,12 @@ class _Parser:
         if not base:  # zero, never refused: 0^0 is 1, any other power 0
             one = [(self.zero, _ONE)]
             return (one, 1, _power_bounds(one, 1)) if k == 0 else (base, 1, None)
-        bounds = _check_power(base, k, offset)
+        bounds = _power_bounds(base, k)
+        _refuse("power", bounds[0], bounds[4], offset)
         if bounds[0] == 1:  # one term (or a zeroth power): exponent from the bounds
             c = base[0][1]
-            return [(bounds[1], c if c is _ONE else c**k)], 1, bounds
+            term = [(bounds[1], c if c is _ONE else c**k)]
+            return term, 1, _power_bounds(term, 1)
         return base, k, bounds
 
     def atom(self):

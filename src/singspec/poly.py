@@ -496,28 +496,31 @@ def as_weights(values, nvars: int | None = None) -> tuple[Fraction, ...]:
     return ws
 
 
-def weighted_degree(exponents, weights) -> Fraction:
-    """Sum of w_i * m_i over the coordinates, as a Fraction.
+def _scaled_weights(ws) -> tuple[int, list[int]]:
+    """(m, c) for checked weights: m the lcm of their denominators, c_i = m * w_i
+    as an int, so the weighted degree of e is sum(c_i * e_i) / m."""
+    m = math.lcm(*(w.denominator for w in ws))
+    return m, [w.numerator * (m // w.denominator) for w in ws]
 
-    Each weight is read by ``exact_rational`` and each exponent by
-    ``exact_int`` (a float, a bool or a non-integral Fraction raises
-    TypeError), but only the nonzero exponents enter the sum."""
+
+def weighted_degree(exponents, weights) -> Fraction:
+    """Sum of w_i * e_i, as the Fraction sum(c_i * e_i) / m (``_scaled_weights``).
+    Each pair is read by ``exact_int`` and ``exact_rational`` in turn (a float,
+    a bool or a non-integral exponent raises TypeError), weights in any range."""
     if len(exponents) != len(weights):
         raise LengthMismatchError(
             f"exponent vector of length {len(exponents)} against {len(weights)} weights"
         )
-    ws = map(exact_rational, weights)
-    terms = [w * m for m, w in zip(map(exact_int, exponents), ws) if m]
-    return sum(terms[1:], terms[0]) if terms else Fraction(0)
+    pairs = [(exact_int(e), exact_rational(w)) for e, w in zip(exponents, weights)]
+    m, c = _scaled_weights([w for _, w in pairs])
+    return Fraction(sum(map(operator.mul, c, (e for e, _ in pairs))), m)
 
 
 def is_weighted_homogeneous(f: Polynomial, weights) -> bool:
-    """True when every term of f has weighted degree exactly 1.
-
-    The zero polynomial counts as weighted-homogeneous.
-    """
-    ws = as_weights(weights, len(f.variables))
-    return all(weighted_degree(e, ws) == 1 for e in f.terms)
+    """True when sum(c_i * e_i) == m (``_scaled_weights``), weighted degree 1,
+    on every stored exponent tuple e of f; the zero polynomial counts."""
+    m, c = _scaled_weights(as_weights(weights, len(f.variables)))
+    return all(sum(map(operator.mul, c, e)) == m for e in f.scaled)
 
 
 def infer_weights(f: Polynomial) -> tuple[Fraction, ...]:

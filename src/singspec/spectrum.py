@@ -63,6 +63,7 @@ from .poly import (
     ExactMap,
     Polynomial,
     Record,
+    _scaled_weights,
     as_weights,
     exact_int,
     exact_rational,
@@ -135,9 +136,8 @@ def sp_product_formula(weights) -> FracPoly:
 
 def sp_from_basis(basis: MilnorBasis) -> FracPoly:
     """Spectrum as the weighted-degree distribution of the standard monomials,
-    shifted by the weight sum."""
-    m = math.lcm(*(w.denominator for w in basis.weights))
-    c = [w.numerator * (m // w.denominator) for w in basis.weights]
+    shifted by the weight sum, in ints over the m of ``poly._scaled_weights``."""
+    m, c = _scaled_weights(basis.weights)
     shift = sum(c)
     counts = Counter(sum(map(operator.mul, c, g)) + shift for g in basis.monomials)
     return FracPoly.from_scaled(counts.items(), m)

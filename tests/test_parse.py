@@ -232,6 +232,12 @@ def _size_bits(c):
     return (abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length()
 
 
+def _refuse_power(base, k, offset):
+    """Refuse base^k, a Polynomial, as the parser does: by its ``_power_bounds``."""
+    bounds = parse._power_bounds(list(base.scaled.items()), k)
+    parse._refuse("power", bounds[0], bounds[4], offset)
+
+
 def test_power_budgets_bound_the_expansion(monkeypatch):
     # with either limit one below the true size of base^k, the closed-form
     # bound must refuse the power
@@ -255,11 +261,11 @@ def test_power_budgets_bound_the_expansion(monkeypatch):
         monkeypatch.setattr(parse, "MAX_POWER_BITS", 10**9)
         monkeypatch.setattr(parse, "MAX_POWER_TERMS", terms - 1)
         with pytest.raises(ResourceLimitError):
-            parse._check_power(list(base.scaled.items()), k, 0)
+            _refuse_power(base, k, 0)
         monkeypatch.setattr(parse, "MAX_POWER_TERMS", 10**9)
         monkeypatch.setattr(parse, "MAX_POWER_BITS", bits - 1)
         with pytest.raises(ResourceLimitError):
-            parse._check_power(list(base.scaled.items()), k, 0)
+            _refuse_power(base, k, 0)
 
 
 def test_product_budgets_bound_the_expansion(monkeypatch):
@@ -410,9 +416,28 @@ def test_single_terms_match_polynomial_arithmetic():
         assert got.variables == want.variables, text
 
 
+def test_every_factor_carries_the_bounds_of_its_operand(monkeypatch):
+    # what factor returns, a folded power of one term included, is bounded
+    # by the closed form of the term list it holds, not of the power it came from
+    factor = parse._Parser.factor
+
+    def checked(self):
+        operand, k, bounds = factor(self)
+        assert bounds == parse._power_bounds(operand, k), (operand, k, bounds)
+        return operand, k, bounds
+
+    monkeypatch.setattr(parse._Parser, "factor", checked)
+    rng = random.Random(4807)
+    texts = [*SINGLE_TERM_SEEDS, "3^300*3^300*x", "(3*x)^300*(3*y)^300", "(-2/3*x*y)^7",
+             "(x + y)^0*(3/4)^0", "(2*x - 2*x)^5"]
+    texts += [_random_text(rng, XY) for _ in range(200)]
+    for text in texts:
+        assert parse_polynomial(text, XY) == _evaluated(text, XY), text
+
+
 def test_single_term_budgets_refuse_as_polynomials_do(monkeypatch):
     # a single term meets the budgets by the closed form of any term list, so
-    # it is refused with the text _check_power gives, at its exponent or its '*'
+    # it is refused with the text its _power_bounds give, at its exponent or its '*'
     limits = f"limits of {parse.MAX_POWER_TERMS} terms and {parse.MAX_POWER_BITS} bits"
     two_x = Polynomial(XY, {(1, 0): 2})
     for text, what, bits, offset, operands in (
@@ -424,6 +449,8 @@ def test_single_term_budgets_refuse_as_polynomials_do(monkeypatch):
         ("(2^500)*(2^501)", "product", 1001, 7, None),
         ("2^500*x*2^501*y", "product", 1001, 7, None),
         ("(2*x)^500*(2*y)^501", "product", 1001, 9, None),
+        # no cancellation between factors: 2^500*(1/2)^500 counts 1,000 bits
+        ("2^500*(1/2)^500*2^600*x", "product", 1600, 15, None),
     ):
         with pytest.raises(ResourceLimitError) as exc:
             parse_polynomial(text, XY)
@@ -433,10 +460,13 @@ def test_single_term_budgets_refuse_as_polynomials_do(monkeypatch):
         if operands is not None:
             base, k = operands
             with pytest.raises(ResourceLimitError) as old:
-                parse._check_power(list(base.scaled.items()), k, offset)
+                _refuse_power(base, k, offset)
             assert str(old.value) == message, text
-    # one bit below each of those limits, the same shapes pass
-    for text in ("2^1000*x", "(2*x)^1000", "(x + x)^1000", "(2^500)*(2^500)", "2^500*x*2^500*y"):
+    # one bit below each of those limits, the same shapes pass; a folded power
+    # of one term carries the bits of its coefficient (3^300 has 476), not
+    # those of its closed form (600)
+    for text in ("2^1000*x", "(2*x)^1000", "(x + x)^1000", "(2^500)*(2^500)", "2^500*x*2^500*y",
+                 "3^300*3^300*x", "(3*x)^300*(3*y)^300"):
         assert parse_polynomial(text, XY) == _evaluated(text, XY), text
     # with no term budget, every single-term power and product refuses at its
     # operator, and the zero literal still passes

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from singspec import (
     parse_polynomial,
     weighted_degree,
 )
+from singspec import poly
 from singspec.poly import shown
 
 XY = ("x", "y")
@@ -121,13 +123,43 @@ def test_partial_derivatives():
     )
 
 
+def _degree_reference(exponents, weights):
+    """The weighted degree as a sum of Fraction products."""
+    return sum((Fraction(w) * e for e, w in zip(exponents, weights)), Fraction(0))
+
+
+# mixed denominators, up to 5005 = 5 * 7 * 11 * 13
+_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 35, 143, 1001, 5005)
+
+
+def _random_weights(rng, n):
+    """n weights of any sign, zeros included, over mixed denominators."""
+    return tuple(Fraction(rng.randint(-12, 12), rng.choice(_DENOMINATORS)) for _ in range(n))
+
+
 def test_weighted_degree_values():
     w = as_weights(("1/2", "1/3"))
     assert weighted_degree((2, 0), w) == 1
     assert weighted_degree((0, 0), w) == 0
     assert weighted_degree((1, 1), w) == Fraction(5, 6)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(LengthMismatchError, match="^exponent vector of length 1 against 2 weights$"):
         weighted_degree((1,), w)
+    assert weighted_degree((), ()) == 0
+    assert weighted_degree((3, 5), ("-1/5005", 0)) == Fraction(-3, 5005)
+    # seeded: zero and negative weights, zero exponents, denominators up to 5005
+    rng = random.Random(7301)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        ws = _random_weights(rng, n)
+        e = tuple(rng.choice((0, 0, rng.randint(0, 40))) for _ in range(n))
+        got = weighted_degree(e, ws)
+        assert type(got) is Fraction and got == _degree_reference(e, ws), (e, ws)
+        assert weighted_degree(list(e), list(map(str, ws))) == got
+    # a float or a bool is refused on either side, under a zero exponent too
+    for e, ws in (((1.0, 0), w), ((True, 0), w), ((1, 0), (0.5, w[1])),
+                  ((1, 0), (True, w[1])), ((1, 0), (w[0], 0.25)), ((1, 0), (w[0], False))):
+        with pytest.raises(TypeError):
+            weighted_degree(e, ws)
 
 
 def test_weighted_degree_additive():
@@ -138,15 +170,49 @@ def test_weighted_degree_additive():
         m2 = (rng.randint(0, 9), rng.randint(0, 9))
         s = tuple(a + b for a, b in zip(m1, m2))
         assert weighted_degree(s, w) == weighted_degree(m1, w) + weighted_degree(m2, w)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        ws = _random_weights(rng, n)
+        m1 = tuple(rng.randint(0, 9) for _ in range(n))
+        m2 = tuple(rng.randint(0, 9) for _ in range(n))
+        s = tuple(a + b for a, b in zip(m1, m2))
+        assert weighted_degree(s, ws) == weighted_degree(m1, ws) + weighted_degree(m2, ws)
+        assert weighted_degree(s, ws) == _degree_reference(s, ws)
 
 
-def test_is_weighted_homogeneous():
+def test_is_weighted_homogeneous(monkeypatch):
     f = parse_polynomial("x^2 + y^3", XY)
     assert is_weighted_homogeneous(f, ("1/2", "1/3"))
     assert not is_weighted_homogeneous(f, ("1/2", "1/2"))
     g = parse_polynomial("x^3 + x*y + y^3", XY)
     assert not is_weighted_homogeneous(g, ("1/3", "1/3"))
     assert is_weighted_homogeneous(Polynomial(XY), ("1/2", "1/2"))
+    xyzw = ("x", "y", "z", "w")
+    bp = parse_polynomial("x^5 + y^7 + z^11 + w^13", xyzw)
+    assert is_weighted_homogeneous(bp, ("1/5", "1/7", "1/11", "1/13"))
+    assert not is_weighted_homogeneous(bp, ("1/5", "1/7", "1/11", "1/12"))
+    with pytest.raises(LengthMismatchError):
+        is_weighted_homogeneous(f, ("1/2",))
+    with pytest.raises(TypeError):
+        is_weighted_homogeneous(f, (0.5, "1/3"))
+    # the degrees are read on integers, never through weighted_degree
+    monkeypatch.setattr(poly, "weighted_degree", None)
+    # seeded: the terms of degree 1 in a box, some of them plus one term drawn
+    # at random, against the Fraction-sum reference
+    rng = random.Random(2718)
+    names = ("x", "y", "z")
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        ws = tuple(Fraction(rng.randint(1, q - 1), q) for q in
+                   (rng.choice(_DENOMINATORS[1:8]) for _ in range(n)))
+        box = list(itertools.product(range(14), repeat=n))
+        ones = [e for e in box if _degree_reference(e, ws) == 1]
+        terms = rng.sample(ones, min(len(ones), rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            terms.append(rng.choice(box))
+        f = Polynomial(names[:n], {e: rng.randint(1, 5) for e in terms})
+        want = all(_degree_reference(e, ws) == 1 for e in f.terms)
+        assert is_weighted_homogeneous(f, ws) == want, (terms, ws)
 
 
 def test_weight_range_enforced():
