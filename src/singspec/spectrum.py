@@ -4,11 +4,10 @@ Routes:
 
 * weight product formula: the product over variables of
   (t - t^{w_i}) / (t^{w_i} - 1), evaluated by substituting s = t^{1/m}
-  (m = least common multiple of the weight denominators), which turns every
-  factor into a quotient of binomials s^d - 1, which ``_binomial_quotient``
-  evaluates on one integer coefficient list, each multiplication and
-  division linear in the list length (every division exact and the quotient
-  non-negative);
+  (m = least common multiple of the weight denominators): one map d -> e_d
+  of binomials (s^d - 1)^e_d that ``_binomial_product`` evaluates on one
+  integer coefficient list, each pass linear in the list length (every
+  division exact and the quotient non-negative);
 * basis route: one term t^{l(g) + sum(w)} per standard monomial g of the
   Milnor algebra, l = weighted degree; the integer degrees
   m * (l(g) + sum(w)) are counted with a ``Counter``, so the map is built
@@ -38,10 +37,14 @@ Eigenvalue conventions (one sign flip apart; both are exposed):
   off the spectrum.
 
 The characteristic polynomial of a Galois-stable multiset is a product of
-cyclotomic polynomials, built from binomials T^d - 1 through the Möbius
-identity Phi_n = prod over d | n of (T^d - 1)^mu(n/d), by the same
-``_binomial_quotient``.  Angles, like exponents, are stored as int numerators
-over one denominator per multiset.
+cyclotomic polynomials, turned by the Möbius identity
+Phi_n = prod over d | n of (T^d - 1)^mu(n/d) into one exponent map for the
+same ``_binomial_product``; Galois stability is a count against phi(v),
+read off the prime factorization of v that the Möbius step takes anyway.
+``_binomial_product`` checks its work (passes times longest list) against
+MAX_BINOMIAL_WORK before the first pass: the char poly's coefficients grow
+with mu, and a sum of 16 cubes would run for minutes.  Angles, like
+exponents, are stored as int numerators over one denominator per multiset.
 """
 
 import math
@@ -76,27 +79,47 @@ from .poly import (
 # product formula builds; x^30+y^31+z^37 needs 103,231
 MAX_DENSE = 1_000_000
 
+# budget on the work of ``_binomial_product``, sum |e_d| passes times the
+# longest list; no product formula inside MAX_DIMENSION and MAX_DENSE comes
+# near it (2 * 32 * MAX_DENSE).  On one 2-core Xeon, Python 3.11, `sp` of
+# sum x_i^3 in 14 variables (89,494,870) takes 6-8 s and sum x_i^9 in 5
+# (119,348,340) 5 s; sum x_i^3 in 15 (357,979,480) took 30 s
+MAX_BINOMIAL_WORK = 125_000_000
+
 # -- dense one-variable integer polynomials (index = degree) -----------------
 
 
-def _binomial_quotient(ups, downs) -> list | None:
-    """prod over d in ups of (T^d - 1) / prod over d in downs of (T^d - 1),
-    or None when the quotient leaves a remainder.
+def _binomial_product(exps) -> list | None:
+    """prod over d of (T^d - 1)^exps[d], or None when it leaves a remainder.
 
-    Every factor of ``ups`` goes in before the first division: one division
-    alone need not be exact, but when the whole quotient is, every division
+    Every positive power goes in before the first division: one division
+    alone need not be exact, but when the whole product is, every division
     of the sequence is.  Dividing by T^d - 1 is a suffix sum along each
     residue class of the exponent mod d; the sums that land on degrees below
-    d are the remainder."""
+    d are the remainder.
+
+    Raises ResourceLimitError before the first pass when the work, the
+    number of passes sum |e_d| times the longest list 1 + sum of d * e_d
+    over e_d > 0, exceeds MAX_BINOMIAL_WORK: past it one product runs for
+    more than seconds, and its coefficients, which grow by a bit or so per
+    pass, can pass the 4,300 digits ``str`` converts."""
+    work = sum(map(abs, exps.values())) * (1 + sum(d * e for d, e in exps.items() if e > 0))
+    if work > MAX_BINOMIAL_WORK:
+        raise ResourceLimitError(
+            f"dense work {shown(work)} of the binomial product exceeds the limit of "
+            f"{MAX_BINOMIAL_WORK}"
+        )
     a = [1]
-    for d in ups:
-        a = [x - y for x, y in zip([0] * d + a, a + [0] * d)]
-    for d in downs:
-        for r in range(d):
-            a[r::d] = list(accumulate(a[r::d][::-1]))[::-1]
-        if any(a[:d]):
-            return None
-        a = a[d:]
+    for d, e in sorted(exps.items()):
+        for _ in range(e):
+            a = [x - y for x, y in zip([0] * d + a, a + [0] * d)]
+    for d, e in sorted(exps.items()):
+        for _ in range(-e):
+            for r in range(d):
+                a[r::d] = list(accumulate(a[r::d][::-1]))[::-1]
+            if any(a[:d]):
+                return None
+            a = a[d:]
     return a
 
 
@@ -107,9 +130,9 @@ def sp_product_formula(weights) -> FracPoly:
     """Spectrum from the weights alone.
 
     With s = t^(1/m) and c_i = m * w_i it reads
-    s^(sum c_i) * prod (s^(m - c_i) - 1) / prod (s^(c_i) - 1), one call to
-    ``_binomial_quotient`` (one factor's quotient need not be a polynomial:
-    numerator of w_i above 1).
+    s^(sum c_i) * prod (s^(m - c_i) - 1) / prod (s^(c_i) - 1): one map
+    Counter(m - c_i) - Counter(c_i) for ``_binomial_product``, where equal
+    binomials cancel (a factor's quotient alone may not be a polynomial).
 
     Raises ResourceLimitError before allocating when n * m + 1 exceeds
     MAX_DENSE, and NonExactDivisionError on a remainder or a negative
@@ -123,7 +146,9 @@ def sp_product_formula(weights) -> FracPoly:
             f"the limit of {MAX_DENSE}"
         )
     cs = [w.numerator * (m // w.denominator) for w in ws]
-    coeffs = _binomial_quotient([m - c for c in cs], cs)
+    exps = Counter(m - c for c in cs)
+    exps.subtract(cs)
+    coeffs = _binomial_product(exps)
     if coeffs is None:
         raise NonExactDivisionError(f"weight product for {tuple(map(str, ws))} leaves a remainder")
     if any(x < 0 for x in coeffs):
@@ -258,13 +283,14 @@ def char_poly(e: EigenMultiset) -> Polynomial:
 
     The multiset must be Galois-stable: for each denominator v appearing, all
     residues u/v with gcd(u, v) = 1 must appear with one common multiplicity
-    c_v.  The result is the product over v of the v-th cyclotomic polynomial
-    to the power c_v, in the variable T, evaluated as the product over d of
-    (T^d - 1)^e_d with e_d = sum over multiples v of d of mu(v/d) * c_v
-    (mu the Möbius function): the positive powers are multiplied in first,
-    then the negative ones divided out exactly.  A stored angle k over den
-    reads u/v with v = den / gcd(k, den).  The coefficients are Fractions,
-    one per distinct integer value, shared by the terms that carry it.
+    c_v.  A stored angle k over den reads the unit u/v, v = den / gcd(k, den),
+    so it is enough that v's group holds phi(v) residues of one multiplicity;
+    else the least unit by multiplicity (absent = 0) of the least bad v is
+    named.  The result is the product over v of Phi_v^c_v in the variable T,
+    one map d -> e_d = sum over multiples v of d of mu(v/d) * c_v (mu the
+    Möbius function) for ``_binomial_product``; one factorization of v gives
+    both phi(v) and the mu step.  The coefficients are Fractions, one per
+    distinct integer value, shared by the terms that carry it.
     """
     groups: dict[int, dict[int, int]] = {}
     den = e.den
@@ -274,25 +300,20 @@ def char_poly(e: EigenMultiset) -> Polynomial:
     exps: dict[int, int] = {}
     for v in sorted(groups):
         present = groups[v]
-        expected = [u for u in range(v) if math.gcd(u, v) == 1] or [0]
-        missing = sorted(set(expected) - set(present))
-        if missing:
-            raise NotGaloisStableError(Fraction(missing[0], v))
-        mults = {present[u] for u in expected}
-        if len(mults) > 1:
-            low = min(mults)
-            offender = min(u for u in expected if present[u] == low)
+        primes = _prime_factors(v)
+        phi = v // math.prod(primes) * math.prod(p - 1 for p in primes)
+        if len(present) != phi or len(set(present.values())) > 1:
+            units = [u for u in range(v) if math.gcd(u, v) == 1]
+            offender = min(units, key=lambda u: (present.get(u, 0), u))
             raise NotGaloisStableError(Fraction(offender, v))
-        c_v = present[expected[0]]
+        c_v = next(iter(present.values()))
         # mu(v/d) is (-1)^k when v/d is a product of k distinct primes, else 0
         divisors = [(v, c_v)]
-        for p in _prime_factors(v):
+        for p in primes:
             divisors += [(d // p, -c) for d, c in divisors]
         for d, c in divisors:
             exps[d] = exps.get(d, 0) + c
-    ups = [d for d, k in sorted(exps.items()) for _ in range(k)]
-    downs = [d for d, k in sorted(exps.items()) for _ in range(-k)]
-    coeffs = _binomial_quotient(ups, downs)
+    coeffs = _binomial_product(exps)
     if coeffs is None:
         raise ConsistencyError("the product of binomials leaves a remainder")
     values = {c: Fraction(c) for c in set(coeffs) if c}

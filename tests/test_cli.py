@@ -142,6 +142,34 @@ def test_sp_huge_dense_length_exits_2_promptly(capsys):
         )
 
 
+def _cyclic_sum(n, term):
+    """sp arguments for the sum over i < n of term.format(i=i, j=(i + 1) % n)."""
+    expr = " + ".join(term.format(i=i, j=(i + 1) % n) for i in range(n))
+    return expr, "--vars", ",".join(f"x{i}" for i in range(n))
+
+
+def test_sp_char_poly_budget_exits_2_promptly(capsys):
+    # inside every other budget, but the char poly would take minutes, and
+    # for 16 cubes its coefficients pass the digits str converts (an exit 3)
+    for n, term, work in (
+        (16, "x{i}^3", 1_431_721_302),
+        (15, "x{i}^3", 357_979_480),
+        (8, "x{i}^4*x{j}", 859_058_996),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sp", *_cyclic_sum(n, term))
+        assert time.perf_counter() - start < 10, n
+        assert (code, out) == (2, ""), n
+        assert err == (
+            f"error: dense work {work} of the binomial product exceeds the limit of "
+            f"{spectrum.MAX_BINOMIAL_WORK}\n"
+        )
+    # 12 cubes: work 5,596,502, admitted
+    code, out, err = run(capsys, "sp", *_cyclic_sum(12, "x{i}^3"))
+    assert (code, err) == (0, "")
+    assert "mu: 4096\n" in out and "char_poly: T^4096 - " in out
+
+
 def test_sp_huge_powers_exit_2_promptly(capsys):
     # each would spend minutes expanding the power before the budget
     limits = f"limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits"

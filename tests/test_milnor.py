@@ -24,6 +24,7 @@ from singspec import (
 )
 from singspec import milnor, spectrum
 from singspec.checks import _EXTRA_CASES, _bp_polynomial, brieskorn_pham_exponents
+from singspec.poly import MAX_DIMENSION
 
 XY = ("x", "y")
 
@@ -505,6 +506,8 @@ def test_budgets_have_headroom_over_the_ladder():
     assert milnor._closed_mu(ws) == 31_320
     assert 3 * 31_320 < milnor.MAX_MU
     assert 3 * (3 * math.lcm(30, 31, 37) + 1) < spectrum.MAX_DENSE
+    # a product formula makes at most 2n passes over at most MAX_DENSE entries
+    assert 2 * MAX_DIMENSION * spectrum.MAX_DENSE < spectrum.MAX_BINOMIAL_WORK
 
 
 def test_milnor_budget_boundary(monkeypatch):

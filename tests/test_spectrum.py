@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from singspec import (
     NonExactDivisionError,
     NotGaloisStableError,
     Polynomial,
+    ResourceLimitError,
     char_poly,
     eigenvalues_gamma_c,
     eigenvalues_geometric,
@@ -46,6 +48,10 @@ def test_product_formula_golden():
     assert sp_product_formula((F(1, 3), F(1, 3))) == FracPoly(
         {F(2, 3): 1, F(1): 2, F(4, 3): 1}
     )
+    # equal binomials s^c - 1 above and below cancel in the exponent map
+    assert sp_product_formula((F(1, 2),) * 3) == FracPoly({F(3, 2): 1})
+    assert sp_product_formula((F(1, 2), F(1, 4))) == FracPoly({F(3, 4): 1, F(1): 1, F(5, 4): 1})
+    assert sp_product_formula((F(1, 3), F(2, 3))) == FracPoly({F(1): 1})
 
 
 def test_product_formula_non_reciprocal_weights():
@@ -287,23 +293,36 @@ def test_char_poly_random_galois_stable_multisets():
 
 def test_binomial_division_is_exact_or_fails():
     # (T^2 - 1)(T^3 - 1) = T^5 - T^3 - T^2 + 1
-    assert spectrum._binomial_quotient([2, 3], []) == [1, 0, -1, -1, 0, 1]
-    assert spectrum._binomial_quotient([2, 3], [3]) == [-1, 0, 1]
-    assert spectrum._binomial_quotient([2, 3], [2]) == [-1, 0, 0, 1]
-    assert spectrum._binomial_quotient([2, 3], [4]) is None
-    assert spectrum._binomial_quotient([], [1]) is None
+    assert spectrum._binomial_product({2: 1, 3: 1}) == [1, 0, -1, -1, 0, 1]
+    assert spectrum._binomial_product({2: 1, 3: 0}) == [-1, 0, 1]
+    assert spectrum._binomial_product({2: 0, 3: 1}) == [-1, 0, 0, 1]
+    assert spectrum._binomial_product({2: 1, 3: 1, 4: -1}) is None
+    assert spectrum._binomial_product({1: -1}) is None
+    assert spectrum._binomial_product({}) == [1]
     # (T^6 - 1)(T - 1) / ((T^3 - 1)(T^2 - 1)) = Phi_6, whichever order
-    assert spectrum._binomial_quotient([6, 1], [3, 2]) == [1, -1, 1]
-    assert spectrum._binomial_quotient([1, 6], [2, 3]) == [1, -1, 1]
+    assert spectrum._binomial_product({6: 1, 1: 1, 3: -1, 2: -1}) == [1, -1, 1]
+    assert spectrum._binomial_product({2: -1, 3: -1, 1: 1, 6: 1}) == [1, -1, 1]
 
 
 def test_char_poly_remainder_is_a_consistency_error(monkeypatch):
-    # Phi_6 = (T^6 - 1)(T - 1) / ((T^3 - 1)(T^2 - 1)); with the first
-    # multiplied-in binomial (T - 1) dropped, the quotient leaves a remainder
+    # Phi_6 = (T^6 - 1)(T - 1) / ((T^3 - 1)(T^2 - 1)); with the
+    # multiplied-in binomial (T - 1) dropped, the product leaves a remainder
     sixth = _galois_orbits({6: 1})
-    quotient = spectrum._binomial_quotient
-    monkeypatch.setattr(spectrum, "_binomial_quotient", lambda up, down: quotient(up[1:], down))
+    product = spectrum._binomial_product
+    monkeypatch.setattr(
+        spectrum, "_binomial_product", lambda exps: product({**exps, 1: exps[1] - 1})
+    )
     with pytest.raises(ConsistencyError):
+        char_poly(sixth)
+
+
+def test_binomial_budget_boundary(monkeypatch):
+    # Phi_6: four passes over lists of at most 1 + 6 + 1 entries, work 32
+    sixth = _galois_orbits({6: 1})
+    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 32)
+    assert char_poly(sixth) == _dense_char_poly({6: 1})
+    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 31)
+    with pytest.raises(ResourceLimitError):
         char_poly(sixth)
 
 
@@ -372,6 +391,36 @@ def test_long_division_requires_monic_divisor():
         _u_divmod([-1, 0, 1], [1, 2])
     with pytest.raises(ConsistencyError):
         _u_divmod([1], [])
+
+
+def _binomial_oracle(ups, downs):
+    """prod over ups of (T^d - 1) long-divided by prod over downs, or None
+    on a remainder."""
+    num, den = [1], [1]
+    for d in ups:
+        num = _u_mul(num, [-1] + [0] * (d - 1) + [1])
+    for d in downs:
+        den = _u_mul(den, [-1] + [0] * (d - 1) + [1])
+    quo, rem = _u_divmod(num, den)
+    return None if rem else quo
+
+
+def test_binomial_product_matches_long_division():
+    """Maps drawn as two lists of binomials, so a d on both sides cancels
+    and may leave a zero entry; about half of the draws are not exact."""
+    rng = random.Random(4241)
+    seen = {"exact": 0, "remainder": 0, "zero": 0}
+    for _ in range(300):
+        ups = [rng.randint(1, 9) for _ in range(rng.randint(0, 6))]
+        downs = rng.sample(ups, rng.randint(0, len(ups)))
+        downs += [rng.randint(1, 9) for _ in range(rng.randint(0, 3))]
+        exps = Counter(ups)
+        exps.subtract(downs)
+        got = spectrum._binomial_product(exps)
+        assert got == _binomial_oracle(ups, downs), (ups, downs)
+        seen["remainder" if got is None else "exact"] += 1
+        seen["zero"] += 0 in exps.values()
+    assert min(seen.values()) > 30, seen
 
 
 def _atom_weights(kind, exps):
