@@ -23,6 +23,7 @@ import random
 from fractions import Fraction
 
 from .errors import ConsistencyError, SingspecError
+from .exact import Record
 from .fracpoly import FracPoly, sp_twist
 from .milnor import milnor_basis
 from .motivic import (
@@ -39,7 +40,7 @@ from .motivic import (
     sp_prime_reduced,
 )
 from .parse import parse_polynomial
-from .poly import Polynomial, Record, as_weights
+from .poly import Polynomial, as_weights
 from .spectrum import (
     Analysis,
     analyze,

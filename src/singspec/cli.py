@@ -24,18 +24,20 @@ error raised inside a check is that check's FAIL line (exit 1), and every
 check still reports.  Identical inputs produce byte-identical ``--json``
 output.  The package writes that JSON itself (``_json``), byte-identical to
 ``json.dumps(report, sort_keys=True, indent=2)``, since any indent sends
-``json`` to its pure-Python encoder.  ``sp`` writes both eigenvalue
-conventions from one walk over the sorted angles (``_angles``), not through
-``spectrum.eigenvalues_geometric``.
+``json`` to its pure-Python encoder; a list of rows of str and int values,
+as a ``nearby`` class is, goes out one row per join.  ``nearby`` formats
+one angle string per distinct stored numerator of its class.  ``sp`` writes
+both eigenvalue conventions from one walk over the sorted angles
+(``_angles``), not through ``spectrum.eigenvalues_geometric``.
 
 The argparse parser is built on the first ``main`` call and reused by every
 later call in the same process; importing the module does not build it.
 
-Importing the module loads only ``errors`` and ``poly`` of the package; each
-subcommand imports what it runs when it runs: ``sp`` loads ``parse`` and
-``spectrum`` (with ``milnor`` and ``fracpoly``), ``nearby`` loads
-``motivic`` (with ``fracpoly``), and ``check`` loads ``checks``, which uses
-every module but ``kernel``.
+Importing the module loads only ``errors`` and ``exact`` of the package;
+each subcommand imports what it runs when it runs: ``sp`` loads ``poly``,
+``parse`` and ``spectrum`` (with ``milnor`` and ``fracpoly``), ``nearby``
+loads ``motivic`` (with ``fracpoly``) and never ``poly``, and ``check`` loads
+``checks``, which uses every module but ``kernel``.
 """
 
 import argparse
@@ -52,7 +54,7 @@ from .errors import (
     NotWeightedHomogeneousError,
     SingspecError,
 )
-from .poly import Record, as_weights, exact_rational, ratio
+from .exact import Record, exact_rational, ratio
 
 
 class Report(Record):
@@ -104,7 +106,11 @@ def _json(v, pad: str) -> str:
     at indent ``pad``, for the values a report holds: dicts with str keys,
     lists, str, int, bool and None.  ``json`` gives up its C encoder for any
     indent; this writer keeps the escaping in C and writes the str and int
-    leaves of a container inline."""
+    leaves of a container inline.  A list element that is a nonempty row of
+    values of exactly the types str and int (a class entry of ``nearby``) is
+    written inline too, with one join; a row holding anything else (bool and
+    None are not exactly int) takes the recursive call, as every other
+    element does."""
     t = type(v)
     if t is dict or t is list:
         if not v:
@@ -120,11 +126,24 @@ def _json(v, pad: str) -> str:
                 for k, x in sorted(v.items())
             )
             return "{\n" + inner + body + "\n" + pad + "}"
-        body = sep.join(
-            _esc(x) if type(x) is str else int.__repr__(x) if type(x) is int else _json(x, inner)
-            for x in v
-        )
-        return "[\n" + inner + body + "\n" + pad + "]"
+        row_inner = inner + "  "
+        row_open, row_sep, row_close = "[\n" + row_inner, ",\n" + row_inner, "\n" + inner + "]"
+        parts = []
+        for x in v:
+            tx = type(x)
+            if tx is str:
+                parts.append(_esc(x))
+            elif tx is int:
+                parts.append(int.__repr__(x))
+            elif tx is list and x:
+                # an exact int formats as str(int); None marks any other leaf
+                row = [_esc(y) if type(y) is str else f"{y}" if type(y) is int else None for y in x]
+                parts.append(
+                    _json(x, inner) if None in row else row_open + row_sep.join(row) + row_close
+                )
+            else:
+                parts.append(_json(x, inner))
+        return "[\n" + inner + sep.join(parts) + "\n" + pad + "]"
     if t is str:
         return _esc(v)
     if t is int:
@@ -166,7 +185,7 @@ def _split_names(raw: str) -> tuple[str, ...]:
     return names
 
 
-def _parse_weights(raw: str, nvars: int):
+def _parse_weights(raw: str) -> list:
     ws = []
     for item in map(str.strip, raw.split(",")):
         try:
@@ -175,19 +194,22 @@ def _parse_weights(raw: str, nvars: int):
             raise SingspecError(f"bad weight list {raw!r}: zero denominator in {item!r}") from None
         except ValueError as exc:
             raise SingspecError(f"bad weight list {raw!r}: {exc}") from None
-    return as_weights(ws, nvars)
+    return ws
 
 
 def _run_sp(args) -> Report:
     from .fracpoly import sp_twist
     from .parse import parse_polynomial
+    from .poly import as_weights
     from .spectrum import analyze, char_poly, eigenvalues_gamma_c
 
     variables = _split_names(args.vars)
     f = parse_polynomial(args.expr, variables)
     if not f:
         raise NonIsolatedSingularityError("the zero polynomial is singular everywhere")
-    ws = None if args.weights is None else _parse_weights(args.weights, len(variables))
+    ws = None
+    if args.weights is not None:
+        ws = as_weights(_parse_weights(args.weights), len(variables))
     try:
         a = analyze(f, ws)
     except NotWeightedHomogeneousError:
@@ -249,13 +271,17 @@ def _run_nearby(args) -> Report:
     else:
         sp_p = sp_prime_of_class(cls)
         normalization = "raw"
+    den, scaled = cls.den, cls.scaled
+    # one angle string per distinct stored numerator; the stored keys sort as
+    # the (p, q, angle) triples do
+    angle = {a: ratio(a, den) for a in {k[2] for k in scaled}}
     return Report(
         "nearby",
         {
             "model": args.model,
             "variant": args.variant,
             "dimension": model.n,
-            "class": [[p, q, ratio(a, cls.den), m] for (p, q, a), m in sorted(cls.scaled.items())],
+            "class": [[k[0], k[1], angle[k[2]], scaled[k]] for k in sorted(scaled)],
             "euler": euler_specialization(cls),
             "normalization": normalization,
             "sp_prime": str(sp_p),

@@ -1,6 +1,6 @@
 """Integer combinations of rational powers of one formal variable t.
 
-``FracPoly`` is an ``ExactMap`` (see ``poly``) from rational exponents
+``FracPoly`` is an ``ExactMap`` (see ``exact``) from rational exponents
 (``exact_rational``) to integer coefficients (``exact_int``: 3/2 raises
 TypeError); exponents add in a product and ints lift to constants.
 Exponent a is stored as the int a * den over the map's one denominator
@@ -12,7 +12,7 @@ parenthesized) is consumed verbatim by the command line and pinned by golden
 tests; change it nowhere.
 """
 
-from .poly import ExactMap, exact_int, ratio
+from .exact import ExactMap, exact_int, ratio
 
 
 class FracPoly(ExactMap):

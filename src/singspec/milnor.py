@@ -35,15 +35,14 @@ from .errors import (
     NotWeightedHomogeneousError,
     ResourceLimitError,
 )
+from .exact import Record, shown
 from .poly import (
     Polynomial,
-    Record,
     as_weights,
     exp_add,
     grevlex_key,
     is_weighted_homogeneous,
     jacobian_generators,
-    shown,
 )
 
 # budget on the closed-form Milnor number, i.e. on the number of standard

@@ -1,6 +1,6 @@
 """Virtual equivariant Hodge classes and nearby-fiber evaluation on SNC models.
 
-An ``EquivClass`` is an ``ExactMap`` (see ``poly``) with integer values on
+An ``EquivClass`` is an ``ExactMap`` (see ``exact``) with integer values on
 triples (p, q, angle): Hodge bidegree plus the angle in [0, 1) of a
 finite-order semisimple action.  Multiplication is convolution (bidegrees
 add, angles add mod 1); the class L of the Tate twist has bidegree (1, 1)
@@ -28,8 +28,14 @@ cyclic cover.  Two evaluation variants:
 sum, over a stratum list the caller has already restricted to the fiber over
 the point.
 
+The evaluator adds every stratum's weighted stored terms into one dict over
+the lcm of the cover denominators, and builds the class once from it.
+
 Model files are read by ``load_model`` (``model_from_json``) and written by
-the caller from ``model_to_json``.
+the caller from ``model_to_json``.  The reader checks each cover entry once,
+reads each distinct angle string of a file once, and formats an error's
+JSON-pointer location only when it raises; each stratum's class is built
+over that stratum's own lcm of angle denominators.
 """
 
 import json
@@ -43,8 +49,8 @@ from .errors import (
     MissingStratumWarning,
     ModelFormatError,
 )
+from .exact import MAX_DIMENSION, ExactMap, Record, exact_int, exact_rational
 from .fracpoly import FracPoly
-from .poly import MAX_DIMENSION, ExactMap, Record, exact_int, exact_rational
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -188,9 +194,10 @@ def nearby_fiber_class(model: SncModel, variant: str = "total") -> EquivClass:
     exponent = number of vertical members - 1.  variant "open": strata
     entirely inside the vertical part, weight exponent = |I| - 1.
 
-    The weight (1 - L)^e expands as the sum over j of (-1)^j C(e, j) L^j, and
-    every stratum's weighted terms, over the lcm of the cover denominators,
-    go into one constructor call: one merge for the whole sum.
+    The weight (1 - L)^e expands as the sum over j of (-1)^j C(e, j) L^j.
+    Every stratum's weighted terms are added straight into one dict over
+    the lcm of the cover denominators, each stored term read once, and one
+    ``from_scaled`` call drops the zeros and reduces the denominator.
     """
     if variant == "local":
         variant = "total"
@@ -206,16 +213,21 @@ def nearby_fiber_class(model: SncModel, variant: str = "total") -> EquivClass:
                 stacklevel=2,
             )
     den = math.lcm(*(s.cover_class.den for s in model.strata))
-    pairs = []
+    acc: dict = {}
     for s in model.strata:
         # k vertical members; in the open variant k = |I|
         k = sum(1 for i in s.ids if i in vertical)
         if k and (variant == "total" or k == len(s.ids)):
-            cover = s.cover_class.scaled_over(den)
+            f, terms = den // s.cover_class.den, s.cover_class.scaled.items()
             for j in range(k):
                 w = (-1) ** j * math.comb(k - 1, j)
-                pairs += [((p + j, q + j, a), m * w) for (p, q, a), m in cover]
-    return EquivClass.from_scaled(pairs, den)
+                for (p, q, a), m in terms:
+                    key = (p + j, q + j, a * f)
+                    if key in acc:
+                        acc[key] += m * w
+                    else:
+                        acc[key] = m * w
+    return EquivClass.from_scaled(acc.items(), den)
 
 
 def euler_specialization(c: EquivClass) -> int:
@@ -265,9 +277,10 @@ def sp_prime_reduced(c: EquivClass, n: int) -> FracPoly:
     """Spectrum of the reduced class with the alternating-sign normalization
     for ambient dimension n: (-1)^(n-1) times the raw functional.  The
     reduced class is c - 1, c less the class of a point (the degree-0
-    cohomology of a connected fiber)."""
-    s = sp_prime_of_class(c - 1)
-    return s if (n - 1) % 2 == 0 else -s
+    cohomology of a connected fiber); the point goes to t^0, so the raw
+    functional of c - 1 is that of c less 1, and the class is not copied."""
+    s = sp_prime_of_class(c)
+    return s - 1 if (n - 1) % 2 == 0 else 1 - s
 
 
 # -- model files ----------------------------------------------------------------
@@ -282,12 +295,13 @@ def _require_keys(obj: dict, keys: tuple[str, ...], where: str):
             raise ModelFormatError(f"missing key {k!r}", where)
 
 
-def _parse_angle(raw, where: str) -> tuple[int, int]:
+def _parse_angle(raw) -> tuple[int, int]:
     """An angle string in [0, 1) as (numerator, denominator), not always in
     lowest terms: "u/v" and "u" in ASCII digits are read by ``int``, any
-    other spelling by ``exact_rational``."""
+    other spelling by ``exact_rational``.  Its errors carry no location: the
+    caller knows the entry."""
     if not isinstance(raw, str):
-        raise ModelFormatError("angle must be a string rational", where)
+        raise ModelFormatError("angle must be a string rational")
     num, slash, den = raw.partition("/")
     try:
         if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
@@ -298,50 +312,67 @@ def _parse_angle(raw, where: str) -> tuple[int, int]:
             f = exact_rational(raw)
             num, den = f.numerator, f.denominator
     except ZeroDivisionError:
-        raise ModelFormatError(f"bad angle {raw!r}: zero denominator", where) from None
+        raise ModelFormatError(f"bad angle {raw!r}: zero denominator") from None
     except ValueError as exc:
-        raise ModelFormatError(f"bad angle {raw!r}: {exc}", where) from None
+        raise ModelFormatError(f"bad angle {raw!r}: {exc}") from None
     if not (0 <= num < den):
-        raise ModelFormatError(f"angle {raw!r} outside [0, 1)", where)
+        raise ModelFormatError(f"angle {raw!r} outside [0, 1)")
     return num, den
 
 
-def _parse_cover_class(raw, where: str, den: int) -> tuple[EquivClass, int]:
-    """The class and the new ``den``: each entry is checked once, here, and
-    enters the class as a stored key, the angle's numerator over ``den``,
-    the lcm of the distinct angle denominators of the file so far, as
-    written.  That lcm is refused as soon as it passes ``MAX_MODEL_BITS``,
-    before any numerator is rescaled over it, and so are p, q and a
-    multiplicity past that many bits."""
+def _parse_cover_class(raw, where: str, den: int, angles: dict) -> tuple[EquivClass, int]:
+    """The class and the new ``den``, the lcm of the distinct angle
+    denominators of the file so far, as written.  Each entry is checked
+    once, here, in a fixed order, and a location is formatted only for an
+    error.  ``angles`` holds the reading of every angle string of the file
+    met so far, so each distinct string is read once.  The file's lcm is
+    refused as soon as it passes ``MAX_MODEL_BITS``, at the entry that takes
+    it there, and so are p, q and a multiplicity past that many bits.  The
+    class's stored keys are the angles' numerators over the stratum's own
+    lcm of denominators, which divides the file's."""
     if not isinstance(raw, list):
         raise ModelFormatError("cover_class must be a list of entries", where)
-    entries = []
+    entries, own = [], 1
     for k, item in enumerate(raw):
-        loc = f"{where}/{k}"
-        if not (isinstance(item, list) and len(item) == 4):
-            raise ModelFormatError("cover_class entry must be [p, q, angle, mult]", loc)
+        # JSON values: a list is exactly a list, an int exactly an int (bool
+        # is its own type)
+        if type(item) is not list or len(item) != 4:
+            raise ModelFormatError("cover_class entry must be [p, q, angle, mult]", f"{where}/{k}")
         p, q, angle, mult = item
-        # JSON values: an int is exactly an int (bool is its own type)
         if type(p) is not int or type(q) is not int:
-            raise ModelFormatError("p and q must be integers", loc)
+            raise ModelFormatError("p and q must be integers", f"{where}/{k}")
         if type(mult) is not int or mult == 0:
-            raise ModelFormatError("multiplicity must be a nonzero integer", loc)
-        if max(abs(p), abs(q), abs(mult)).bit_length() > MAX_MODEL_BITS:
+            raise ModelFormatError("multiplicity must be a nonzero integer", f"{where}/{k}")
+        # the bits of a negative int are those of its absolute value
+        if (
+            p.bit_length() > MAX_MODEL_BITS
+            or q.bit_length() > MAX_MODEL_BITS
+            or mult.bit_length() > MAX_MODEL_BITS
+        ):
             raise ModelFormatError(
-                f"p, q and the multiplicity must have at most {MAX_MODEL_BITS} bits", loc
+                f"p, q and the multiplicity must have at most {MAX_MODEL_BITS} bits", f"{where}/{k}"
             )
-        a, d = _parse_angle(angle, loc)
-        if den % d:
-            den = math.lcm(den, d)
-            if den.bit_length() > MAX_MODEL_BITS:
-                raise ModelFormatError(
-                    "the lcm of the model's angle denominators exceeds the limit of "
-                    f"{MAX_MODEL_BITS} bits",
-                    where,
-                )
+        parsed = angles.get(angle) if type(angle) is str else None
+        if parsed is None:
+            try:
+                parsed = angles[angle] = _parse_angle(angle)
+            except ModelFormatError as exc:
+                raise ModelFormatError(exc.message, f"{where}/{k}") from None
+        a, d = parsed
+        # own divides den, so a d that divides own leaves both as they are
+        if own % d:
+            own = math.lcm(own, d)
+            if den % d:
+                den = math.lcm(den, d)
+                if den.bit_length() > MAX_MODEL_BITS:
+                    raise ModelFormatError(
+                        "the lcm of the model's angle denominators exceeds the limit of "
+                        f"{MAX_MODEL_BITS} bits",
+                        where,
+                    )
         entries.append((p, q, a, d, mult))
-    pairs = (((p, q, a * (den // d)), m) for p, q, a, d, m in entries)
-    return EquivClass.from_scaled(pairs, den), den
+    pairs = (((p, q, a * (own // d)), m) for p, q, a, d, m in entries)
+    return EquivClass.from_scaled(pairs, own), den
 
 
 def _located(where: str, build, *args):
@@ -381,7 +412,7 @@ def model_from_json(text: str) -> SncModel:
         )
     if not isinstance(data["strata"], list):
         raise ModelFormatError("strata must be a list", "/strata")
-    strata, den = [], 1
+    strata, den, angles = [], 1, {}
     for k, item in enumerate(data["strata"]):
         loc = f"/strata/{k}"
         if not isinstance(item, dict):
@@ -390,7 +421,7 @@ def model_from_json(text: str) -> SncModel:
         ids = item["ids"]
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise ModelFormatError("ids must be a list of strings", f"{loc}/ids")
-        cover, den = _parse_cover_class(item["cover_class"], f"{loc}/cover_class", den)
+        cover, den = _parse_cover_class(item["cover_class"], f"{loc}/cover_class", den, angles)
         strata.append(_located(loc, Stratum, tuple(ids), cover))
     return _located("", SncModel, data["n"], tuple(comps), tuple(strata))
 

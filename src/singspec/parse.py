@@ -12,10 +12,10 @@ tighter than ``+``/``-``)::
 literals).  Identifiers must appear in the caller's variable list.  Errors
 carry the byte offset of the offending token; the grammar is pure ASCII, so
 byte and character offsets agree at every reachable error position.
-A polynomial has at most ``poly.MAX_DIMENSION`` variables.  Parentheses
+A polynomial has at most ``exact.MAX_DIMENSION`` variables.  Parentheses
 nest at most ``MAX_NESTING`` deep, so that no input exhausts the
 interpreter's recursion limit; an integer literal has at most the digits of
-``poly._digit_limit``; and a power ``base^k`` or a product ``a*b`` is expanded
+``exact._digit_limit``; and a power ``base^k`` or a product ``a*b`` is expanded
 only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
 ``_power_bounds``, ``_refuse`` and ``_check_product``).
 
@@ -35,7 +35,8 @@ import math
 from fractions import Fraction
 
 from .errors import PolynomialSyntaxError, ResourceLimitError, UnknownVariableError
-from .poly import MAX_DIMENSION, Polynomial, _digit_limit, exp_add, shown
+from .exact import MAX_DIMENSION, _digit_limit, shown
+from .poly import Polynomial, exp_add
 
 _OPS = set("+-*/^()")
 

@@ -41,10 +41,11 @@ cyclotomic polynomials, turned by the Möbius identity
 Phi_n = prod over d | n of (T^d - 1)^mu(n/d) into one exponent map for the
 same ``_binomial_product``; Galois stability is a count against phi(v),
 read off the prime factorization of v that the Möbius step takes anyway.
-``_binomial_product`` checks its work (passes times longest list) against
-MAX_BINOMIAL_WORK before the first pass: the char poly's coefficients grow
-with mu, and a sum of 16 cubes would run for minutes.  Angles, like
-exponents, are stored as int numerators over one denominator per multiset.
+``_binomial_product`` checks its work (passes squared times longest list)
+against MAX_BINOMIAL_WORK before the first pass: the char poly's
+coefficients grow with mu, and a sum of 16 cubes would run for minutes.
+Angles, like exponents, are stored as int numerators over one denominator
+per multiset.
 """
 
 import math
@@ -60,31 +61,27 @@ from .errors import (
     NotGaloisStableError,
     ResourceLimitError,
 )
+from .exact import ExactMap, Record, exact_int, exact_rational, ratio, shown
 from .fracpoly import FracPoly
 from .milnor import MilnorBasis, _closed_mu, milnor_basis
-from .poly import (
-    ExactMap,
-    Polynomial,
-    Record,
-    _scaled_weights,
-    as_weights,
-    exact_int,
-    exact_rational,
-    infer_weights,
-    ratio,
-    shown,
-)
+from .poly import Polynomial, _scaled_weights, as_weights, infer_weights
 
 # budget on n * m + 1, which bounds the length of every coefficient list the
 # product formula builds; x^30+y^31+z^37 needs 103,231
 MAX_DENSE = 1_000_000
 
-# budget on the work of ``_binomial_product``, sum |e_d| passes times the
-# longest list; no product formula inside MAX_DIMENSION and MAX_DENSE comes
-# near it (2 * 32 * MAX_DENSE).  On one 2-core Xeon, Python 3.11, `sp` of
-# sum x_i^3 in 14 variables (89,494,870) takes 6-8 s and sum x_i^9 in 5
-# (119,348,340) 5 s; sum x_i^3 in 15 (357,979,480) took 30 s
-MAX_BINOMIAL_WORK = 125_000_000
+# budget on the work of ``_binomial_product``: sum |e_d| passes, squared,
+# times the longest list.  A pass costs the list's length times the size of
+# its coefficients, which grow by about a bit per pass, so the passes count
+# twice; no product formula inside MAX_DIMENSION and MAX_DENSE comes near it
+# ((2 * 32)^2 * MAX_DENSE).  On one 2-core Xeon, Python 3.11, the product
+# of sum x_i^3 in 14 variables (488,820,979,940) takes 5.4 s and `sp` of it
+# 6-8 s, sum x_i^8*x_{i+1} in 5 (434,666,654,280) 4.2 s and (T - 1)^7000
+# (343,049,000,000) 5.6-7.5 s; sum x_i^3 in 13 plus y^4 (978,477,471,104)
+# took 14 s and (T - 1)^11179 (1,397,165,058,380) 25.5 s.  The zeros of a
+# sparse list cost less than its coefficients, so per unit of work a dense
+# power costs the most: (T - 1)^7936, the largest admitted, took 10-12 s
+MAX_BINOMIAL_WORK = 500_000_000_000
 
 # -- dense one-variable integer polynomials (index = degree) -----------------
 
@@ -99,11 +96,14 @@ def _binomial_product(exps) -> list | None:
     d are the remainder.
 
     Raises ResourceLimitError before the first pass when the work, the
-    number of passes sum |e_d| times the longest list 1 + sum of d * e_d
-    over e_d > 0, exceeds MAX_BINOMIAL_WORK: past it one product runs for
-    more than seconds, and its coefficients, which grow by a bit or so per
-    pass, can pass the 4,300 digits ``str`` converts."""
-    work = sum(map(abs, exps.values())) * (1 + sum(d * e for d, e in exps.items() if e > 0))
+    square of the number of passes sum |e_d| times the longest list
+    1 + sum of d * e_d over e_d > 0, exceeds MAX_BINOMIAL_WORK: a pass costs
+    the list's length times the size of its coefficients, which grow by a
+    bit or so per pass.  Past the budget one product runs for more than ten
+    seconds, and its coefficients can pass the 4,300 digits ``str``
+    converts."""
+    passes = sum(map(abs, exps.values()))
+    work = passes * passes * (1 + sum(d * e for d, e in exps.items() if e > 0))
     if work > MAX_BINOMIAL_WORK:
         raise ResourceLimitError(
             f"dense work {shown(work)} of the binomial product exceeds the limit of "
@@ -198,7 +198,7 @@ def analyze(f: Polynomial, weights=None) -> Analysis:
 
 class EigenMultiset(ExactMap):
     """Finite multiset of unit-circle angles: residues in [0, 1) with
-    positive integer multiplicities.  As an ``ExactMap`` (see ``poly``), ``+``
+    positive integer multiplicities.  As an ``ExactMap`` (see ``exact``), ``+``
     adds multiplicities and ``*`` adds angles mod 1: the eigenvalues of a
     direct sum and of a tensor product.  Residue r is stored as the int
     r * den in [0, den)."""

@@ -7,18 +7,19 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from singspec import FracPoly, MissingStratumWarning
+from singspec import EquivClass, FracPoly, MissingStratumWarning
 from singspec.checks import CheckResult
 from singspec import cli, spectrum
 from singspec.cli import Report, main
 from singspec.milnor import MAX_MU
 from singspec.motivic import MAX_MODEL_BITS
 from singspec.parse import MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS
-from singspec.poly import MAX_DIMENSION
+from singspec.exact import MAX_DIMENSION
 from singspec.spectrum import MAX_DENSE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -152,9 +153,9 @@ def test_sp_char_poly_budget_exits_2_promptly(capsys):
     # inside every other budget, but the char poly would take minutes, and
     # for 16 cubes its coefficients pass the digits str converts (an exit 3)
     for n, term, work in (
-        (16, "x{i}^3", 1_431_721_302),
-        (15, "x{i}^3", 357_979_480),
-        (8, "x{i}^4*x{j}", 859_058_996),
+        (16, "x{i}^3", 31_277_383_563_492),
+        (15, "x{i}^3", 3_910_567_839_520),
+        (8, "x{i}^4*x{j}", 11_260_545_319_568),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, "sp", *_cyclic_sum(n, term))
@@ -164,7 +165,7 @@ def test_sp_char_poly_budget_exits_2_promptly(capsys):
             f"error: dense work {work} of the binomial product exceeds the limit of "
             f"{spectrum.MAX_BINOMIAL_WORK}\n"
         )
-    # 12 cubes: work 5,596,502, admitted
+    # 12 cubes: work 7,644,821,732, admitted
     code, out, err = run(capsys, "sp", *_cyclic_sum(12, "x{i}^3"))
     assert (code, err) == (0, "")
     assert "mu: 4096\n" in out and "char_poly: T^4096 - " in out
@@ -571,6 +572,110 @@ def test_report_writer_matches_json_dumps():
             data = _random_json(rng)
         want = json.dumps({"data": data, "kind": kind}, sort_keys=True, indent=2) + "\n"
         assert Report(kind, data).to_json() == want, repr(data)
+
+
+def test_report_writer_matches_json_dumps_on_rows():
+    # row-shaped lists, as a nearby class is: a row of exact str and int
+    # values is written inline, and a row holding a bool, None, a list or a
+    # dict, or an empty row, is not; each must still match json.dumps
+    rng = random.Random(3131)
+    flat = ("0", "1/2", 'a"b', "\n", "é", "\udce9", 0, -7, 10**300, -(10**299))
+    other = (True, False, None, [], [1, "x"], [[2]], {}, {"k": [3, None]})
+    for _ in range(400):
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            row = [rng.choice(flat) for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.3:
+                row.insert(rng.randint(0, len(row)), rng.choice(other))
+            rows.append(row)
+        data = {"class": rows, "rows": [rows, *rows[:2]], "k": rng.choice(flat)}
+        want = json.dumps({"data": data, "kind": "nearby"}, sort_keys=True, indent=2) + "\n"
+        assert Report("nearby", data).to_json() == want, repr(data)
+
+
+# multiplicities of the vertical chain of the generated benchmark models
+_CHAIN = (24, 36, 60, 72, 120, 4, 180, 90)
+
+
+def _chain_model_file(rng) -> tuple[dict, list]:
+    """A model file shaped like the generated benchmark models, and its
+    strata as (ids, entries) with exact angles: the chain E1 - ... - E8 of
+    ``_CHAIN`` plus a horizontal S at its end; each single stratum lists the
+    angles j/m in four bidegrees, each pair stratum gcd-many points at (0, 0).
+    Entries, strata and components are shuffled; one angle is written both
+    as "2/4" and as "1/2", and one entry is repeated with the opposite
+    multiplicity."""
+    ids = [f"E{i + 1}" for i in range(len(_CHAIN))]
+    components = [{"id": c, "multiplicity": m, "kind": "vertical"} for c, m in zip(ids, _CHAIN)]
+    components.append({"id": "S", "multiplicity": 1, "kind": "horizontal"})
+    strata = []
+    for cid, m in zip(ids, _CHAIN):
+        bidegrees = ((0, 0), (1, 0), (0, 1), (1, 1))
+        strata.append(([cid], [[p, q, Fraction(j, m), rng.randint(1, 3)]
+                               for j in range(m) for p, q in bidegrees]))
+    for (a, ma), (b, mb) in zip(zip(ids, _CHAIN), zip(ids[1:], _CHAIN[1:])):
+        g = math.gcd(ma, mb)
+        strata.append(([a, b], [[0, 0, Fraction(j, g), rng.randint(1, 3)] for j in range(g)]))
+    strata.append(([ids[-1], "S"], [[0, 0, Fraction(0), 1]]))
+    files = []
+    for k, (members, entries) in enumerate(strata):
+        written = [[p, q, str(f), m] for p, q, f, m in entries]
+        if k == 0:  # E1, m = 24: angle 1/2 in bidegree (0, 0) also as "2/4"
+            written[[e[:3] for e in written].index([0, 0, "1/2"])][2] = "2/4"
+        if k == 1:  # E2: one entry, and its negative
+            p, q, f, m = entries[rng.randrange(len(entries))]
+            written.append([p, q, str(f), -m])
+            entries = [*entries, [p, q, f, -m]]
+            strata[k] = (members, entries)
+        rng.shuffle(written)
+        files.append({"ids": members, "cover_class": written})
+    rng.shuffle(files)
+    rng.shuffle(components)
+    return {"n": 2, "components": components, "strata": files}, strata
+
+
+def _nearby_reference(path, strata, variant) -> dict:
+    """The ``nearby --json`` report from public ``EquivClass`` and
+    ``FracPoly`` arithmetic: each stratum's class times (1 - L)^(k - 1)."""
+    one, lef = EquivClass({(0, 0, 0): 1}), EquivClass.lefschetz()
+    vertical = {f"E{i + 1}" for i in range(len(_CHAIN))}
+    total = EquivClass()
+    for members, entries in strata:
+        k = sum(1 for i in members if i in vertical)
+        if k and (variant != "open" or k == len(members)):
+            cover = EquivClass([((p, q, f), m) for p, q, f, m in entries])
+            total = total + cover * (one - lef) ** (k - 1)
+    sp_prime = FracPoly()
+    for (p, q, f), m in total.items():
+        sp_prime = sp_prime + FracPoly({p + f: m})
+    if variant == "local":
+        sp_prime = (sp_prime - 1) * (-1) ** (2 - 1)
+    return {
+        "data": {
+            "model": path,
+            "variant": variant,
+            "dimension": 2,
+            "class": [[p, q, str(f), m] for (p, q, f), m in total.items()],
+            "euler": sum(m for _, m in total.items()),
+            "normalization": "reduced-signed" if variant == "local" else "raw",
+            "sp_prime": str(sp_prime),
+            "sp": str(FracPoly({2 - a: c for a, c in sp_prime.items()})),
+        },
+        "kind": "nearby",
+    }
+
+
+def test_nearby_matches_a_slow_reference_on_generated_chain_models(capsys, tmp_path):
+    rng = random.Random(3232)
+    for i in range(3):
+        obj, strata = _chain_model_file(rng)
+        model = tmp_path / f"chain{i}.json"
+        model.write_text(json.dumps(obj, indent=rng.choice((None, 2))))
+        for variant in ("total", "open", "local"):
+            code, out, err = run(capsys, "nearby", str(model), "--variant", variant, "--json")
+            assert (code, err) == (0, "")
+            want = _nearby_reference(str(model), strata, variant)
+            assert out == json.dumps(want, sort_keys=True, indent=2) + "\n", (i, variant)
 
 
 def test_nearby_json_names_a_non_ascii_model_path(capsys, tmp_path):

@@ -16,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from singspec import EigenMultiset, EquivClass, FracPoly, NegativeMultiplicityError, Polynomial
-from singspec.poly import as_weights, exact_rational, weighted_degree
+from singspec.exact import exact_rational
+from singspec.poly import as_weights, weighted_degree
 
 F = Fraction
 XY = ("x", "y")

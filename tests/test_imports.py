@@ -41,14 +41,14 @@ PUBLIC = (
 # statements run in a fresh interpreter -> the singspec submodules loaded after them
 FOOTPRINTS = {
     "import singspec": set(),
-    "import singspec; singspec.sp_twist": {"errors", "poly", "fracpoly"},
+    "import singspec; singspec.sp_twist": {"exact", "fracpoly"},
     "from singspec import kernel": {"kernel"},
-    "import singspec.cli": {"cli", "errors", "poly"},
+    "import singspec.cli": {"cli", "errors", "exact"},
     f"from singspec.cli import main; assert main(['nearby', {CUSP!r}]) == 0": {
-        "cli", "errors", "poly", "fracpoly", "motivic",
+        "cli", "errors", "exact", "fracpoly", "motivic",
     },
     "from singspec.cli import main; assert main(['sp', 'x^2 + y^3', '--vars', 'x,y']) == 0": {
-        "cli", "errors", "poly", "parse", "spectrum", "milnor", "fracpoly",
+        "cli", "errors", "exact", "poly", "parse", "spectrum", "milnor", "fracpoly",
     },
 }
 

@@ -24,7 +24,7 @@ from singspec import (
 )
 from singspec import milnor, spectrum
 from singspec.checks import _EXTRA_CASES, _bp_polynomial, brieskorn_pham_exponents
-from singspec.poly import MAX_DIMENSION
+from singspec.exact import MAX_DIMENSION
 
 XY = ("x", "y")
 

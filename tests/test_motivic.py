@@ -29,8 +29,9 @@ from singspec import (
     sp_twist,
 )
 from singspec.checks import cusp_resolution_model, random_class, semistable_i2_model
+from singspec import motivic
+from singspec.exact import MAX_DIMENSION
 from singspec.motivic import HORIZONTAL, MAX_MODEL_BITS, VERTICAL
-from singspec.poly import MAX_DIMENSION
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -675,6 +676,86 @@ def test_angle_lcm_at_the_limit_loads_and_one_bit_more_is_refused():
         assert exc.value.message == (
             f"the lcm of the model's angle denominators exceeds the limit of {MAX_MODEL_BITS} bits"
         )
+
+
+# -- each distinct angle string is read once; the first bad entry is named --------
+
+
+def _refusal(cover_classes) -> tuple[str, str]:
+    """(message, location) of the error that loading strata with these cover classes raises."""
+    ids = [f"V{k}" for k in range(len(cover_classes))]
+    comps = [{"id": i, "multiplicity": 1, "kind": "vertical"} for i in ids]
+    strata = [{"ids": [i], "cover_class": c} for i, c in zip(ids, cover_classes)]
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_json(json.dumps({"n": 1, "components": comps, "strata": strata}))
+    return exc.value.message, exc.value.location
+
+
+def test_each_distinct_angle_string_is_read_once(monkeypatch):
+    read = []
+    parse = motivic._parse_angle
+    monkeypatch.setattr(motivic, "_parse_angle", lambda raw: read.append(raw) or parse(raw))
+    entries = [[p, 0, f"{j}/6", 1] for p in range(3) for j in range(6)]
+    comps = [{"id": c, "multiplicity": 6, "kind": "vertical"} for c in ("V", "W")]
+    strata = [{"ids": ["V"], "cover_class": entries},
+              {"ids": ["W"], "cover_class": [*entries, [0, 1, "1/2", 1], [0, 2, "3/6", 1]]}]
+    model = model_from_json(json.dumps({"n": 1, "components": comps, "strata": strata}))
+    assert sorted(read) == sorted([f"{j}/6" for j in range(6)] + ["1/2"])
+    v, w = (s.cover_class for s in model.strata)
+    assert v == EquivClass(((p, 0, F(j, 6)), 1) for p in range(3) for j in range(6))
+    assert w == v + EquivClass({(0, 1, F(1, 2)): 1, (0, 2, F(1, 2)): 1})
+    assert v.den == w.den == 6
+
+
+def test_a_repeated_bad_angle_is_named_at_its_first_entry():
+    bad = [[0, 0, "0", 1], [0, 0, "1/3", 1], [0, 0, "x/2", 1], [0, 0, "1/3", 1],
+           [0, 0, "0", 1], [0, 0, "x/2", 1]]
+    message, location = _refusal([bad])
+    assert location == "/strata/0/cover_class/2"
+    assert message.startswith("bad angle 'x/2': ")
+    assert _refusal([[[0, 0, "1/3", 1]], bad])[1] == "/strata/1/cover_class/2"
+    # out of range, read once and refused at each of its first entries
+    for where, classes in (
+        ("/strata/0/cover_class/1", [[[0, 0, "1/2", 1], [0, 0, "3/2", 1], [0, 0, "3/2", 1]]]),
+        ("/strata/1/cover_class/0", [[[0, 0, "1/2", 1]], [[0, 0, "3/2", 1], [0, 0, "3/2", 1]]]),
+    ):
+        assert _refusal(classes) == ("angle '3/2' outside [0, 1)", where)
+
+
+def test_a_malformed_entry_before_a_repeated_good_angle_is_named_at_its_own_entry():
+    good = [0, 0, "1/3", 1]
+    for entry, message in (
+        ([0, 0, "1/3"], "cover_class entry must be [p, q, angle, mult]"),
+        ([True, 0, "1/3", 1], "p and q must be integers"),
+        ([0, 0, "1/3", 0], "multiplicity must be a nonzero integer"),
+        ([0, 2**MAX_MODEL_BITS, "1/3", 1],
+         f"p, q and the multiplicity must have at most {MAX_MODEL_BITS} bits"),
+    ):
+        assert _refusal([[good, entry, good]]) == (message, "/strata/0/cover_class/1")
+        assert _refusal([[good], [entry, good]]) == (message, "/strata/1/cover_class/0")
+
+
+def test_a_repeated_non_string_angle_is_refused_at_its_first_entry():
+    for angle in (0.5, 1, None, True, [1, 2], {"u": 1}):
+        entries = [[0, 0, "0", 1], *([[0, 0, angle, 1]] * 3)]
+        assert _refusal([entries]) == ("angle must be a string rational", "/strata/0/cover_class/1")
+
+
+def test_the_lcm_is_refused_at_the_cover_class_that_passes_the_limit():
+    # 2^(B - 1), then 3 in a later stratum: the lcm passes B bits there, and a
+    # repeated angle that does not change it is read from the first stratum
+    d = 2 ** (MAX_MODEL_BITS - 1)
+    first = [[0, 0, f"1/{d}", 1], [1, 0, "1/2", 1]]
+    message = (
+        f"the lcm of the model's angle denominators exceeds the limit of {MAX_MODEL_BITS} bits"
+    )
+    for second, where in (
+        ([[0, 0, f"1/{d}", 1], [0, 0, "1/3", 1], [0, 0, "x", 1]], "/strata/2/cover_class"),
+        ([[0, 0, "1/2", 1], [0, 0, "2/3", 1]], "/strata/2/cover_class"),
+    ):
+        assert _refusal([first, [[0, 0, f"3/{d}", 2]], second]) == (message, where)
+    # the same angles in one stratum are refused at that stratum
+    assert _refusal([[*first, [0, 0, "1/3", 1]]]) == (message, "/strata/0/cover_class")
 
 
 def test_deep_nesting_and_huge_ints_are_format_errors():

@@ -14,7 +14,7 @@ from singspec import (
 )
 from singspec import parse
 from singspec.parse import MAX_NESTING
-from singspec.poly import MAX_DIMENSION, exact_rational
+from singspec.exact import MAX_DIMENSION, exact_rational
 
 XY = ("x", "y")
 

@@ -20,7 +20,7 @@ from singspec import (
     weighted_degree,
 )
 from singspec import poly
-from singspec.poly import shown
+from singspec.exact import shown
 
 XY = ("x", "y")
 

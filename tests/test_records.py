@@ -1,4 +1,4 @@
-"""The package's records (``poly.Record``): construction, equality, repr and
+"""The package's records (``exact.Record``): construction, equality, repr and
 immutability as the frozen dataclasses they replaced had them, and an import
 chain that loads neither ``dataclasses`` nor ``inspect``."""
 

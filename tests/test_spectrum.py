@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -317,13 +318,27 @@ def test_char_poly_remainder_is_a_consistency_error(monkeypatch):
 
 
 def test_binomial_budget_boundary(monkeypatch):
-    # Phi_6: four passes over lists of at most 1 + 6 + 1 entries, work 32
+    # Phi_6: four passes over lists of at most 1 + 6 + 1 entries, work 4^2 * 8
     sixth = _galois_orbits({6: 1})
-    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 32)
+    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 128)
     assert char_poly(sixth) == _dense_char_poly({6: 1})
-    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 31)
+    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 127)
     with pytest.raises(ResourceLimitError):
         char_poly(sixth)
+
+
+def test_binomial_budget_counts_coefficient_growth():
+    # (T - 1)^11179: 11,179 passes over at most 11,180 entries, whose
+    # coefficients reach 11,179 bits; it ran 25.5 s when the budget counted
+    # the passes once, and is refused before the first pass now
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="dense work 1397165058380 "):
+        char_poly(EigenMultiset({Fraction(0): 11179}))
+    assert time.perf_counter() - start < 1
+    # (T - 1)^2000 is inside it, and its coefficients are the binomials
+    coeffs = char_poly(EigenMultiset({Fraction(0): 2000})).terms
+    assert coeffs[(1000,)] == math.comb(2000, 1000)
+    assert len(coeffs) == 2001
 
 
 # the product formula by the dense construction: expand numerator and
