@@ -24,11 +24,10 @@ error raised inside a check is that check's FAIL line (exit 1), and every
 check still reports.  Identical inputs produce byte-identical ``--json``
 output.  The package writes that JSON itself (``_json``), byte-identical to
 ``json.dumps(report, sort_keys=True, indent=2)``, since any indent sends
-``json`` to its pure-Python encoder; a list of rows of str and int values,
-as a ``nearby`` class is, goes out one row per join.  ``nearby`` formats
-one angle string per distinct stored numerator of its class.  ``sp`` writes
-both eigenvalue conventions from one walk over the sorted angles
-(``_angles``), not through ``spectrum.eigenvalues_geometric``.
+``json`` to its pure-Python encoder.  ``nearby`` formats one angle string
+per distinct stored numerator of its class.  ``sp`` writes both eigenvalue
+conventions from one walk over the sorted angles (``_angles``), not through
+``spectrum.eigenvalues_geometric``.
 
 The argparse parser is built on the first ``main`` call and reused by every
 later call in the same process; importing the module does not build it.
@@ -106,11 +105,7 @@ def _json(v, pad: str) -> str:
     at indent ``pad``, for the values a report holds: dicts with str keys,
     lists, str, int, bool and None.  ``json`` gives up its C encoder for any
     indent; this writer keeps the escaping in C and writes the str and int
-    leaves of a container inline.  A list element that is a nonempty row of
-    values of exactly the types str and int (a class entry of ``nearby``) is
-    written inline too, with one join; a row holding anything else (bool and
-    None are not exactly int) takes the recursive call, as every other
-    element does."""
+    leaves of a container inline."""
     t = type(v)
     if t is dict or t is list:
         if not v:
@@ -126,24 +121,11 @@ def _json(v, pad: str) -> str:
                 for k, x in sorted(v.items())
             )
             return "{\n" + inner + body + "\n" + pad + "}"
-        row_inner = inner + "  "
-        row_open, row_sep, row_close = "[\n" + row_inner, ",\n" + row_inner, "\n" + inner + "]"
-        parts = []
-        for x in v:
-            tx = type(x)
-            if tx is str:
-                parts.append(_esc(x))
-            elif tx is int:
-                parts.append(int.__repr__(x))
-            elif tx is list and x:
-                # an exact int formats as str(int); None marks any other leaf
-                row = [_esc(y) if type(y) is str else f"{y}" if type(y) is int else None for y in x]
-                parts.append(
-                    _json(x, inner) if None in row else row_open + row_sep.join(row) + row_close
-                )
-            else:
-                parts.append(_json(x, inner))
-        return "[\n" + inner + sep.join(parts) + "\n" + pad + "]"
+        body = sep.join(
+            _esc(x) if type(x) is str else int.__repr__(x) if type(x) is int else _json(x, inner)
+            for x in v
+        )
+        return "[\n" + inner + body + "\n" + pad + "]"
     if t is str:
         return _esc(v)
     if t is int:

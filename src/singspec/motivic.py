@@ -34,8 +34,7 @@ the lcm of the cover denominators, and builds the class once from it.
 Model files are read by ``load_model`` (``model_from_json``) and written by
 the caller from ``model_to_json``.  The reader checks each cover entry once,
 reads each distinct angle string of a file once, and formats an error's
-JSON-pointer location only when it raises; each stratum's class is built
-over that stratum's own lcm of angle denominators.
+JSON-pointer location only when it raises.
 """
 
 import json
@@ -327,12 +326,12 @@ def _parse_cover_class(raw, where: str, den: int, angles: dict) -> tuple[EquivCl
     error.  ``angles`` holds the reading of every angle string of the file
     met so far, so each distinct string is read once.  The file's lcm is
     refused as soon as it passes ``MAX_MODEL_BITS``, at the entry that takes
-    it there, and so are p, q and a multiplicity past that many bits.  The
-    class's stored keys are the angles' numerators over the stratum's own
-    lcm of denominators, which divides the file's."""
+    it there, before any numerator is rescaled over it, and so are p, q and
+    a multiplicity past that many bits.  The class's stored keys are the
+    angles' numerators over that lcm."""
     if not isinstance(raw, list):
         raise ModelFormatError("cover_class must be a list of entries", where)
-    entries, own = [], 1
+    entries = []
     for k, item in enumerate(raw):
         # JSON values: a list is exactly a list, an int exactly an int (bool
         # is its own type)
@@ -359,20 +358,17 @@ def _parse_cover_class(raw, where: str, den: int, angles: dict) -> tuple[EquivCl
             except ModelFormatError as exc:
                 raise ModelFormatError(exc.message, f"{where}/{k}") from None
         a, d = parsed
-        # own divides den, so a d that divides own leaves both as they are
-        if own % d:
-            own = math.lcm(own, d)
-            if den % d:
-                den = math.lcm(den, d)
-                if den.bit_length() > MAX_MODEL_BITS:
-                    raise ModelFormatError(
-                        "the lcm of the model's angle denominators exceeds the limit of "
-                        f"{MAX_MODEL_BITS} bits",
-                        where,
-                    )
+        if den % d:
+            den = math.lcm(den, d)
+            if den.bit_length() > MAX_MODEL_BITS:
+                raise ModelFormatError(
+                    "the lcm of the model's angle denominators exceeds the limit of "
+                    f"{MAX_MODEL_BITS} bits",
+                    where,
+                )
         entries.append((p, q, a, d, mult))
-    pairs = (((p, q, a * (own // d)), m) for p, q, a, d, m in entries)
-    return EquivClass.from_scaled(pairs, own), den
+    pairs = (((p, q, a * (den // d)), m) for p, q, a, d, m in entries)
+    return EquivClass.from_scaled(pairs, den), den
 
 
 def _located(where: str, build, *args):

@@ -41,11 +41,12 @@ cyclotomic polynomials, turned by the Möbius identity
 Phi_n = prod over d | n of (T^d - 1)^mu(n/d) into one exponent map for the
 same ``_binomial_product``; Galois stability is a count against phi(v),
 read off the prime factorization of v that the Möbius step takes anyway.
-``_binomial_product`` checks its work (passes squared times longest list)
-against MAX_BINOMIAL_WORK before the first pass: the char poly's
-coefficients grow with mu, and a sum of 16 cubes would run for minutes.
-Angles, like exponents, are stored as int numerators over one denominator
-per multiset.
+``_binomial_product`` writes its largest positive power from the binomial
+coefficients and checks two budgets before its first pass: MAX_BINOMIAL_WORK
+on passes times longest list (the char poly's coefficients grow with mu, and
+a sum of 16 cubes would run for minutes), and MAX_PASS_WORK on the passes
+left after the written power.  Angles, like exponents, are stored as int
+numerators over one denominator per multiset.
 """
 
 import math
@@ -70,18 +71,23 @@ from .poly import Polynomial, _scaled_weights, as_weights, infer_weights
 # product formula builds; x^30+y^31+z^37 needs 103,231
 MAX_DENSE = 1_000_000
 
-# budget on the work of ``_binomial_product``: sum |e_d| passes, squared,
-# times the longest list.  A pass costs the list's length times the size of
-# its coefficients, which grow by about a bit per pass, so the passes count
-# twice; no product formula inside MAX_DIMENSION and MAX_DENSE comes near it
-# ((2 * 32)^2 * MAX_DENSE).  On one 2-core Xeon, Python 3.11, the product
-# of sum x_i^3 in 14 variables (488,820,979,940) takes 5.4 s and `sp` of it
-# 6-8 s, sum x_i^8*x_{i+1} in 5 (434,666,654,280) 4.2 s and (T - 1)^7000
-# (343,049,000,000) 5.6-7.5 s; sum x_i^3 in 13 plus y^4 (978,477,471,104)
-# took 14 s and (T - 1)^11179 (1,397,165,058,380) 25.5 s.  The zeros of a
-# sparse list cost less than its coefficients, so per unit of work a dense
-# power costs the most: (T - 1)^7936, the largest admitted, took 10-12 s
-MAX_BINOMIAL_WORK = 500_000_000_000
+# budget on the size of ``_binomial_product``, sum |e_d| passes times the
+# longest list, which bounds the bits the list holds; no product formula
+# inside MAX_DIMENSION and MAX_DENSE comes near it (2 * 32 * MAX_DENSE).
+# sum x_i^3 in 14 variables needs 89,494,870 and sum x_i^9 in 5
+# 119,348,340; sum x_i^3 in 15 (357,979,480) took 30 s
+MAX_BINOMIAL_WORK = 125_000_000
+
+# budget on the passes of ``_binomial_product`` after its largest positive
+# power (T^d0 - 1)^e0, which it writes from the binomial coefficients: the
+# other P - e0 factors, P = sum |e_d|, each a pass over at most the longest
+# list L, whose coefficients hold between e0 and P bits, so the work is
+# (P - e0) * (P + e0) * L.  No product formula comes near it
+# ((2 * 32)^2 * MAX_DENSE).  On one 2-core Xeon, Python 3.11, the costliest
+# products per unit timed at 6.0e11, Phi_3^4054 = (T^3 - 1)^4054 /
+# (T - 1)^4054, (T - 1)^3218 (T^5 - 1)^3218 and (T - 1)^6214 (T^2 - 1)^3107,
+# take 8.4-8.9 s.  A single power runs no pass: (T - 1)^11179 takes 0.09 s
+MAX_PASS_WORK = 600_000_000_000
 
 # -- dense one-variable integer polynomials (index = degree) -----------------
 
@@ -89,27 +95,44 @@ MAX_BINOMIAL_WORK = 500_000_000_000
 def _binomial_product(exps) -> list | None:
     """prod over d of (T^d - 1)^exps[d], or None when it leaves a remainder.
 
-    Every positive power goes in before the first division: one division
-    alone need not be exact, but when the whole product is, every division
-    of the sequence is.  Dividing by T^d - 1 is a suffix sum along each
-    residue class of the exponent mod d; the sums that land on degrees below
-    d are the remainder.
+    The positive power with the most factors, the shortest on a tie, is
+    written straight from its binomial coefficients.  Every other positive
+    power goes in, one pass per factor, before the first division: one
+    division alone need not be exact, but when the whole product is, every
+    division of the sequence is.  Dividing by T^d - 1 is a suffix sum along
+    each residue class of the exponent mod d; the sums that land on degrees
+    below d are the remainder.
 
-    Raises ResourceLimitError before the first pass when the work, the
-    square of the number of passes sum |e_d| times the longest list
-    1 + sum of d * e_d over e_d > 0, exceeds MAX_BINOMIAL_WORK: a pass costs
-    the list's length times the size of its coefficients, which grow by a
-    bit or so per pass.  Past the budget one product runs for more than ten
-    seconds, and its coefficients can pass the 4,300 digits ``str``
-    converts."""
+    Raises ResourceLimitError before the first pass when the size, the
+    number of factors sum |e_d| times the longest list 1 + sum of d * e_d
+    over e_d > 0, exceeds MAX_BINOMIAL_WORK, or when the work of the passes
+    after the written power exceeds MAX_PASS_WORK: past the size the
+    coefficients, which grow by a bit or so per factor, can pass the 4,300
+    digits ``str`` converts, and past the work one product runs for more
+    than ten seconds."""
     passes = sum(map(abs, exps.values()))
-    work = passes * passes * (1 + sum(d * e for d, e in exps.items() if e > 0))
-    if work > MAX_BINOMIAL_WORK:
+    peak = 1 + sum(d * e for d, e in exps.items() if e > 0)
+    if passes * peak > MAX_BINOMIAL_WORK:
         raise ResourceLimitError(
-            f"dense work {shown(work)} of the binomial product exceeds the limit of "
+            f"dense work {shown(passes * peak)} of the binomial product exceeds the limit of "
             f"{MAX_BINOMIAL_WORK}"
         )
-    a = [1]
+    d0, e0 = min(
+        ((d, e) for d, e in exps.items() if e > 0), key=lambda de: (-de[1], de[0]), default=(1, 0)
+    )
+    work = (passes - e0) * (passes + e0) * peak
+    if work > MAX_PASS_WORK:
+        raise ResourceLimitError(
+            f"pass work {shown(work)} of the binomial product exceeds the limit of "
+            f"{MAX_PASS_WORK}"
+        )
+    # (T^d0 - 1)^e0 = sum over k of C(e0, k) * (-1)^(e0 - k) * T^(d0 * k)
+    a = [0] * (d0 * e0 + 1)
+    c = -1 if e0 % 2 else 1
+    for k in range(e0 + 1):
+        a[d0 * k] = c
+        c = c * (k - e0) // (k + 1)
+    exps = {**exps, d0: exps.get(d0, 0) - e0}
     for d, e in sorted(exps.items()):
         for _ in range(e):
             a = [x - y for x, y in zip([0] * d + a, a + [0] * d)]

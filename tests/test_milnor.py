@@ -508,6 +508,8 @@ def test_budgets_have_headroom_over_the_ladder():
     assert 3 * (3 * math.lcm(30, 31, 37) + 1) < spectrum.MAX_DENSE
     # a product formula makes at most 2n passes over at most MAX_DENSE entries
     assert 2 * MAX_DIMENSION * spectrum.MAX_DENSE < spectrum.MAX_BINOMIAL_WORK
+    # and so costs at most (2n)^2 times that in pass work
+    assert (2 * MAX_DIMENSION) ** 2 * spectrum.MAX_DENSE < spectrum.MAX_PASS_WORK
 
 
 def test_milnor_budget_boundary(monkeypatch):

@@ -318,27 +318,52 @@ def test_char_poly_remainder_is_a_consistency_error(monkeypatch):
 
 
 def test_binomial_budget_boundary(monkeypatch):
-    # Phi_6: four passes over lists of at most 1 + 6 + 1 entries, work 4^2 * 8
+    # Phi_6: four factors over lists of at most 1 + 6 + 1 entries, size 32;
+    # (T - 1) is written, and the other three passes cost (4 - 1)(4 + 1) * 8
     sixth = _galois_orbits({6: 1})
-    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 128)
+    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 32)
+    monkeypatch.setattr(spectrum, "MAX_PASS_WORK", 120)
     assert char_poly(sixth) == _dense_char_poly({6: 1})
-    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 127)
-    with pytest.raises(ResourceLimitError):
+    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 31)
+    with pytest.raises(ResourceLimitError, match="dense work 32 "):
+        char_poly(sixth)
+    monkeypatch.setattr(spectrum, "MAX_BINOMIAL_WORK", 32)
+    monkeypatch.setattr(spectrum, "MAX_PASS_WORK", 119)
+    with pytest.raises(ResourceLimitError, match="pass work 120 "):
         char_poly(sixth)
 
 
 def test_binomial_budget_counts_coefficient_growth():
-    # (T - 1)^11179: 11,179 passes over at most 11,180 entries, whose
-    # coefficients reach 11,179 bits; it ran 25.5 s when the budget counted
-    # the passes once, and is refused before the first pass now
+    # (T - 1)^11179 is one power, written from its binomial coefficients;
+    # it ran 25.5 s when each factor was a pass
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="dense work 1397165058380 "):
-        char_poly(EigenMultiset({Fraction(0): 11179}))
+    coeffs = char_poly(EigenMultiset({Fraction(0): 11179})).terms
     assert time.perf_counter() - start < 1
-    # (T - 1)^2000 is inside it, and its coefficients are the binomials
-    coeffs = char_poly(EigenMultiset({Fraction(0): 2000})).terms
-    assert coeffs[(1000,)] == math.comb(2000, 1000)
-    assert len(coeffs) == 2001
+    assert coeffs[(5589,)] == math.comb(11179, 5589)
+    assert coeffs[(0,)] == -1 and len(coeffs) == 11180
+    # beside a smaller power it is still the one written: (T - 1)^11001 (T + 1)
+    # is the map {1: 11000, 2: 1}, one pass left after (T - 1)^11000
+    start = time.perf_counter()
+    coeffs = char_poly(EigenMultiset({Fraction(0): 11001, Fraction(1, 2): 1})).terms
+    assert time.perf_counter() - start < 1
+    assert sum(c * 2**k for (k,), c in coeffs.items()) == 3  # its value at T = 2
+    # Phi_3^k = (T^3 - 1)^k / (T - 1)^k: k divisions after the written power,
+    # over coefficients that grow about a bit per factor, so the passes
+    # count with the bits, (2k - k)(2k + k)(3k + 1); past the budget at
+    # k = 4100 (it would take about 9 s), refused before the first pass
+    def third(k):
+        return EigenMultiset({Fraction(1, 3): k, Fraction(2, 3): k})
+
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="pass work 620339430000 "):
+        char_poly(third(4100))
+    assert time.perf_counter() - start < 1
+    # inside it the coefficients are those of (T^2 + T + 1)^k
+    coeffs = char_poly(third(300)).terms
+    assert len(coeffs) == 601 and sum(coeffs.values()) == 3**300
+    assert coeffs[(300,)] == sum(
+        math.comb(300, j) * math.comb(300 - j, j) for j in range(151)
+    )
 
 
 # the product formula by the dense construction: expand numerator and
