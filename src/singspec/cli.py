@@ -7,11 +7,12 @@ human-readable by default, machine-readable with ``--json``; diagnostics go
 to stderr, a warning of the library (a model component in no stratum) as one
 ``warning:`` line.
 
-``sp`` works weights first: it parses the polynomial, reads ``--weights`` or
-infers them, and hands both to ``spectrum.analyze``, which checks
-homogeneity and the closed-form Milnor number against its budget before its
-one Gröbner run.  ``sp`` then compares the standard-monomial count with the
-closed form and the basis-route spectrum with the product formula.
+``sp`` checks ``--vars`` by the parser's name rule (``parse._NAME``) and works
+weights first: it parses the polynomial, reads ``--weights`` or infers them,
+and hands both to ``spectrum.analyze``, which checks homogeneity and the
+closed-form Milnor number against its budget before its one Gröbner run.
+``sp`` then compares the standard-monomial count with the closed form and
+the basis-route spectrum with the product formula.
 
 Exit codes: 0 success; 1 a check failed; 2 input or validation error, or a
 report that could not be written (a closed pipe, a full disk), each reported
@@ -158,9 +159,10 @@ def _angles(e) -> tuple[dict, dict]:
 
 
 def _split_names(raw: str) -> tuple[str, ...]:
+    from .parse import _NAME
     names = tuple(v.strip() for v in raw.split(","))
     for v in names:
-        if not v.isidentifier() or not v.isascii():
+        if not _NAME.fullmatch(v):
             raise SingspecError(f"bad variable name {v!r}")
     if len(set(names)) != len(names):
         raise SingspecError(f"duplicate variable names in {raw!r}")

@@ -45,6 +45,6 @@ class FracPoly(ExactMap):
 
 
 def sp_twist(s: FracPoly, n: int) -> FracPoly:
-    """t^n times s with its exponents negated: exponent a -> n - a."""
-    top = n * s.den
+    """t^n times s with its exponents negated: a -> n - a, n read by ``exact_int``."""
+    top = exact_int(n) * s.den
     return FracPoly.from_scaled(((top - k, c) for k, c in s.scaled.items()), s.den)

@@ -264,8 +264,8 @@ def sp_prime_of_class(c: EquivClass) -> FracPoly:
 def sp_of_class(c: EquivClass, n: int) -> FracPoly:
     """Twisted spectrum functional, computed independently of
     ``sp_prime_of_class``: the exponent lands in the interval (n-1-p, n-p]
-    and is congruent to minus the angle mod 1."""
-    den = c.den
+    and is congruent to minus the angle mod 1; n is read by ``exact_int``."""
+    den, n = c.den, exact_int(n)
     return FracPoly.from_scaled(
         (((n - 1 - p) * den + ((-a) % den or den), m) for (p, q, a), m in c.scaled.items()),
         den,
@@ -274,12 +274,12 @@ def sp_of_class(c: EquivClass, n: int) -> FracPoly:
 
 def sp_prime_reduced(c: EquivClass, n: int) -> FracPoly:
     """Spectrum of the reduced class with the alternating-sign normalization
-    for ambient dimension n: (-1)^(n-1) times the raw functional.  The
-    reduced class is c - 1, c less the class of a point (the degree-0
-    cohomology of a connected fiber); the point goes to t^0, so the raw
-    functional of c - 1 is that of c less 1, and the class is not copied."""
+    for ambient dimension n (read by ``exact_int``): (-1)^(n-1) times the raw
+    functional.  The reduced class is c - 1, c less the class of a point (the
+    degree-0 cohomology of a connected fiber); the point goes to t^0, so the
+    raw functional of c - 1 is that of c less 1, and the class is not copied."""
     s = sp_prime_of_class(c)
-    return s - 1 if (n - 1) % 2 == 0 else 1 - s
+    return s - 1 if (exact_int(n) - 1) % 2 == 0 else 1 - s
 
 
 # -- model files ----------------------------------------------------------------

@@ -8,10 +8,13 @@ tighter than ``+``/``-``)::
     factor := atom ['^' INT]
     atom   := INT ['/' INT] | IDENT | '(' expr ')'
 
-``a/b`` is a single rational literal (division exists only between integer
-literals).  Identifiers must appear in the caller's variable list.  Errors
-carry the byte offset of the offending token; the grammar is pure ASCII, so
-byte and character offsets agree at every reachable error position.
+``_TOKEN`` is the lexical grammar: it skips blanks (space, tab, CR, LF) and
+reads INT (ASCII digits), IDENT (``_NAME``: ``[A-Za-z_][A-Za-z0-9_]*``, also
+the rule ``cli`` checks ``--vars`` by) or an operator; any other character is
+refused.  ``a/b`` is a single rational literal (division exists only between
+integer literals).  Identifiers must appear in the caller's variable list.
+Errors carry the byte offset of the offending token; the grammar is pure
+ASCII, so byte and character offsets agree at every reachable error position.
 A polynomial has at most ``exact.MAX_DIMENSION`` variables.  Parentheses
 nest at most ``MAX_NESTING`` deep, so that no input exhausts the
 interpreter's recursion limit; an integer literal has at most the digits of
@@ -32,19 +35,21 @@ budgets are the parser's validation, so expansions and sums are built with
 """
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import PolynomialSyntaxError, ResourceLimitError, UnknownVariableError
 from .exact import MAX_DIMENSION, _digit_limit, shown
 from .poly import Polynomial, exp_add
 
-_OPS = set("+-*/^()")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"([ \t\r\n]*)(?:([0-9]+)|({_NAME.pattern})|([-+*/^()])|(.)|\Z)", re.S)
 
 MAX_NESTING = 100
 
 _ONE = Fraction(1)
 
-# budgets on base^k and a*b, checked before expanding them; (x+y+z)^20 needs 231 terms, 40 bits
+# budgets on base^k and a*b, checked before expanding them; (x+y+z)^20 needs 231 terms, 31 bits
 MAX_POWER_TERMS = 1_000
 MAX_POWER_BITS = 1_000
 
@@ -76,9 +81,10 @@ def _power_bounds(base, k: int):
     written as P / D, P integral; None for zero.  A t-term base has at most
     comb(t - 1 + k, k) terms in its k-th power, and at most prod(E_i + 1)
     (that product stops once it passes the first bound).  For base = Q / d, Q
-    integral, |P_i| is at most |Q|_1^k (max |Q_i| for k = 1) and D at most
-    d^k.  One term c*x^e has the exact bounds 1, k*e and k*|e|, and k times
-    the bits of c."""
+    integral, |P_i| is at most max |Q_i| * |Q|_1^(k - 1) and D is d^k, counted
+    exactly for k = 1 or while k * (ceil(log2 |Q|_1) + ceil(log2 d)), rounded
+    per factor, is at most 2 * MAX_POWER_BITS; that count stands above it.  One
+    term c*x^e has the exact bounds 1, k*e and k*|e|, and k times its bits."""
     if len(base) == 1:
         [(e, c)] = base
         e = tuple([x * k for x in e]) if k != 1 else e
@@ -95,8 +101,10 @@ def _power_bounds(base, k: int):
         terms = min(terms, _capped_prod((x + 1 for x in top), terms))
     den = math.lcm(*[c.denominator for _, c in base])
     nums = [abs(c.numerator) * (den // c.denominator) for _, c in base]
-    num = max(nums) if k == 1 else sum(nums)
-    bits = k * ((num - 1).bit_length() + (den - 1).bit_length())
+    total = sum(nums)
+    bits = k * ((total - 1).bit_length() + (den - 1).bit_length())
+    if k == 1 or 0 < bits <= 2 * MAX_POWER_BITS:  # k = 0 keeps 0: the constant 1
+        bits = (max(nums) * total ** (k - 1) - 1).bit_length() + (den**k - 1).bit_length()
     return terms, top, k * min(degrees), k * max(degrees), bits
 
 
@@ -128,40 +136,27 @@ def _check_product(a, b, offset: int):
 
 
 def _tokenize(text: str):
+    """(kind, text, offset) per token, an operator its own kind, then ("end",
+    "", len(text)); the matches of ``_TOKEN`` tile the text, so offsets add up."""
     digits = _digit_limit()
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch.isascii() and ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isascii() and text[j].isdigit():
-                j += 1
-            if j - i > digits:
+    at = 0
+    for blanks, num, name, op, other in _TOKEN.findall(text):
+        at += len(blanks)
+        if op:
+            toks.append((op, op, at))
+        elif name:
+            toks.append(("ident", name, at))
+        elif num:
+            if len(num) > digits:
                 raise PolynomialSyntaxError(
-                    f"integer literal of {j - i} digits exceeds the limit of {digits}", i
+                    f"integer literal of {len(num)} digits exceeds the limit of {digits}", at
                 )
-            toks.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            if not ch.isascii():
-                raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
-            j = i + 1
-            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] == "_")):
-                j += 1
-            toks.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", n))
+            toks.append(("int", num, at))
+        elif other:
+            raise PolynomialSyntaxError(f"unexpected character {other!r}", at)
+        at += len(op or name or num)
+    toks.append(("end", "", len(text)))
     return toks
 
 

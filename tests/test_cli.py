@@ -204,12 +204,12 @@ def test_refusal_lines_stay_short(capsys):
 def test_sp_huge_product_exits_2_promptly(capsys):
     # the first product is refused from closed-form bounds on its factors,
     # before either power is expanded: 3321 monomials of degree 80, and
-    # 10 + 2 * 80 bits (40 * ceil(log2 3) for each power); the others multiply
+    # 10 + 2 * 62 bits (ceil(log2 3^39) for each power); the others multiply
     # single terms in closed form, under the bits _bits counts for them
     limits = f"limits of {MAX_POWER_TERMS} terms and {MAX_POWER_BITS} bits"
     for expr, size, offset, variables in (
         ("(x+y+z)^40*(x+y+z)^40*(x+y+z)^40",
-         "term count up to 3321 and coefficients up to 170 bits", 10, "x,y,z"),
+         "term count up to 3321 and coefficients up to 134 bits", 10, "x,y,z"),
         ("7*x^2*" + "9" * 310 + "*y + y^3",
          "term count up to 1 and coefficients up to 1033 bits", 5, "x,y"),
         ("x^2*1/" + "3" * 200 + "*2^340 + y^3",
@@ -345,6 +345,19 @@ def test_sp_rejects_bad_flag_values(capsys):
     assert code == 2
     code, _, err = run(capsys, "sp", "x^2 + y^3", "--vars", "x,y", "--weights", "1/2,1/2")
     assert code == 2 and "weighted-homogeneous" in err
+
+
+def test_sp_vars_names_follow_the_parser_rule(capsys):
+    for names, line in (
+        ("x,1y", "error: bad variable name '1y'\n"),
+        ("x,é", "error: bad variable name 'é'\n"),
+        ("x,,y", "error: bad variable name ''\n"),
+        ("x,x", "error: duplicate variable names in 'x,x'\n"),
+    ):
+        assert run(capsys, "sp", "x^2 + y^3", "--vars", names) == (2, "", line), names
+    code, out, err = run(capsys, "sp", "x^2 + y^3", "--vars", " x , y ", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["data"]["variables"] == ["x", "y"]
 
 
 def test_sp_consistency_failure_exits_3(capsys, monkeypatch):

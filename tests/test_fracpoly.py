@@ -59,6 +59,15 @@ def test_twist_by_zero_negates_exponents():
     assert sp_twist(FracPoly(), 0) == FracPoly()
 
 
+def test_twist_reads_n_as_an_exact_int():
+    s = FracPoly({F(1, 3): 1})
+    # unchecked, a float n is truncated (2.5 gives t^2, not t^(13/6)) and True reads as 1
+    for n in (2.5, 2.0, True):
+        with pytest.raises(TypeError):
+            sp_twist(s, n)
+    assert sp_twist(s, F(2)) == sp_twist(s, 2) == FracPoly({F(5, 3): 1})
+
+
 def test_twist_involutive():
     rng = random.Random(9)
     for _ in range(100):

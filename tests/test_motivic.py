@@ -336,6 +336,17 @@ def test_sp_of_class_is_twisted_functional():
         assert sp_of_class(c, n) == sp_twist(sp_prime_of_class(c), n)
 
 
+def test_functionals_read_n_as_an_exact_int():
+    # unchecked, a float n is stored (2.0 gives the float key 5.0) and True reads as 1
+    c = EquivClass({(1, 0, F(1, 6)): 1})
+    for n in (2.5, 2.0, True):
+        for functional in (sp_of_class, sp_prime_reduced):
+            with pytest.raises(TypeError):
+                functional(c, n)
+    assert sp_of_class(c, F(2)) == sp_of_class(c, 2) == FracPoly({F(5, 6): 1})
+    assert sp_prime_reduced(c, F(2)) == sp_prime_reduced(c, 2) == 1 - FracPoly({F(7, 6): 1})
+
+
 def test_reduced_class_subtracts_the_int_one():
     assert ONE - 1 == EquivClass()
     assert L - 1 == L - ONE

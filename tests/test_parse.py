@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import sys
@@ -14,7 +15,7 @@ from singspec import (
 )
 from singspec import parse
 from singspec.parse import MAX_NESTING
-from singspec.exact import MAX_DIMENSION, exact_rational
+from singspec.exact import MAX_DIMENSION, _digit_limit, exact_rational
 
 XY = ("x", "y")
 
@@ -130,17 +131,28 @@ def test_dimension_limit():
 
 
 def test_power_budget_boundary(monkeypatch):
-    # (x + y)^20: 21 terms, coefficients below 2^20
-    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 21)
-    monkeypatch.setattr(parse, "MAX_POWER_BITS", 20)
-    assert parse_polynomial("(x + y)^20", XY) == parse_polynomial("*".join(["(x + y)"] * 20), XY)
-    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 20)
-    with pytest.raises(ResourceLimitError, match="up to 21 and coefficients up to 20 bits"):
-        parse_polynomial("(x + y)^20", XY)
+    # (x + y)^20: 21 terms, coefficients below 2^19
     monkeypatch.setattr(parse, "MAX_POWER_TERMS", 21)
     monkeypatch.setattr(parse, "MAX_POWER_BITS", 19)
-    with pytest.raises(ResourceLimitError, match=r"limits of 21 terms and 19 bits \(at offset 8\)"):
+    assert parse_polynomial("(x + y)^20", XY) == parse_polynomial("*".join(["(x + y)"] * 20), XY)
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 20)
+    with pytest.raises(ResourceLimitError, match="up to 21 and coefficients up to 19 bits"):
         parse_polynomial("(x + y)^20", XY)
+    monkeypatch.setattr(parse, "MAX_POWER_TERMS", 21)
+    monkeypatch.setattr(parse, "MAX_POWER_BITS", 18)
+    with pytest.raises(ResourceLimitError, match=r"limits of 21 terms and 18 bits \(at offset 8\)"):
+        parse_polynomial("(x + y)^20", XY)
+
+
+def test_power_bits_of_a_sum_are_counted_exactly():
+    # each power has coefficients below 2 * 3^299, 475 bits, and the product
+    # 9 + 2 * 475 = 959 (rounded per factor: 9 + 2 * 600 = 1,209, refused)
+    p = parse_polynomial("(x+2*y)^300*(x+2*y)^300", XY)
+    assert p == Polynomial(XY, {(600 - j, j): math.comb(600, j) * 2**j for j in range(601)})
+    assert parse._power_bounds([((1, 0), Fraction(1)), ((0, 1), Fraction(2))], 300)[4] == 475
+    # cancellation between factors is not counted
+    with pytest.raises(ResourceLimitError, match="up to 1600 bits"):
+        parse_polynomial("2^500*(1/2)^500*2^600*x", XY)
 
 
 def test_power_budget_spares_monomials_and_univariate_sums():
@@ -479,3 +491,65 @@ def test_single_term_budgets_refuse_as_polynomials_do(monkeypatch):
         assert str(exc.value).endswith(f"(at offset {offset})"), text
     assert parse_polynomial("0^0", XY) == Polynomial(XY, {(0, 0): 1})
     assert parse_polynomial("(0)^5*0", XY) == Polynomial(XY)
+
+
+def _loop_tokenize(text):
+    """The character loop that ``parse._tokenize`` replaced, kept as its oracle."""
+    digits = _digit_limit()
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch.isascii() and ch.isdigit():
+            j = i + 1
+            while j < n and text[j].isascii() and text[j].isdigit():
+                j += 1
+            if j - i > digits:
+                raise PolynomialSyntaxError(
+                    f"integer literal of {j - i} digits exceeds the limit of {digits}", i
+                )
+            toks.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            if not ch.isascii():
+                raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+            j = i + 1
+            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] == "_")):
+                j += 1
+            toks.append(("ident", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^()":
+            toks.append((ch, ch, i))
+            i += 1
+            continue
+        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+    toks.append(("end", "", n))
+    return toks
+
+
+def _lexed(tokenize, text):
+    try:
+        return tokenize(text)
+    except PolynomialSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def test_token_pattern_agrees_with_the_character_loop():
+    # blanks, operators, other ASCII signs, ASCII and other letters and digits,
+    # control characters, and now and then a literal of about the digit limit
+    limit = _digit_limit()
+    alphabet = " \t\r\n+-*/^()" + "axyZ_09%." + "é٣１²" + "\x0b\x0c\x00"
+    rng = random.Random(3307)
+    for _ in range(200_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+        if rng.random() < 0.001:
+            at = rng.randint(0, len(text))
+            text = text[:at] + "7" * rng.randint(limit - 1, limit + 1) + text[at:]
+        assert _lexed(parse._tokenize, text) == _lexed(_loop_tokenize, text), repr(text)
+        # ``_NAME`` accepts exactly the ASCII identifiers
+        assert bool(parse._NAME.fullmatch(text)) == (text.isidentifier() and text.isascii())
