@@ -7,12 +7,14 @@ human-readable by default, machine-readable with ``--json``; diagnostics go
 to stderr, a warning of the library (a model component in no stratum) as one
 ``warning:`` line.
 
-``sp`` checks ``--vars`` by the parser's name rule (``parse._NAME``) and works
-weights first: it parses the polynomial, reads ``--weights`` or infers them,
-and hands both to ``spectrum.analyze``, which checks homogeneity and the
-closed-form Milnor number against its budget before its one Gröbner run.
-``sp`` then compares the standard-monomial count with the closed form and
-the basis-route spectrum with the product formula.
+``sp`` splits ``--vars`` at commas and strips each name; the library's one
+rule for a variable tuple (``poly._variables``) checks the names when
+``parse_polynomial`` reads the polynomial.  ``sp`` works weights first: it
+parses the polynomial, reads ``--weights`` or infers them, and hands both to
+``spectrum.analyze``, which checks homogeneity and the closed-form Milnor
+number against its budget before its one Gröbner run.  ``sp`` then compares
+the standard-monomial count with the closed form and the basis-route
+spectrum with the product formula.
 
 Exit codes: 0 success; 1 a check failed; 2 input or validation error, or a
 report that could not be written (a closed pipe, a full disk), each reported
@@ -105,8 +107,8 @@ def _json(v, pad: str) -> str:
     """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it, nested
     at indent ``pad``, for the values a report holds: dicts with str keys,
     lists, str, int, bool and None.  ``json`` gives up its C encoder for any
-    indent; this writer keeps the escaping in C and writes the str and int
-    leaves of a container inline."""
+    indent; this writer keeps the escaping in C.  The str and int leaves are
+    written inline by the container that holds them, so ``v`` is never one."""
     t = type(v)
     if t is dict or t is list:
         if not v:
@@ -127,10 +129,6 @@ def _json(v, pad: str) -> str:
             for x in v
         )
         return "[\n" + inner + body + "\n" + pad + "]"
-    if t is str:
-        return _esc(v)
-    if t is int:
-        return int.__repr__(v)
     if v is None or t is bool:
         return "null" if v is None else "true" if v else "false"
     raise TypeError(f"a report holds no {t.__name__}")
@@ -158,17 +156,6 @@ def _angles(e) -> tuple[dict, dict]:
     return angles, geometric
 
 
-def _split_names(raw: str) -> tuple[str, ...]:
-    from .parse import _NAME
-    names = tuple(v.strip() for v in raw.split(","))
-    for v in names:
-        if not _NAME.fullmatch(v):
-            raise SingspecError(f"bad variable name {v!r}")
-    if len(set(names)) != len(names):
-        raise SingspecError(f"duplicate variable names in {raw!r}")
-    return names
-
-
 def _parse_weights(raw: str) -> list:
     ws = []
     for item in map(str.strip, raw.split(",")):
@@ -187,8 +174,8 @@ def _run_sp(args) -> Report:
     from .poly import as_weights
     from .spectrum import analyze, char_poly, eigenvalues_gamma_c
 
-    variables = _split_names(args.vars)
-    f = parse_polynomial(args.expr, variables)
+    f = parse_polynomial(args.expr, [v.strip() for v in args.vars.split(",")])
+    variables = f.variables
     if not f:
         raise NonIsolatedSingularityError("the zero polynomial is singular everywhere")
     ws = None

@@ -6,7 +6,8 @@ object of the package: ``poly.Polynomial``, ``fracpoly.FracPoly`` (spectra),
 ``spectrum.EigenMultiset`` (monodromy angles) and ``motivic.EquivClass``
 (nearby-fiber classes).  Their values, and weight vectors, enter only through
 ``exact_int`` and ``exact_rational``, which raise TypeError on a float, a bool
-or a non-integer in an integer slot: nothing is rounded on the way in.
+or a non-integer in an integer slot: nothing is rounded on the way in.  A
+number string must be ASCII, with no ``_``.
 
 The last three are keyed by rationals (exponents, angles), stored as integer
 numerators over one denominator per map, so that arithmetic, hashing, sorting
@@ -51,15 +52,17 @@ def exact_rational(x) -> Fraction:
     """A non-bool int, a Fraction or a decimal string as a Fraction; else TypeError.
 
     A malformed string raises ValueError (or ZeroDivisionError), and so do a
-    character outside ASCII (Fraction would read any Unicode digit) and a
+    character outside ASCII (Fraction would read any Unicode digit), a ``_``
+    (Fraction reads it as a digit separator from Python 3.11 on only) and a
     decimal exponent beyond the limit of ``_check_exponent``."""
     if type(x) is Fraction:
         return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        if not x.isascii():
-            raise ValueError(f"unexpected character {next(c for c in x if not c.isascii())!r}")
+        if not x.isascii() or "_" in x:
+            bad = next(c for c in x if c == "_" or not c.isascii())
+            raise ValueError(f"unexpected character {bad!r}")
         _check_exponent(x)
         return Fraction(x)
     raise TypeError(f"{x!r} is not an exact rational")

@@ -9,14 +9,13 @@ tighter than ``+``/``-``)::
     atom   := INT ['/' INT] | IDENT | '(' expr ')'
 
 ``_TOKEN`` is the lexical grammar: it skips blanks (space, tab, CR, LF) and
-reads INT (ASCII digits), IDENT (``_NAME``: ``[A-Za-z_][A-Za-z0-9_]*``, also
-the rule ``cli`` checks ``--vars`` by) or an operator; any other character is
-refused.  ``a/b`` is a single rational literal (division exists only between
-integer literals).  Identifiers must appear in the caller's variable list.
+reads INT (ASCII digits), IDENT (``poly._NAME``, a variable name) or an
+operator; any other character is refused.  ``a/b`` is a single rational
+literal (division exists only between integer literals).  Identifiers must
+appear in the caller's variable list, checked first by ``poly._variables``.
 Errors carry the byte offset of the offending token; the grammar is pure
 ASCII, so byte and character offsets agree at every reachable error position.
-A polynomial has at most ``exact.MAX_DIMENSION`` variables.  Parentheses
-nest at most ``MAX_NESTING`` deep, so that no input exhausts the
+Parentheses nest at most ``MAX_NESTING`` deep, so that no input exhausts the
 interpreter's recursion limit; an integer literal has at most the digits of
 ``exact._digit_limit``; and a power ``base^k`` or a product ``a*b`` is expanded
 only within the budgets ``MAX_POWER_TERMS`` and ``MAX_POWER_BITS`` (see
@@ -39,10 +38,9 @@ import re
 from fractions import Fraction
 
 from .errors import PolynomialSyntaxError, ResourceLimitError, UnknownVariableError
-from .exact import MAX_DIMENSION, _digit_limit, shown
-from .poly import Polynomial, exp_add
+from .exact import _digit_limit, shown
+from .poly import _NAME, Polynomial, _variables, exp_add
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(rf"([ \t\r\n]*)(?:([0-9]+)|({_NAME.pattern})|([-+*/^()])|(.)|\Z)", re.S)
 
 MAX_NESTING = 100
@@ -165,14 +163,9 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.variables = tuple(variables)
-        n = len(self.variables)
-        self.zero = (0,) * n
-        # the exponent of each variable; the first of repeated names wins
-        self.units = {
-            v: self.zero[:i] + (1,) + self.zero[i + 1:]
-            for i, v in reversed(tuple(enumerate(self.variables)))
-        }
+        self.variables = variables
+        self.zero = (0,) * len(variables)
+        self.units = {v: self.zero[:i] + (1,) + self.zero[i + 1:] for i, v in enumerate(variables)}
 
     def peek(self):
         return self.toks[self.pos]
@@ -267,7 +260,7 @@ class _Parser:
             return [(self.zero, value)] if value else []
         if kind == "ident":
             self.take()
-            if text not in self.variables:
+            if text not in self.units:
                 raise UnknownVariableError(text, offset)
             return [(self.units[text], _ONE)]
         if kind == "(":
@@ -287,14 +280,8 @@ class _Parser:
 
 
 def parse_polynomial(text: str, variables) -> Polynomial:
-    """Parse ``text`` into a Polynomial over the given ordered variables.
-
-    More than ``MAX_DIMENSION`` variables raise ResourceLimitError before
-    anything is built for them."""
-    variables = tuple(variables)
-    if len(variables) > MAX_DIMENSION:
-        raise ResourceLimitError(f"{len(variables)} variables exceed the limit of {MAX_DIMENSION}")
-    p = _Parser(text, variables)
+    """Parse ``text`` into a Polynomial over ``variables``, which ``_variables`` checks first."""
+    p = _Parser(text, _variables(variables))
     result = p.expr()
     if p.peek()[0] != "end":
         p.fail("end of input")

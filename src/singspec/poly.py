@@ -5,7 +5,11 @@ Fraction coefficients, and the weights enter through ``exact_rational``.
 
 Exponent vectors are tuples of non-negative ints aligned with an ordered
 variable tuple; coefficients are ``fractions.Fraction`` (exact, lowest terms,
-positive denominator).  The monomial order is graded reverse lexicographic
+positive denominator).  ``_variables`` is the one rule for a variable tuple,
+applied by ``Polynomial`` and ``parse.parse_polynomial``: at most
+``exact.MAX_DIMENSION`` names, none repeated, each a str that ``_NAME`` (the
+identifier of polynomial text) matches in full, so that ``str`` of a
+polynomial parses back.  The monomial order is graded reverse lexicographic
 with respect to the tuple order, x_0 > x_1 > ... > x_{n-1}, defined by
 ``grevlex_key`` alone: every comparison, leading term and sort in the
 package goes through that key, with one exception.  ``Polynomial.__str__``
@@ -19,15 +23,33 @@ exactly 1.
 
 import math
 import operator
+import re
 from fractions import Fraction
 
 from .errors import (
     InconsistentWeightsError,
     LengthMismatchError,
+    ResourceLimitError,
+    SingspecError,
     UnderdeterminedWeightsError,
     WeightOutOfRangeError,
 )
-from .exact import ExactMap, exact_int, exact_rational, shown
+from .exact import MAX_DIMENSION, ExactMap, exact_int, exact_rational, shown
+
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _variables(names) -> tuple[str, ...]:
+    """``names`` as a tuple, refused in this order: too many, a bad name, a repeat."""
+    names = tuple(names)
+    if len(names) > MAX_DIMENSION:
+        raise ResourceLimitError(f"{len(names)} variables exceed the limit of {MAX_DIMENSION}")
+    for v in names:
+        if not (isinstance(v, str) and _NAME.fullmatch(v)):
+            raise SingspecError(f"bad variable name {v!r}")
+    if len(set(names)) != len(names):
+        raise SingspecError(f"duplicate variable names in {','.join(names)!r}")
+    return names
 
 
 # -- exponent vectors ---------------------------------------------------------
@@ -57,7 +79,7 @@ class Polynomial(ExactMap):
     _public = None  # no rational key part: terms is a read-only view of scaled
 
     def __init__(self, variables, terms=()):
-        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "variables", _variables(variables))
         super().__init__(terms)
 
     @staticmethod

@@ -970,3 +970,26 @@ def test_import_does_not_build_the_parser():
         [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n1\n", "")
+
+
+def test_digit_separators_exit_2(capsys, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(_one_vertical_model([{"ids": ["V"], "cover_class": [[0, 0, "1/2_0", 1]]}]))
+    for argv, line in (
+        (("sp", "x^2+y^3", "--vars", "x,y", "--weights", "1_0/20,1/3"),
+         "error: bad weight list '1_0/20,1/3': unexpected character '_'\n"),
+        (("nearby", str(model)),
+         "error: bad angle '1/2_0': unexpected character '_' (at /strata/0/cover_class/0)\n"),
+    ):
+        assert run(capsys, *argv) == (2, "", line), argv
+
+
+def test_sp_vars_follow_the_library_rule(capsys):
+    # past the limit and with a bad name: the count is checked first
+    past = ",".join([f"x{i}" for i in range(MAX_DIMENSION)] + ["1y"])
+    for names, line in (
+        ("x, x", "error: duplicate variable names in 'x,x'\n"),
+        (" y ,x,  y", "error: duplicate variable names in 'y,x,y'\n"),
+        (past, f"error: {MAX_DIMENSION + 1} variables exceed the limit of 32\n"),
+    ):
+        assert run(capsys, "sp", "x^2 + y^3", "--vars", names) == (2, "", line), names

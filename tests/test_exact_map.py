@@ -425,3 +425,13 @@ def test_decimal_exponents_within_the_digit_limit_only():
         assert time.perf_counter() - start < 2
     with pytest.raises(ValueError, match="Invalid literal"):
         exact_rational("1e")  # no exponent: Fraction's own message
+
+
+def test_number_strings_refuse_digit_separators():
+    # Fraction reads "1_0/3" as 10/3 from Python 3.11 on and refuses it before
+    for text in ("1_0/3", "1/2_0", "1_000", "1.2_5", "1e1_0", "_1", "1_"):
+        with pytest.raises(ValueError) as exc:
+            exact_rational(text)
+        assert str(exc.value) == "unexpected character '_'", text
+    with pytest.raises(ValueError, match="unexpected character '٣'"):
+        exact_rational("1/٣_")  # the first character refused

@@ -10,6 +10,7 @@ from singspec import (
     Polynomial,
     PolynomialSyntaxError,
     ResourceLimitError,
+    SingspecError,
     UnknownVariableError,
     parse_polynomial,
 )
@@ -553,3 +554,48 @@ def test_token_pattern_agrees_with_the_character_loop():
         assert _lexed(parse._tokenize, text) == _lexed(_loop_tokenize, text), repr(text)
         # ``_NAME`` accepts exactly the ASCII identifiers
         assert bool(parse._NAME.fullmatch(text)) == (text.isidentifier() and text.isascii())
+
+
+def _random_name(rng) -> str:
+    head = "abcxyzXY_"
+    return rng.choice(head) + "".join(rng.choices(head + "0129", k=rng.randint(0, 3)))
+
+
+def test_str_parses_back_over_any_variable_tuple():
+    rng = random.Random(3401)
+    for _ in range(20_000):
+        k, names = rng.randint(1, 4), set()
+        while len(names) < k:
+            names.add(_random_name(rng))
+        variables = tuple(rng.sample(sorted(names), k))
+        terms = {
+            tuple(rng.randint(0, 7) for _ in variables): Fraction(
+                rng.randint(-40, 40), rng.randint(1, 12)
+            )
+            for _ in range(rng.randint(0, 6))
+        }
+        p = Polynomial(variables, terms)
+        assert parse_polynomial(str(p), p.variables) == p, (variables, terms)
+
+
+def test_constructor_and_parser_refuse_the_same_tuples():
+    many = [f"x{i}" for i in range(MAX_DIMENSION + 1)]
+    for names, error, message in (
+        # ``Polynomial`` printed "x^3 + 1y^2" here, which does not parse
+        (("1y", "x"), SingspecError, "bad variable name '1y'"),
+        (("x", "x y", "1y"), SingspecError, "bad variable name 'x y'"),
+        (("x", "é"), SingspecError, "bad variable name 'é'"),
+        (("x", ""), SingspecError, "bad variable name ''"),
+        (("x", 1), SingspecError, "bad variable name 1"),
+        (("x", b"y"), SingspecError, "bad variable name b'y'"),
+        (("x", "y", "x"), SingspecError, "duplicate variable names in 'x,y,x'"),
+        (many, ResourceLimitError, f"{MAX_DIMENSION + 1} variables exceed the limit of 32"),
+        # the count is checked before the names
+        ([*many[:-1], "1y"], ResourceLimitError, "33 variables exceed the limit of 32"),
+    ):
+        for build in (lambda: Polynomial(names, {}), lambda: parse_polynomial("x", names)):
+            with pytest.raises(error) as exc:
+                build()
+            assert type(exc.value) is error and str(exc.value) == message, names
+    assert Polynomial(many[:-1], {}).variables == tuple(many[:-1])
+    assert parse_polynomial("x^2", ["x", "_a", "Y_2"]).variables == ("x", "_a", "Y_2")
