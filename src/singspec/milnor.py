@@ -1,27 +1,40 @@
 """Gröbner bases of Jacobian ideals and monomial bases of Milnor algebras.
 
 The monomial order is grevlex throughout (``poly.grevlex_key``), so
-``GroebnerBasis`` records no order.  Exponent arithmetic on tuples,
-``normal_form`` and ``s_polynomial`` (on dicts from exponent tuples to nonzero
-exact coefficients) are the reduction loop of every Gröbner run.  The quotient
-by the Jacobian ideal is finite-dimensional exactly when every variable has a
-pure power among the leading terms of the reduced basis; the standard
-monomials below those powers then form the Milnor algebra basis (walked with
-the leads filtered coordinate by coordinate, ``_standard_monomials``), and
-their count must agree with the closed-form product of (1/w_i - 1) over the
-weights.  Disagreement is an internal error, never a user error.
-``milnor_basis`` checks that closed form against ``MAX_MU`` before it computes
-a Gröbner basis or enumerates a monomial.
+``GroebnerBasis`` records no order.  The quotient by the Jacobian ideal is
+finite-dimensional exactly when every variable has a pure power among the
+leading terms of the reduced basis; the standard monomials below those
+powers then form the Milnor algebra basis (walked with the leads filtered
+coordinate by coordinate, ``_standard_monomials``), and their count must
+agree with the closed-form product of (1/w_i - 1) over the weights.
+Disagreement is an internal error, never a user error.  ``milnor_basis``
+checks that closed form against ``MAX_MU`` before it computes a Gröbner
+basis or enumerates a monomial.
 
 A Gröbner run has two layers: the core ``_minimal_basis`` runs the pair loop
 and returns the leads and monic tails of a minimal basis, and ``buchberger``
 inter-reduces them into the reduced ``GroebnerBasis``.  Inter-reduction
 rewrites only tails, so ``milnor_basis`` and ``is_isolated`` read the core's
-leads (``_jacobian_leads``) and build no reduced basis.  ``singspec sp`` runs
-the core once per request (``spectrum.analyze``) and ``singspec check`` once
-per corpus case, building its corpus once per run; ``is_isolated`` and
-``milnor_number`` each run it again, as public entry points and as oracles
-for ``analyze``.
+leads (``_jacobian_leads``) and build no reduced basis.  ``sp`` runs the core
+once per request (``spectrum.analyze``) and ``check`` once per corpus case;
+``is_isolated`` and ``milnor_number`` run it again, as oracles of ``analyze``.
+
+Packed monomials (Monagan-Pearce, J. Symbolic Comput. 46, 2011): the core,
+``normal_form`` and ``s_polynomial`` key a monomial by one int; the public
+functions take and return exponent tuples.  A variable has _V value bits and
+a guard bit, W = _V + 1: E(e) = sum e_i 2^(iW) and the key is K(e) =
+deg(e) 2^(nW) - E(e), so E(e) = -K(e) mod 2^(nW).  K is linear and orders
+ints as ``grevlex_key`` orders tuples, so a lead is a ``max``.  x^a divides
+x^b exactly when (K(a) - K(b)) & G == 0, G the guard bits (a field that
+borrows sets its guard bit); ``_Packing.lcm`` takes field maxima by that
+compare; coprime leads have disjoint support masks.  Grevlex is graded and
+reduction brings in only smaller terms, so no degree in a run exceeds its
+largest input term or the lcm of a pair it reduces: ``_Packing.check``
+refuses those past 2^_V - 1 (ResourceLimitError) before a field overflows.
+``sp`` and ``check`` never come near: a term of f has degree at most m, the
+lcm of the weight denominators (m w_i is a positive integer), which ``sp``
+refuses past ``spectrum.MAX_DENSE`` anyway, and no pair lcm of the check
+corpus or the benchmark inputs passes degree 66.
 """
 
 import heapq
@@ -36,97 +49,95 @@ from .errors import (
     ResourceLimitError,
 )
 from .exact import Record, shown
-from .poly import (
-    Polynomial,
-    as_weights,
-    exp_add,
-    grevlex_key,
-    is_weighted_homogeneous,
-    jacobian_generators,
-)
+from .poly import Polynomial, as_weights, grevlex_key, is_weighted_homogeneous, jacobian_generators
 
 # budget on the closed-form Milnor number, i.e. on the number of standard
 # monomials milnor_basis may enumerate; x^30+y^31+z^37 has mu 31,320
 MAX_MU = 100_000
 
-
-def exp_sub(a, b):
-    return tuple(map(operator.sub, a, b))
-
-
-def exp_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+# a packed exponent has one field per variable: _V value bits and a guard bit
+_V = 31
+_W = _V + 1
+_FIELD = (1 << _V) - 1
 
 
-def exp_divides(a, b):
-    """True if the monomial with exponent a divides the one with exponent b."""
-    return all(map(operator.le, a, b))
+class _Packing:
+    """Keys of monomials in n variables: ``shift`` = nW, ``ones`` = sum
+    2^(iW), ``guard`` = G, ``top`` the largest key below degree 2^_V."""
+
+    __slots__ = ("shift", "mask", "ones", "guard", "top")
+
+    def __init__(self, n: int):
+        self.shift = n * _W
+        self.mask = (1 << self.shift) - 1
+        self.ones = self.mask // ((1 << _W) - 1)
+        self.guard = self.ones << _V
+        self.top = _FIELD << self.shift
+
+    def check(self, k: int):
+        if k > self.top:
+            raise ResourceLimitError(f"a Gröbner run goes past degree {_FIELD}: too large to pack")
+
+    def pack(self, terms) -> dict:
+        """``terms`` keyed by K, refused by ``check`` at its largest key."""
+        s, at = self.shift, range(0, self.shift, _W)
+        out = {(sum(e) << s) - sum(map(operator.lshift, e, at)): c for e, c in terms.items()}
+        self.check(max(out, default=0))
+        return out
+
+    def exponent(self, k: int) -> tuple[int, ...]:
+        e = -k & self.mask
+        return tuple(e >> s & _FIELD for s in range(0, self.shift, _W))
+
+    def support(self, e: int) -> int:
+        return (e + self.guard - self.ones) & self.guard  # the guard bits of nonzero fields
+
+    def lcm(self, a: int, b: int) -> int:
+        """K of the lcm of the exponents whose E values are a and b."""
+        g = ((a | self.guard) - b) & self.guard  # the guard bits of the fields with a_i >= b_i
+        e = b ^ ((a ^ b) & (g - (g >> _V)))
+        degree = (e * self.ones >> self.shift - _W) & ((1 << _W) - 1)
+        return (degree << self.shift) - e
 
 
-def exp_coprime(a, b):
-    for x, y in zip(a, b):
-        if x and y:
-            return False
-    return True
-
-
-def leading_exponent(terms):
-    """Grevlex-largest exponent of a nonzero polynomial dict."""
-    return max(terms, key=grevlex_key)
-
-
-def normal_form(terms, lead_exps, tails):
-    """Full normal form of a polynomial dict modulo a monic basis.
-
-    Basis element i is x^lead_exps[i] + tails[i] (tails are polynomial dicts
-    whose monomials are grevlex-smaller than the lead).  Deterministic: the
-    grevlex-largest remaining term is reduced first, by the first basis
-    element in list order whose lead divides it.  Reduction only ever creates
-    monomials strictly smaller than the one removed, so emitted terms are
-    final and come in strictly descending grevlex order; callers rely on
-    that: the first key of a nonzero result is its leading exponent.
-    """
+def normal_form(terms, leads, tails, guard):
+    """Full normal form of a dict keyed by K modulo the monic basis of the
+    elements x^leads[i] + tails[i], ``guard`` = G.  The largest term is
+    reduced first, by the first element whose lead divides it, so the result
+    comes in strictly descending order."""
     work = dict(terms)
     out = {}
-    nbasis = len(lead_exps)
     while work:
-        e = leading_exponent(work)
-        c = work.pop(e)
-        hit = -1
-        for i in range(nbasis):
-            if exp_divides(lead_exps[i], e):
-                hit = i
+        k = max(work)
+        c = work.pop(k)
+        for le, tail in zip(leads, tails):
+            if not (le - k) & guard:
+                d = k - le
+                for te, tc in tail.items():
+                    te += d
+                    v = work.get(te, 0) - c * tc
+                    if v:
+                        work[te] = v
+                    elif te in work:
+                        del work[te]
                 break
-        if hit < 0:
-            out[e] = c
-            continue
-        d = exp_sub(e, lead_exps[hit])
-        for te, tc in tails[hit].items():
-            k = exp_add(d, te)
-            v = work.get(k, 0) - c * tc
-            if v:
-                work[k] = v
-            elif k in work:
-                del work[k]
+        else:
+            out[k] = c
     return out
 
 
-def s_polynomial(f, lf, g, lg):
-    """S-polynomial of the monic x^lf + f and x^lg + g, given their tails f, g;
-    full monic dicts give the same result (their lcm terms cancel)."""
-    lcm = exp_lcm(lf, lg)
-    df = exp_sub(lcm, lf)
-    dg = exp_sub(lcm, lg)
-    out = {}
-    for e, c in f.items():
-        out[exp_add(e, df)] = c
+def s_polynomial(f, lf, g, lg, lcm):
+    """S-polynomial of the monic x^lf + f and x^lg + g, given their tails f, g
+    and the key of lcm(x^lf, x^lg); full monic dicts give the same result."""
+    df, dg = lcm - lf, lcm - lg
+    out = {e + df: c for e, c in f.items()}
     for e, c in g.items():
-        k = exp_add(e, dg)
-        v = out.get(k, 0) - c
+        e += dg
+        v = out.get(e, 0) - c
         if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
+            out[e] = v
+        elif e in out:
+            del out[e]
     return out
 
 
@@ -138,7 +149,7 @@ class GroebnerBasis(Record):
 
     @property
     def lead_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(leading_exponent(p.terms) for p in self.polynomials)
+        return tuple(max(p.terms, key=grevlex_key) for p in self.polynomials)
 
 
 class MilnorBasis(Record):
@@ -151,73 +162,60 @@ class MilnorBasis(Record):
         return len(self.monomials)
 
 
-def _minimal_basis(gens) -> tuple[list[tuple], list[dict]]:
-    """Leads and monic tails of a minimal Gröbner basis of the ideal the
-    nonzero polynomials ``gens`` span, in ascending grevlex order of the leads.
+def _minimal_basis(gens, n: int) -> tuple[_Packing, list[int], list[dict]]:
+    """The packing of n variables, and the packed leads (those of the reduced
+    basis) and monic tails of a minimal Gröbner basis of the ideal the
+    nonzero ``gens`` span, leads ascending.
 
-    The leads are those of the reduced basis (inter-reduction rewrites only
-    tails), so callers that need the leading ideal alone stop here.  A
-    remainder's lead is its first key (``normal_form``'s order).
-
-    Deterministic: generators are pre-sorted, the pair with the grevlex-least
-    lcm is processed first (normal selection), and both classical discards
-    apply (coprime leading terms; chain criterion against pairs no longer
-    pending).
-
-    Pairs wait in a binary heap keyed ``(grevlex_key(lcm), i, j)``; each pair
-    is pushed once, when its younger element joins the basis, so a selection
-    costs O(log P) over P pairs instead of a scan of every pending pair.  The
-    key is a total order (no two pairs share i, j), so the heap pops pairs in
-    exactly the order of ``min(pending, key=...)``.  ``pending`` mirrors the
-    heap for the chain criterion; a pair leaves it when it is popped.
+    Deterministic: generators are pre-sorted, the pair with the least lcm is
+    processed first (normal selection), and both classical discards apply
+    (coprime leads; chain criterion against pairs no longer pending).  Pairs
+    wait in a heap keyed ``(K(lcm), i, j)``, a total order, so they pop in
+    the order of ``min(pending, key=...)``; ``pending`` has both (i, j), (j, i).
     """
-    leads: list[tuple] = []
-    tails: list[dict] = []
-    pending: set[tuple[int, int]] = set()
-    queue: list[tuple] = []
+    pk = _Packing(n)
+    guard = pk.guard
+    leads, exps, supports, tails = [], [], [], []  # per element: K, E and support of its lead
+    pending, queue = set(), []
 
-    def add(d: dict, le: tuple):
+    def add(d: dict):
+        le = max(d)
         lc = d.pop(le)
         new = len(leads)
-        leads.append(le)
-        tails.append(d if lc == 1 else {e: c / lc for e, c in d.items()})
+        e = -le & pk.mask
         for i in range(new):
-            lcm = exp_lcm(leads[i], le)
-            heapq.heappush(queue, (grevlex_key(lcm), i, new, lcm))
-            pending.add((i, new))
+            heapq.heappush(queue, (pk.lcm(exps[i], e), i, new))
+            pending.update(((i, new), (new, i)))
+        leads.append(le)
+        exps.append(e)
+        supports.append(pk.support(e))
+        tails.append(d if lc == 1 else {k: c / lc for k, c in d.items()})
 
     for g in sorted(gens, key=lambda p: sorted(p.terms.items())):
-        add(dict(g.terms), leading_exponent(g.terms))
+        add(pk.pack(g.terms))
 
     while queue:
-        _, i, j, lcm = heapq.heappop(queue)
-        pending.remove((i, j))
-        if exp_coprime(leads[i], leads[j]):
+        lcm, i, j = heapq.heappop(queue)
+        pending -= {(i, j), (j, i)}
+        if not supports[i] & supports[j]:
             continue
-        chained = False
-        for k in range(len(leads)):
-            if k in (i, j) or not exp_divides(leads[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                chained = True
-                break
-        if chained:
-            continue
-        s = s_polynomial(tails[i], leads[i], tails[j], leads[j])
-        r = normal_form(s, leads, tails)
+        if any(
+            k != i and k != j and (i, k) not in pending and (j, k) not in pending
+            for k, le in enumerate(leads) if not (le - lcm) & guard
+        ):
+            continue  # chain criterion
+        pk.check(lcm)
+        s = s_polynomial(tails[i], leads[i], tails[j], leads[j], lcm)
+        r = normal_form(s, leads, tails, guard)
         if r:
-            add(r, next(iter(r)))
+            add(r)
 
     # minimal basis: drop leads divisible by another kept lead
-    kept_leads: list[tuple] = []
-    kept_tails: list[dict] = []
-    for i in sorted(range(len(leads)), key=lambda i: grevlex_key(leads[i])):
-        if not any(exp_divides(k, leads[i]) for k in kept_leads):
-            kept_leads.append(leads[i])
-            kept_tails.append(tails[i])
-    return kept_leads, kept_tails
+    kept: list[int] = []
+    for i in sorted(range(len(leads)), key=leads.__getitem__):
+        if all((leads[k] - leads[i]) & guard for k in kept):
+            kept.append(i)
+    return pk, [leads[i] for i in kept], [tails[i] for i in kept]
 
 
 def buchberger(generators, variables=None) -> GroebnerBasis:
@@ -233,13 +231,13 @@ def buchberger(generators, variables=None) -> GroebnerBasis:
         if g.variables != variables:
             raise ValueError("generators must share one variable tuple")
 
-    leads, tails = _minimal_basis(gens)
+    pk, leads, tails = _minimal_basis(gens, len(variables))
     out = []
     for le, tail in zip(leads, tails):
         # x^a | x^b implies x^b >= x^a, so an element never reduces its own tail
-        tail = normal_form(tail, leads, tails)
-        out.append(Polynomial.from_scaled([*tail.items(), (le, Fraction(1))], variables))
-    # the leads ascend in grevlex order, so out is sorted
+        full = {**normal_form(tail, leads, tails, pk.guard), le: Fraction(1)}
+        out.append(Polynomial.from_scaled(zip(map(pk.exponent, full), full.values()), variables))
+    # the leads ascend, so out is sorted
     return GroebnerBasis(variables, tuple(out))
 
 
@@ -247,12 +245,13 @@ def reduce_modulo(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Full normal form of p against a Gröbner basis."""
     if p.variables != gb.variables:
         raise ValueError("variable mismatch")
-    leads = list(gb.lead_exponents)
-    tails = [
-        {e: c for e, c in poly.terms.items() if e != le}
-        for poly, le in zip(gb.polynomials, leads)
-    ]
-    return Polynomial.from_scaled(normal_form(p.terms, leads, tails).items(), gb.variables)
+    pk = _Packing(len(p.variables))
+    tails = [pk.pack(q.terms) for q in gb.polynomials]
+    leads = [max(t) for t in tails]
+    for t, le in zip(tails, leads):
+        del t[le]
+    rest = normal_form(pk.pack(p.terms), leads, tails, pk.guard)
+    return Polynomial.from_scaled(zip(map(pk.exponent, rest), rest.values()), p.variables)
 
 
 def _missing_pure_power(leads, nvars: int) -> int:
@@ -305,7 +304,8 @@ def _standard_monomials(leads, nvars: int) -> list[tuple[int, ...]]:
 def _jacobian_leads(f: Polynomial) -> tuple[tuple[int, ...], ...]:
     """Leading exponents of the reduced Gröbner basis of the Jacobian ideal
     (none if it is zero), from the minimal basis alone."""
-    return tuple(_minimal_basis([g for g in jacobian_generators(f) if g])[0])
+    pk, leads, _ = _minimal_basis([g for g in jacobian_generators(f) if g], len(f.variables))
+    return tuple(map(pk.exponent, leads))
 
 
 def is_isolated(f: Polynomial) -> bool:

@@ -11,10 +11,12 @@ applied by ``Polynomial`` and ``parse.parse_polynomial``: at most
 identifier of polynomial text) matches in full, so that ``str`` of a
 polynomial parses back.  The monomial order is graded reverse lexicographic
 with respect to the tuple order, x_0 > x_1 > ... > x_{n-1}, defined by
-``grevlex_key`` alone: every comparison, leading term and sort in the
-package goes through that key, with one exception.  ``Polynomial.__str__``
-sorts the exponent tuples of a one-variable polynomial as they are, since
-in one variable grevlex is the exponent order.
+``grevlex_key``: every comparison, leading term and sort of exponent tuples
+in the package goes through that key, with one exception.
+``Polynomial.__str__`` sorts the exponent tuples of a one-variable
+polynomial as they are, since in one variable grevlex is the exponent order.
+The Gröbner kernel states the order a second time, as the packed int key of
+``milnor``; ``tests/test_milnor.py`` holds that key to ``grevlex_key``.
 
 Weight vectors are tuples of Fractions in the open interval (0, 1); a
 polynomial is weighted-homogeneous when every term has weighted degree
@@ -126,10 +128,10 @@ class Polynomial(ExactMap):
 
     @classmethod
     def variable(cls, variables, name):
-        variables = tuple(variables)
-        i = variables.index(name)
-        e = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {e: 1})
+        variables = _variables(variables)
+        if name not in variables:
+            raise SingspecError(f"unknown variable {name!r}, not one of {','.join(variables)!r}")
+        return cls(variables, {tuple(int(v == name) for v in variables): 1})
 
     # -- calculus and degrees ----------------------------------------------
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -25,8 +26,38 @@ from singspec import (
 from singspec import milnor, spectrum
 from singspec.checks import _EXTRA_CASES, _bp_polynomial, brieskorn_pham_exponents
 from singspec.exact import MAX_DIMENSION
+from singspec.poly import exp_add, grevlex_key
 
 XY = ("x", "y")
+
+
+# -- exponent tuples, independent of the packed kernel ---------------------------
+
+
+def leading_exponent(terms):
+    return max(terms, key=grevlex_key)
+
+
+def exp_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def exp_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def divides(a, b):
+    """True if the monomial with exponent a divides the one with exponent b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def coprime(a, b):
+    return not any(x and y for x, y in zip(a, b))
+
+
+def unpack(pk, terms):
+    """The (exponent tuple, coefficient) pairs of a packed dict, in its order."""
+    return [(pk.exponent(k), c) for k, c in terms.items()]
 
 
 def random_polynomial(rng, variables, max_terms=4, max_exp=3):
@@ -38,11 +69,11 @@ def random_polynomial(rng, variables, max_terms=4, max_exp=3):
 
 
 def s_polynomial(f, g):
-    lf = milnor.leading_exponent(f.terms)
-    lg = milnor.leading_exponent(g.terms)
-    lcm = milnor.exp_lcm(lf, lg)
-    mf = Polynomial(f.variables, {milnor.exp_sub(lcm, lf): 1 / f.terms[lf]})
-    mg = Polynomial(g.variables, {milnor.exp_sub(lcm, lg): 1 / g.terms[lg]})
+    lf = leading_exponent(f.terms)
+    lg = leading_exponent(g.terms)
+    lcm = exp_lcm(lf, lg)
+    mf = Polynomial(f.variables, {exp_sub(lcm, lf): 1 / f.terms[lf]})
+    mg = Polynomial(g.variables, {exp_sub(lcm, lg): 1 / g.terms[lg]})
     return mf * f - mg * g
 
 
@@ -55,7 +86,7 @@ def assert_is_reduced_groebner(gb, generators):
     for i, p in enumerate(gb.polynomials):
         for e in p.terms:
             divisors = [
-                j for j, le in enumerate(leads) if milnor.exp_divides(le, e)
+                j for j, le in enumerate(leads) if divides(le, e)
             ]
             if e == leads[i]:
                 assert divisors == [i]
@@ -95,7 +126,7 @@ def test_buchberger_mixed_ideal():
     gb = buchberger(gens)
     assert_is_reduced_groebner(gb, gens)
     # a pure power of y must join the leading ideal for the quotient to be finite
-    assert any(milnor.exp_divides(le, (0, 4)) for le in gb.lead_exponents)
+    assert any(divides(le, (0, 4)) for le in gb.lead_exponents)
 
 
 def test_buchberger_random_pairs_reduce_to_zero():
@@ -138,13 +169,13 @@ def random_terms(rng, n, max_terms=5):
 
 
 def monic_terms(terms):
-    lc = terms[milnor.leading_exponent(terms)]
+    lc = terms[leading_exponent(terms)]
     return {e: c / lc for e, c in terms.items()}
 
 
 def test_kernel_grevlex_order_properties():
     rng = random.Random(11)
-    key = milnor.grevlex_key
+    key = grevlex_key
     for _ in range(300):
         n = rng.randint(1, 4)
         a = random_exponent(rng, n)
@@ -156,7 +187,7 @@ def test_kernel_grevlex_order_properties():
             assert (key(a) > key(b)) == (sum(a) > sum(b))
         # compatible with monomial multiplication
         if key(a) > key(b):
-            assert key(milnor.exp_add(a, c)) > key(milnor.exp_add(b, c))
+            assert key(exp_add(a, c)) > key(exp_add(b, c))
 
 
 def test_leading_exponent_matches_sympy_grevlex():
@@ -169,27 +200,31 @@ def test_leading_exponent_matches_sympy_grevlex():
         p = sympy.Poly.from_dict(
             {e: sympy.Rational(c.numerator, c.denominator) for e, c in terms.items()}, *symbols
         )
-        assert milnor.leading_exponent(terms) == p.monoms(order="grevlex")[0], terms
+        pk = milnor._Packing(n)
+        assert pk.exponent(max(pk.pack(terms))) == p.monoms(order="grevlex")[0], terms
+        assert leading_exponent(terms) == p.monoms(order="grevlex")[0], terms
 
 
 def test_kernel_normal_form_is_irreducible():
     rng = random.Random(3001)
     for _ in range(200):
         n = rng.randint(1, 3)
+        pk = milnor._Packing(n)
         target = random_terms(rng, n, max_terms=6)
         lead_exps = []
         tails = []
         for _ in range(rng.randint(1, 3)):
             basis = monic_terms(random_terms(rng, n, max_terms=3))
-            le = milnor.leading_exponent(basis)
+            le = leading_exponent(basis)
             lead_exps.append(le)
-            tails.append({e: c for e, c in basis.items() if e != le})
-        got = milnor.normal_form(target, lead_exps, tails)
+            tails.append(pk.pack({e: c for e, c in basis.items() if e != le}))
+        leads = [max(pk.pack({le: 1})) for le in lead_exps]
+        got = unpack(pk, milnor.normal_form(pk.pack(target), leads, tails, pk.guard))
         # nothing left divisible by a basis lead
-        for e in got:
-            assert not any(milnor.exp_divides(le, e) for le in lead_exps)
+        for e, _ in got:
+            assert not any(divides(le, e) for le in lead_exps)
         # terms come out in strictly descending grevlex order
-        keys = [milnor.grevlex_key(e) for e in got]
+        keys = [grevlex_key(e) for e, _ in got]
         assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
@@ -197,17 +232,22 @@ def test_kernel_s_polynomial_cancels_lead_lcm():
     rng = random.Random(4242)
     for _ in range(200):
         n = rng.randint(1, 3)
+        pk = milnor._Packing(n)
         f = monic_terms(random_terms(rng, n))
         g = monic_terms(random_terms(rng, n))
-        lf = milnor.leading_exponent(f)
-        lg = milnor.leading_exponent(g)
-        s = milnor.s_polynomial(f, lf, g, lg)
+        lf = leading_exponent(f)
+        lg = leading_exponent(g)
+        lcm = exp_lcm(lf, lg)
+        kf, kg, klcm = (max(pk.pack({e: 1})) for e in (lf, lg, lcm))
+        s = milnor.s_polynomial(pk.pack(f), kf, pk.pack(g), kg, klcm)
         if s:
-            assert milnor.leading_exponent(s) != milnor.exp_lcm(lf, lg)
+            assert pk.exponent(max(s)) != lcm
+        # the same S-polynomial as on tuples
+        assert dict(unpack(pk, s)) == tuple_s_polynomial(f, lf, g, lg)
         # the tails alone give the same S-polynomial
-        ft = {e: c for e, c in f.items() if e != lf}
-        gt = {e: c for e, c in g.items() if e != lg}
-        assert milnor.s_polynomial(ft, lf, gt, lg) == s
+        ft = pk.pack({e: c for e, c in f.items() if e != lf})
+        gt = pk.pack({e: c for e, c in g.items() if e != lg})
+        assert milnor.s_polynomial(ft, kf, gt, kg, klcm) == s
 
 
 def test_input_guards_carry_messages():
@@ -317,17 +357,170 @@ def test_grid_boxes():
         )
 
 
+# -- the packed keys against exponent tuples ----------------------------------------
+
+
+def packed_key(e):
+    """K(e) by its definition, deg(e) * 2^(nW) - sum of e_i * 2^(iW)."""
+    w = milnor._W
+    return (sum(e) << len(e) * w) - sum(x << i * w for i, x in enumerate(e))
+
+
+def limit_exponents(rng, n, count):
+    """Seeded exponents in n variables of degree at most 2^V - 1: small ones,
+    a single field at 2^V - 1, and random splits of a degree near the limit."""
+    top = milnor._FIELD
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind < 2:
+            e = [rng.randint(0, 7) for _ in range(n)]
+        elif kind == 2:
+            e = [0] * n
+            e[rng.randrange(n)] = top
+        else:
+            cuts = sorted(rng.randint(0, top - rng.randint(0, 3)) for _ in range(n))
+            e = [b - a for a, b in zip([0, *cuts], cuts)]
+            rng.shuffle(e)
+        yield tuple(e)
+
+
+def exponent_pairs(seed):
+    """Pairs (a, b) in 1-6 and MAX_DIMENSION variables, a third of them with
+    b a multiple of a (within the limit), so that division is exercised."""
+    rng = random.Random(seed)
+    for n in (*range(1, 7), MAX_DIMENSION):
+        pool = list(limit_exponents(rng, n, 60))
+        for a in pool:
+            b = rng.choice(pool)
+            if rng.random() < 0.33:
+                b = tuple(x + rng.randint(0, 3) for x in a)
+                b = b if sum(b) <= milnor._FIELD else a
+            yield n, a, b
+
+
+def test_packed_key_round_trips_and_orders_as_grevlex():
+    for n, a, b in exponent_pairs(35):
+        pk = milnor._Packing(n)
+        ka, kb = packed_key(a), packed_key(b)
+        assert pk.pack({a: 3, b: 4}) == {ka: 3, kb: 4}
+        assert unpack(pk, pk.pack({a: 3, b: 4})) == list({a: 3, b: 4}.items())
+        assert pk.exponent(ka) == a and pk.exponent(kb) == b
+        assert -ka & pk.mask == sum(x << i * milnor._W for i, x in enumerate(a))
+        assert (ka > kb) == (grevlex_key(a) > grevlex_key(b)), (a, b)
+        assert (ka == kb) == (a == b)
+
+
+def test_packed_divisibility_lcm_product_and_support():
+    w, v = milnor._W, milnor._V
+    for n, a, b in exponent_pairs(36):
+        pk = milnor._Packing(n)
+        ka, kb = packed_key(a), packed_key(b)
+        ea, eb = -ka & pk.mask, -kb & pk.mask
+        assert (not (ka - kb) & pk.guard) == divides(a, b), (a, b)
+        assert (not (kb - ka) & pk.guard) == divides(b, a), (a, b)
+        assert pk.lcm(ea, eb) == pk.lcm(eb, ea) == packed_key(exp_lcm(a, b)), (a, b)
+        assert ka + kb == packed_key(exp_add(a, b))
+        if sum(a) + sum(b) <= milnor._FIELD:
+            assert pk.exponent(ka + kb) == exp_add(a, b)
+        if divides(a, b):
+            assert pk.exponent(kb - ka) == exp_sub(b, a)
+        support = sum(1 << i * w + v for i, x in enumerate(a) if x)
+        assert pk.support(ea) == support, a
+        assert (not pk.support(ea) & pk.support(eb)) == coprime(a, b), (a, b)
+
+
+def test_pack_refuses_a_degree_past_the_field_limit():
+    top = milnor._FIELD
+    for n in (1, 2, 5, MAX_DIMENSION):
+        pk = milnor._Packing(n)
+        assert pk.pack({(0,) * (n - 1) + (top,): 1})
+        assert pk.pack({}) == {}
+        for e in ((top + 1,), (top, 1), (2 * top + 2,), (1 << milnor._W,), (top // 2 + 1,) * 2):
+            if len(e) <= n:
+                with pytest.raises(ResourceLimitError, match="too large to pack"):
+                    pk.pack({(1,) * n: 1, e + (0,) * (n - len(e)): 1})
+
+
+def test_groebner_runs_refuse_degrees_past_the_field_limit():
+    """A generator of degree 2^V or more, or a pair whose lcm reaches it, is
+    refused with ResourceLimitError; just below, the leads are the scan's."""
+    half = 1 << milnor._V - 1
+    refused = functools.partial(pytest.raises, ResourceLimitError, match="too large to pack")
+    big = Polynomial(XY, {(half * 2 + 1, 0): 1, (0, 2): 1})
+    with refused():
+        is_isolated(big)
+    with refused():
+        buchberger(jacobian_generators(big))
+    # mu 1 from the weights, so only the packed limit stands in the way
+    node = Polynomial(XY, {(1, 1): 1, (0, half * 2 + 1): 1})
+    with refused():
+        milnor_basis(node, (1 - Fraction(1, half * 2 + 1), Fraction(1, half * 2 + 1)))
+    # each generator of degree 2^(V-1) + 1, their lcm of degree 2^V
+    gens = [Polynomial(XY, {(half, 1): 1, (0, 1): 1}), Polynomial(XY, {(1, half): 1})]
+    with refused():
+        buchberger(gens)
+    for k in (half - 1, half - 2):
+        gens = [Polynomial(XY, {(k, 1): 1, (0, 1): 1}), Polynomial(XY, {(1, k): 1})]
+        assert buchberger(gens) == scan_buchberger(gens, XY)
+    edge = Polynomial(XY, {(milnor._FIELD + 1, 0): 1, (0, 2): 1})  # x^(2^V - 1) is a lead
+    assert is_isolated(edge)
+    assert milnor._jacobian_leads(edge) == ((0, 1), (milnor._FIELD, 0))
+    node = Polynomial(XY, {(1, 1): 1, (0, half * 2): 1})
+    assert len(milnor_basis(node, (1 - Fraction(1, half * 2), Fraction(1, half * 2)))) == 1
+
+
 # -- the pair queue against the scan it replaced ----------------------------------
 
 
-def scan_buchberger(generators, variables):
-    """Buchberger with the pair selection by a full scan of the pending pairs,
-    ``min(pending, key=lcm_key)``: the order the heap must reproduce."""
+def tuple_normal_form(terms, lead_exps, tails):
+    """Normal form on exponent tuples: the grevlex-largest term first, by the
+    first lead in list order that divides it."""
+    work = dict(terms)
+    out = {}
+    while work:
+        e = leading_exponent(work)
+        c = work.pop(e)
+        hit = next((i for i, le in enumerate(lead_exps) if divides(le, e)), -1)
+        if hit < 0:
+            out[e] = c
+            continue
+        d = exp_sub(e, lead_exps[hit])
+        for te, tc in tails[hit].items():
+            k = exp_add(d, te)
+            v = work.get(k, 0) - c * tc
+            if v:
+                work[k] = v
+            elif k in work:
+                del work[k]
+    return out
+
+
+def tuple_s_polynomial(f, lf, g, lg):
+    """S-polynomial of the monic x^lf + f and x^lg + g on exponent tuples."""
+    lcm = exp_lcm(lf, lg)
+    out = {}
+    for e, c in f.items():
+        out[exp_add(e, exp_sub(lcm, lf))] = c
+    for e, c in g.items():
+        k = exp_add(e, exp_sub(lcm, lg))
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        elif k in out:
+            del out[k]
+    return out
+
+
+def scan_buchberger(generators, variables, seen=None):
+    """Buchberger on exponent tuples with the pair selection by a full scan of
+    the pending pairs, ``min(pending, key=lcm_key)``: the order the heap must
+    reproduce.  The leads of every S-polynomial formed go to ``seen``."""
     gens = [g for g in generators if g]
     polys, leads, tails = [], [], []
+    seen = [] if seen is None else seen
 
     def add(d):
-        le = milnor.leading_exponent(d)
+        le = leading_exponent(d)
         lc = d[le]
         if lc != 1:
             d = {e: c / lc for e, c in d.items()}
@@ -341,17 +534,17 @@ def scan_buchberger(generators, variables):
 
     def lcm_key(pair):
         i, j = pair
-        return (milnor.grevlex_key(milnor.exp_lcm(leads[i], leads[j])), i, j)
+        return (grevlex_key(exp_lcm(leads[i], leads[j])), i, j)
 
     while pending:
         i, j = min(pending, key=lcm_key)
         pending.remove((i, j))
-        if milnor.exp_coprime(leads[i], leads[j]):
+        if coprime(leads[i], leads[j]):
             continue
-        lcm = milnor.exp_lcm(leads[i], leads[j])
+        lcm = exp_lcm(leads[i], leads[j])
         chained = False
         for k in range(len(polys)):
-            if k in (i, j) or not milnor.exp_divides(leads[k], lcm):
+            if k in (i, j) or not divides(leads[k], lcm):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -360,26 +553,27 @@ def scan_buchberger(generators, variables):
                 break
         if chained:
             continue
-        s = milnor.s_polynomial(polys[i], leads[i], polys[j], leads[j])
-        r = milnor.normal_form(s, leads, tails)
+        seen.append((leads[i], leads[j]))
+        s = tuple_s_polynomial(polys[i], leads[i], polys[j], leads[j])
+        r = tuple_normal_form(s, leads, tails)
         if r:
             new = len(polys)
             add(r)
             pending.update((k, new) for k in range(new))
 
-    order = sorted(range(len(polys)), key=lambda i: milnor.grevlex_key(leads[i]))
+    order = sorted(range(len(polys)), key=lambda i: grevlex_key(leads[i]))
     kept = []
     for i in order:
-        if not any(milnor.exp_divides(leads[k], leads[i]) for k in kept):
+        if not any(divides(leads[k], leads[i]) for k in kept):
             kept.append(i)
     out = []
     for i in kept:
         other_leads = [leads[k] for k in kept if k != i]
         other_tails = [tails[k] for k in kept if k != i]
-        full = dict(milnor.normal_form(tails[i], other_leads, other_tails))
+        full = dict(tuple_normal_form(tails[i], other_leads, other_tails))
         full[leads[i]] = Fraction(1)
         out.append((leads[i], full))
-    out.sort(key=lambda pair: milnor.grevlex_key(pair[0]))
+    out.sort(key=lambda pair: grevlex_key(pair[0]))
     return GroebnerBasis(
         variables=variables,
         polynomials=tuple(Polynomial(variables, d) for _, d in out),
@@ -413,22 +607,22 @@ def seeded_atoms(seed=5150, count=24):
 
 def test_pair_queue_matches_scan_order(monkeypatch):
     real = milnor.s_polynomial
-    seen = []
+    heap_pairs = []
 
-    def recording(f, lf, g, lg):
-        seen.append((lf, lg))
-        return real(f, lf, g, lg)
+    def recording(f, lf, g, lg, lcm):
+        heap_pairs.append((lf, lg))
+        return real(f, lf, g, lg, lcm)
 
     monkeypatch.setattr(milnor, "s_polynomial", recording)
     for f in seeded_atoms():
         gens = jacobian_generators(f)
-        seen.clear()
+        heap_pairs.clear()
         got = buchberger(gens, f.variables)
-        heap_pairs = list(seen)
-        seen.clear()
-        want = scan_buchberger(gens, f.variables)
-        assert heap_pairs  # the Jacobian ideals of these atoms are not monomial
-        assert heap_pairs == seen, str(f)
+        pk = milnor._Packing(len(f.variables))
+        seen = []
+        want = scan_buchberger(gens, f.variables, seen)
+        assert seen  # the Jacobian ideals of these atoms are not monomial
+        assert [(pk.exponent(a), pk.exponent(b)) for a, b in heap_pairs] == seen, str(f)
         assert got == want, str(f)
 
 
@@ -445,7 +639,7 @@ def box_filter(b, leads):
     return tuple(
         m
         for m in itertools.product(*(range(a) for a in bounds))
-        if not any(milnor.exp_divides(le, m) for le in leads)
+        if not any(divides(le, m) for le in leads)
     )
 
 
@@ -457,6 +651,16 @@ def walk_cases():
     grid = list(brieskorn_pham_exponents())
     for exps in random.Random(3301).sample(grid, 20):
         yield _bp_polynomial(exps), tuple(Fraction(1, a) for a in exps)
+
+
+def test_packed_kernel_matches_the_scan_on_walk_cases():
+    """The reduced bases and the leads-only run against the tuple scan on
+    ``_EXTRA_CASES``, the seeded atoms and a sample of the grid."""
+    for f, _ in walk_cases():
+        gens = jacobian_generators(f)
+        want = scan_buchberger(gens, f.variables)
+        assert buchberger(gens, f.variables) == want, str(f)
+        assert milnor._jacobian_leads(f) == want.lead_exponents, str(f)
 
 
 def test_pruned_walk_matches_box_filter():

@@ -10,6 +10,7 @@ from singspec import (
     InconsistentWeightsError,
     LengthMismatchError,
     Polynomial,
+    SingspecError,
     UnderdeterminedWeightsError,
     WeightOutOfRangeError,
     as_weights,
@@ -54,6 +55,16 @@ def test_immutable():
     p = Polynomial.variable(XY, "x")
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+def test_variable_names_an_unknown_name():
+    assert Polynomial.variable(XY, "y").terms == {(0, 1): 1}
+    with pytest.raises(SingspecError, match=r"^unknown variable 'y', not one of 'x'$"):
+        Polynomial.variable(("x",), "y")
+    with pytest.raises(SingspecError, match=r"^unknown variable 1, not one of 'x,y'$"):
+        Polynomial.variable(XY, 1)
+    with pytest.raises(SingspecError, match=r"^duplicate variable names in 'x,x'$"):
+        Polynomial.variable(("x", "x"), "x")
 
 
 def test_ring_axioms_randomized():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_milnor import atom, random_polynomial, seeded_atoms
+from test_milnor import atom, divides, random_polynomial, seeded_atoms, walk_cases
 
 from singspec import (
     NonIsolatedSingularityError,
@@ -32,7 +32,7 @@ from singspec import (
 )
 from singspec import cli
 from singspec.checks import build_corpus
-from singspec.milnor import _closed_mu, _jacobian_leads, exp_divides
+from singspec.milnor import _closed_mu, _jacobian_leads
 from singspec.poly import grevlex_key, is_weighted_homogeneous, weighted_degree
 from singspec.spectrum import analyze
 
@@ -127,7 +127,7 @@ def test_leads_only_run_matches_the_reduced_basis():
         leads = _jacobian_leads(f)
         assert leads == buchberger(jacobian_generators(f), f.variables).lead_exponents, str(f)
         assert list(leads) == sorted(leads, key=grevlex_key), str(f)
-        assert not any(exp_divides(a, b) for a, b in itertools.permutations(leads, 2)), str(f)
+        assert not any(divides(a, b) for a, b in itertools.permutations(leads, 2)), str(f)
         pure = all(any(sum(le) == le[i] for le in leads) for i in range(len(f.variables)))
         assert is_isolated(f) == (bool(leads) and pure), str(f)
         isolated += is_isolated(f)
@@ -160,13 +160,14 @@ def test_basis_route_factors_over_disjoint_sums():
 
 
 def test_groebner_bases_match_sympy():
+    """On the random draws and on ``test_milnor.walk_cases`` (``_EXTRA_CASES``,
+    the seeded atoms and a sample of the grid): the reduced basis, and the
+    leads of the leads-only run."""
     sympy = pytest.importorskip("sympy")
-    for f, _ in isolated_cases():
+    for f in [f for f, _ in isolated_cases()] + [f for f, _ in walk_cases()]:
         gens = jacobian_generators(f)
-        ours = {
-            frozenset(p.terms.items())
-            for p in buchberger(gens, f.variables).polynomials
-        }
+        gb = buchberger(gens, f.variables)
+        ours = {frozenset(p.terms.items()) for p in gb.polynomials}
         symbols = sympy.symbols(f.variables)
         exprs = [
             sum(
@@ -185,6 +186,7 @@ def test_groebner_bases_match_sympy():
                 frozenset((e, Fraction(int(c.p), int(c.q)) / lc) for e, c in terms)
             )
         assert ours == theirs, str(f)
+        assert _jacobian_leads(f) == gb.lead_exponents, str(f)
 
 
 # -- the monodromy from the weights alone (Milnor-Orlik) ---------------------
